@@ -134,12 +134,15 @@ def _print_weights(title: str, weights: FeatureWeights) -> None:
         print(f"  {rank}. {name:<24s} {w:.4f}")
 
 
-def _print_report(outcome: DecisionOutcome, config: DecisionConfig) -> None:
-    report = outcome.report
-    n_subsets = len(enumerate_subsets(len(report.frsd_weights.entries)))
-    n_k = config.k_max - config.k_min + 1
+def _print_sweep_size(n_features: int, k_min: int, k_max: int) -> None:
+    n_subsets = len(enumerate_subsets(n_features))
+    n_k = k_max - k_min + 1
     print(f"FRSD sweep: {n_subsets * n_k} silhouette runs "
-          f"({n_subsets} subsets x {n_k} cluster counts)")
+          f"({n_subsets} subsets x {n_k} cluster counts)", flush=True)
+
+
+def _print_report(outcome: DecisionOutcome) -> None:
+    report = outcome.report
     _print_weights("FRSD feature weights:", report.frsd_weights)
     _print_weights("PCA component weights:", report.pca_weights)
     print(f"best FS silhouette index:  {report.best_si_fs:.4f}")
@@ -193,6 +196,7 @@ def cmd_run(args) -> int:
     )
     data = load_csv(args.input)
     os.makedirs(args.out, exist_ok=True)
+    _print_sweep_size(data.n_features, config.k_min, config.k_max)
 
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
@@ -214,7 +218,7 @@ def cmd_run(args) -> int:
     if not args.no_figures:
         _emit_figures(outcome, args.out, args.case)
 
-    _print_report(outcome, config)
+    _print_report(outcome)
     print(f"outputs written to {args.out}")
     return 0
 
@@ -228,6 +232,7 @@ def cmd_rank(args) -> int:
 
     data = load_csv(args.input)
     os.makedirs(args.out, exist_ok=True)
+    _print_sweep_size(data.n_features, args.k_min, args.k_max)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         normalized = minmax_normalize(data)
@@ -244,7 +249,6 @@ def cmd_rank(args) -> int:
     if args.subset_scores:
         write_subset_scores(scores, os.path.join(args.out, "subset_scores.csv"))
 
-    print(f"FRSD sweep: {len(scores)} silhouette runs")
     _print_weights("FRSD feature weights:", frsd_weights)
     _print_weights("PCA component weights:", pca_weights)
     print(f"outputs written to {args.out}")

@@ -171,9 +171,11 @@ def frsd_rank(data: Dataset, k_min: int, k_max: int, seed: int,
 
     args = [(cols, k, s, restarts, max_iter, tol) for _, _, cols, k, s in tasks]
     if max_workers > 1:
+        # about 8 chunks per worker, so short sweeps still reach every worker
+        chunksize = max(1, len(args) // (8 * max_workers))
         with ProcessPoolExecutor(max_workers=max_workers, initializer=_pool_init,
                                  initargs=(data.values,)) as pool:
-            sis = list(pool.map(_pool_task, args, chunksize=16))
+            sis = list(pool.map(_pool_task, args, chunksize=chunksize))
     else:
         sis = [_score_one(data.values, *a) for a in args]
 

@@ -15,6 +15,10 @@ from scipy.spatial.distance import cdist
 
 from .errors import MetricUndefinedError, ParameterError
 
+# upper bound on the pairwise distances that silhouette holds at once
+# (32 MiB of float64); tables up to about 2000 rows take a single block
+_BLOCK_BYTES = 32 * 2**20
+
 
 @dataclass(frozen=True, eq=False)
 class ClusteringResult:
@@ -35,6 +39,12 @@ def silhouette(data, labels) -> tuple[np.ndarray, float]:
     ``labels`` must contain integer cluster indices in [0, k) with every
     cluster nonempty and at least 2 clusters present. A sample alone in its
     cluster gets s = 0.
+
+    The values are exact (Rousseeuw 1987), built from per-cluster sums of
+    pairwise distances. Time is O(n^2); memory is O(n * block), because the
+    distances are computed one row block at a time, with at most
+    ``_BLOCK_BYTES`` of them alive at once. No BLAS routine is called, so the
+    result does not depend on the BLAS thread count.
     """
     data = np.asarray(data, dtype=np.float64)
     labels = np.asarray(labels)
@@ -53,11 +63,17 @@ def silhouette(data, labels) -> tuple[np.ndarray, float]:
         raise MetricUndefinedError("silhouette needs at least 2 clusters")
 
     n = data.shape[0]
-    dist = cdist(data, data)
+    # sorted by label, each cluster's members form one contiguous run of columns
+    order = np.argsort(labels, kind="stable")
+    by_cluster = data[order]
+    starts = np.concatenate(([0], np.cumsum(counts)[:-1]))
     # cluster_sums[i, c] = sum of distances from sample i to members of cluster c
-    membership = np.zeros((n, k))
-    membership[np.arange(n), labels] = 1.0
-    cluster_sums = dist @ membership
+    cluster_sums = np.empty((n, k))
+    rows = max(1, _BLOCK_BYTES // (8 * n))
+    for lo in range(0, n, rows):
+        # one temporary per statement, so only one block is ever alive
+        cluster_sums[lo : lo + rows] = np.add.reduceat(
+            cdist(data[lo : lo + rows], by_cluster), starts, axis=1)
 
     own = counts[labels]
     idx = np.arange(n)

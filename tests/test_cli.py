@@ -1,11 +1,17 @@
 """CLI subcommands, flag handling and output files."""
 
 import json
+import os
+import subprocess
+import sys
 
+import numpy as np
 import pytest
 
+import dimred
 from dimred.cli import main
-from dimred import DecisionReport
+from dimred import Dataset, DecisionReport
+from helpers import make_blobs_with_noise, write_dataset_csv
 
 FAST = ["--k-min", "2", "--k-max", "3", "--restarts", "2", "--threads", "1"]
 
@@ -134,3 +140,31 @@ class TestThreads:
             run_cli(["run", "--input", str(demo_csv), "--out", str(tmp_path / "o"),
                      "--threads", "0"])
         assert exc.value.code == 2
+
+
+class TestBlasThreads:
+    def test_outputs_do_not_depend_on_blas_thread_count(self, tmp_path):
+        # 630 rows in shuffled order: large enough, and mixed enough, that a
+        # BLAS product split across threads would round differently
+        ds = make_blobs_with_noise(seed=21, n_samples=630, n_noise=1)
+        perm = np.random.default_rng(3).permutation(ds.n_samples)
+        ds = Dataset(ids=[ds.ids[i] for i in perm], feature_names=ds.feature_names,
+                     values=ds.values[perm])
+        csv_path = write_dataset_csv(ds, tmp_path / "data.csv")
+        src = os.path.dirname(os.path.dirname(os.path.abspath(dimred.__file__)))
+        for blas_threads in ("1", "2"):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=blas_threads,
+                       PYTHONPATH=os.pathsep.join(
+                           filter(None, [src, os.environ.get("PYTHONPATH")])))
+            proc = subprocess.run(
+                [sys.executable, "-m", "dimred", "run", "--input", str(csv_path),
+                 "--out", str(tmp_path / f"blas{blas_threads}"), "--subset-scores",
+                 "--no-figures", "--threads", "2", "--k-min", "2", "--k-max", "3",
+                 "--restarts", "2"],
+                env=env, capture_output=True, text=True, timeout=300)
+            assert proc.returncode == 0, proc.stderr
+        for name in ("report.json", "frsd_weights.csv", "pca_weights.csv",
+                     "subset_scores.csv"):
+            one, two = tmp_path / "blas1" / name, tmp_path / "blas2" / name
+            assert one.read_bytes() == two.read_bytes(), \
+                f"{name} differs between OPENBLAS_NUM_THREADS=1 and 2"

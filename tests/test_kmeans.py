@@ -1,11 +1,15 @@
 """K-means fits and the silhouette index, checked against brute-force oracles."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.spatial.distance import cdist
 
 from dimred import (MetricUndefinedError, ParameterError, kmeans_fit, silhouette)
+from dimred.kmeans import _BLOCK_BYTES
 from helpers import brute_silhouette, exhaustive_best_inertia
 
 TWO_BLOBS_1D = np.array([[0.0], [0.1], [0.2], [10.0], [10.1], [10.2]])
@@ -166,6 +170,33 @@ class TestSilhouette:
         s, mean = silhouette(data, labels)
         assert np.all(s >= -1.0) and np.all(s <= 1.0)
         assert -1.0 <= mean <= 1.0
+
+    def test_row_blocks_match_dense_oracle_in_bounded_memory(self):
+        n, k = 3000, 4
+        assert n > 2 * (_BLOCK_BYTES // (8 * n))  # the input spans 3+ row blocks
+        rng = np.random.default_rng(5)
+        data = rng.uniform(size=(n, 3))
+        labels = rng.permutation(np.arange(n) % k)
+        # dense reference: full n x n distances times a one-hot membership matrix
+        membership = np.zeros((n, k))
+        membership[np.arange(n), labels] = 1.0
+        sums = cdist(data, data) @ membership
+        counts = np.bincount(labels)
+        means = sums / counts
+        means[np.arange(n), labels] = np.inf
+        b = means.min(axis=1)
+        a = sums[np.arange(n), labels] / (counts[labels] - 1)
+        expected = (b - a) / np.maximum(a, b)
+
+        tracemalloc.start()
+        try:
+            s, mean = silhouette(data, labels)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        np.testing.assert_allclose(s, expected, atol=1e-12, rtol=0)
+        assert mean == pytest.approx(np.mean(expected), abs=1e-12)
+        assert peak < 8 * n * n / 2
 
 
 def _labels_covering(rng, n, k):
