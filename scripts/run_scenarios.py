@@ -15,10 +15,10 @@ import sys
 import time
 
 from dimred import (DecisionConfig, DecisionReport, RadarSeries, SELECTION,
-                    best_silhouette_over_k, decide, frsd_rank, kmeans_fit,
-                    load_csv, minmax_columns, minmax_normalize, pca_fit,
-                    pca_importance, pca_project, render_silhouette_plot,
-                    render_stacked_radar, select_for_resolution)
+                    best_silhouette_over_k, decide, frsd_rank, load_csv,
+                    minmax_columns, minmax_normalize, pca_fit, pca_importance,
+                    pca_project, render_silhouette_plot, render_stacked_radar,
+                    select_for_resolution)
 from dimred.figures import cluster_letter
 
 SCENARIOS = [
@@ -83,17 +83,17 @@ def main():
         if m not in fs_cache:
             cols = [normalized.column_index(n) for n in frsd_weights.names[:m]]
             values = normalized.values[:, cols]
-            si, k = best_silhouette_over_k(values, args.k_min, args.k_max,
-                                           args.seed, args.restarts)
-            fs_cache[m] = (values, si, k)
+            si, k, fit = best_silhouette_over_k(values, args.k_min, args.k_max,
+                                                args.seed, args.restarts)
+            fs_cache[m] = (values, si, k, fit)
         return fs_cache[m]
 
     def fe_branch(m):
         if m not in fe_cache:
             values = pca_project(model, normalized.values, m)
-            si, k = best_silhouette_over_k(values, args.k_min, args.k_max,
-                                           args.seed, args.restarts)
-            fe_cache[m] = (values, si, k)
+            si, k, fit = best_silhouette_over_k(values, args.k_min, args.k_max,
+                                                args.seed, args.restarts)
+            fe_cache[m] = (values, si, k, fit)
         return fe_cache[m]
 
     reports = []
@@ -105,15 +105,17 @@ def main():
         )
         m_fs, achieved_fs = select_for_resolution(frsd_weights, target)
         m_fe, achieved_fe = select_for_resolution(pca_weights, target)
-        fs_values, si_fs, k_fs = fs_branch(m_fs)
-        fe_values, si_fe, k_fe = fe_branch(m_fe)
+        fs_values, si_fs, k_fs, fit_fs = fs_branch(m_fs)
+        fe_values, si_fe, k_fe, fit_fe = fe_branch(m_fe)
         method, s_interp, s_integ = decide(si_fs, si_fe, config)
         if method == SELECTION:
             n_kept, achieved, best_k = m_fs, achieved_fs, k_fs
             reduced, labels = fs_values, tuple(frsd_weights.names[:m_fs])
+            clustering = fit_fs
         else:
             n_kept, achieved, best_k = m_fe, achieved_fe, k_fe
             reduced, labels = fe_values, tuple(f"PC{i + 1}" for i in range(m_fe))
+            clustering = fit_fe
         report = DecisionReport(
             frsd_weights=frsd_weights, pca_weights=pca_weights,
             best_si_fs=si_fs, best_si_fe=si_fe,
@@ -133,8 +135,6 @@ def main():
         print(f"  achieved resolution:      {achieved:.1%}")
         print(f"  best number of clusters:  {best_k}")
         if args.out:
-            clustering = kmeans_fit(reduced, best_k, seed=args.seed,
-                                    restarts=args.restarts)
             emit_figures(name, args.out, clustering, reduced, labels)
 
     high = [r for t, r in reports if t > 0.8]

@@ -126,17 +126,20 @@ def select_for_resolution(weights: FeatureWeights, target_resolution: float) -> 
 
 
 def best_silhouette_over_k(data, k_min: int, k_max: int, seed: int,
-                           restarts: int = 10) -> tuple[float, int]:
-    """Maximum mean silhouette over k in [k_min, k_max]; ties favor smaller k."""
+                           restarts: int = 10) -> tuple[float, int, ClusteringResult]:
+    """Maximum mean silhouette over k in [k_min, k_max]; ties favor smaller k.
+
+    Returns (silhouette, k, fit), where ``fit`` is the winning k-means fit.
+    """
     data = np.asarray(data, dtype=np.float64)
     if not 2 <= k_min <= k_max:
         raise ParameterError(f"need 2 <= k_min <= k_max, got [{k_min}, {k_max}]")
-    best_si, best_k = -np.inf, k_min
+    best = None
     for k in range(k_min, k_max + 1):
         fit = kmeans_fit(data, k, seed=seed, restarts=restarts)
-        if fit.mean_silhouette > best_si:
-            best_si, best_k = fit.mean_silhouette, k
-    return float(best_si), best_k
+        if best is None or fit.mean_silhouette > best.mean_silhouette:
+            best = fit
+    return float(best.mean_silhouette), best.k, best
 
 
 def decide(best_si_fs: float, best_si_fe: float,
@@ -185,23 +188,24 @@ def run_decision_detailed(data: Dataset, config: DecisionConfig,
     fs_names = frsd_weights.names[:m_fs]
     fs_cols = [normalized.column_index(n) for n in fs_names]
     fs_values = normalized.values[:, fs_cols]
-    best_si_fs, best_k_fs = best_silhouette_over_k(
+    best_si_fs, best_k_fs, fit_fs = best_silhouette_over_k(
         fs_values, config.k_min, config.k_max, config.seed, config.restarts
     )
 
     m_fe, achieved_fe = select_for_resolution(pca_weights, config.target_resolution)
     fe_values = pca_project(model, normalized.values, m_fe)
-    best_si_fe, best_k_fe = best_silhouette_over_k(
+    best_si_fe, best_k_fe, fit_fe = best_silhouette_over_k(
         fe_values, config.k_min, config.k_max, config.seed, config.restarts
     )
 
     method, interpretability_score, integrity_score = decide(best_si_fs, best_si_fe, config)
     if method == SELECTION:
         n_selected, achieved, best_k = m_fs, achieved_fs, best_k_fs
-        reduced, labels = fs_values, tuple(fs_names)
+        reduced, labels, clustering = fs_values, tuple(fs_names), fit_fs
     else:
         n_selected, achieved, best_k = m_fe, achieved_fe, best_k_fe
         reduced, labels = fe_values, tuple(f"PC{i + 1}" for i in range(m_fe))
+        clustering = fit_fe
 
     report = DecisionReport(
         frsd_weights=frsd_weights,
@@ -215,7 +219,6 @@ def run_decision_detailed(data: Dataset, config: DecisionConfig,
         achieved_resolution=achieved,
         best_k=best_k,
     )
-    clustering = kmeans_fit(reduced, best_k, seed=config.seed, restarts=config.restarts)
     return DecisionOutcome(
         report=report,
         normalized=normalized,

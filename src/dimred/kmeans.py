@@ -18,6 +18,10 @@ from .errors import MetricUndefinedError, ParameterError
 # upper bound on the pairwise distances that silhouette holds at once
 # (32 MiB of float64); tables up to about 2000 rows take a single block
 _BLOCK_BYTES = 32 * 2**20
+# upper bound on the point-to-centroid distances that one group of k-means
+# restarts holds at once (1 MiB of float64); demo-sized fits run all 10
+# restarts as one group, a 6000-row table at k=5 runs 4 at a time
+_GROUP_BYTES = 2**20
 
 
 @dataclass(frozen=True, eq=False)
@@ -108,12 +112,6 @@ def _pp_init(data, k, rng) -> np.ndarray:
     return centroids
 
 
-def _assign(data, centroids) -> tuple[np.ndarray, np.ndarray]:
-    d2 = cdist(data, centroids, "sqeuclidean")
-    labels = d2.argmin(axis=1)
-    return labels, d2[np.arange(data.shape[0]), labels]
-
-
 def _fix_empty(data, labels, own_d2, k) -> np.ndarray:
     """Give every empty cluster the point currently farthest from its centroid.
 
@@ -135,22 +133,70 @@ def _fix_empty(data, labels, own_d2, k) -> np.ndarray:
     return labels
 
 
-def _lloyd(data, k, rng, max_iter, tol):
-    centroids = _pp_init(data, k, rng)
-    for _ in range(max_iter):
-        labels, own_d2 = _assign(data, centroids)
-        labels = _fix_empty(data, labels, own_d2, k)
-        new_centroids = np.empty_like(centroids)
-        for c in range(k):
-            new_centroids[c] = data[labels == c].mean(axis=0)
-        shift = np.sqrt(((new_centroids - centroids) ** 2).sum(axis=1)).max()
-        centroids = new_centroids
-        if shift < tol:
-            break
-    labels, own_d2 = _assign(data, centroids)
-    labels = _fix_empty(data, labels, own_d2, k)
-    inertia = float(((data - centroids[labels]) ** 2).sum())
-    return labels, centroids, inertia
+def _cluster_sums(data, flat, bins) -> np.ndarray:
+    """Column sums of the rows in each bin, with the bits of ``ndarray.mean``.
+
+    ``flat[j, i]`` is the bin of row i in restart j. numpy's
+    ``data[mask].mean(axis=0)`` adds several columns row by row, as
+    ``np.bincount`` does, but a single column pairwise. ``np.add.reduceat``
+    adds each run pairwise to its first element, so every run gets a leading
+    0.0, the value the reduction starts from.
+    """
+    if data.shape[1] > 1:
+        return np.stack([np.bincount(flat.ravel(), weights=np.tile(column, flat.shape[0]),
+                                     minlength=bins) for column in data.T], axis=1)
+    counts = np.bincount(flat.ravel(), minlength=bins)
+    padded = np.zeros(flat.size + bins)
+    padded[np.arange(flat.size) + np.repeat(np.arange(1, bins + 1), counts)] = \
+        data[np.argsort(flat, axis=None, kind="stable") % data.shape[0], 0]
+    return np.add.reduceat(padded, np.arange(bins) + np.cumsum(counts) - counts)[:, None]
+
+
+def _lloyd_group(data, seeds, max_iter, tol) -> list[tuple[float, np.ndarray, np.ndarray]]:
+    """Lloyd iterations for a group of restarts, advanced together.
+
+    ``seeds`` holds each restart's initial centroids, shape (g, k, d). Every
+    restart takes the same steps, in the same floating-point order, as it
+    would alone: assign each point to its nearest centroid, refill empty
+    clusters, move the centroids to their cluster means, and stop once the
+    largest move is below ``tol`` or after ``max_iter`` moves; a last
+    assignment then gives its labels and inertia. Returns (inertia, labels,
+    centroids) per restart, in seed order.
+    """
+    n, dim = data.shape
+    g, k, _ = seeds.shape
+    centroids = seeds.copy()
+    offsets = k * np.arange(g)[:, None]
+    live = np.arange(g)  # restarts still in the group
+    last = np.full(g, max_iter <= 0)  # the next assignment is the restart's last
+    moves = 0
+    out = [None] * g
+    while True:
+        a = live.size
+        # one distance call for every live restart; each pair is computed as alone
+        d2 = cdist(data, centroids[live].reshape(a * k, dim), "sqeuclidean").reshape(n, a, k)
+        labels = np.ascontiguousarray(d2.argmin(axis=2).T)
+        flat = labels + offsets[:a]
+        counts = np.bincount(flat.ravel(), minlength=a * k).reshape(a, k)
+        for j in np.flatnonzero((counts == 0).any(axis=1)):
+            labels[j] = _fix_empty(data, labels[j], d2[np.arange(n), j, labels[j]], k)
+            flat[j] = labels[j] + offsets[j]
+            counts[j] = np.bincount(labels[j], minlength=k)
+        leaving = last[live]
+        if leaving.any():
+            for j in np.flatnonzero(leaving):
+                c = centroids[live[j]].copy()
+                out[live[j]] = (float(((data - c[labels[j]]) ** 2).sum()), labels[j].copy(), c)
+            live, labels, counts = live[~leaving], labels[~leaving], counts[~leaving]
+            if not live.size:
+                return out
+            a = live.size
+            flat = labels + offsets[:a]
+        new = _cluster_sums(data, flat, a * k).reshape(a, k, dim) / counts[:, :, None]
+        shift = np.sqrt(((new - centroids[live]) ** 2).sum(axis=2)).max(axis=1)
+        centroids[live] = new
+        moves += 1
+        last[live] = (shift < tol) | (moves == max_iter)
 
 
 def kmeans_fit(data, k: int, seed: int, restarts: int = 10,
@@ -159,9 +205,12 @@ def kmeans_fit(data, k: int, seed: int, restarts: int = 10,
 
     Each restart r draws its own generator from (seed, r), seeds centroids
     with distance-weighted sampling, and iterates until the largest centroid
-    displacement falls below ``tol`` or ``max_iter`` is reached. The restart
-    with the lowest inertia wins; silhouettes are computed once on its final
-    assignment. The returned result never contains an empty cluster.
+    displacement falls below ``tol`` or ``max_iter`` is reached. The restarts
+    iterate together, in groups that hold at most ``_GROUP_BYTES`` of
+    distances at once; the result is bit for bit the one of running them one
+    by one. The first restart with the lowest inertia wins; silhouettes are
+    computed once on its final assignment. The returned result never
+    contains an empty cluster.
     """
     data = np.asarray(data, dtype=np.float64)
     if data.ndim != 2 or data.shape[0] == 0:
@@ -177,12 +226,17 @@ def kmeans_fit(data, k: int, seed: int, restarts: int = 10,
     if np.unique(data, axis=0).shape[0] < k:
         raise ParameterError(f"fewer than k={k} distinct points")
 
+    seeds = np.stack([
+        _pp_init(data, k, np.random.default_rng(np.random.SeedSequence([seed % (2**63), r])))
+        for r in range(restarts)
+    ])
+    group = max(1, _GROUP_BYTES // (8 * data.shape[0] * k))
     best = None
-    for r in range(restarts):
-        rng = np.random.default_rng(np.random.SeedSequence([seed % (2**63), r]))
-        labels, centroids, inertia = _lloyd(data, k, rng, max_iter, tol)
-        if best is None or inertia < best[0]:
-            best = (inertia, labels, centroids)
+    for lo in range(0, restarts, group):
+        fits = _lloyd_group(data, seeds[lo : lo + group], max_iter, tol)
+        for inertia, labels, centroids in fits:
+            if best is None or inertia < best[0]:
+                best = (inertia, labels, centroids)
 
     inertia, labels, centroids = best
     sample_s, mean_s = silhouette(data, labels)

@@ -11,8 +11,9 @@ import math
 from itertools import product
 
 import numpy as np
+from scipy.spatial.distance import cdist
 
-from dimred import Dataset
+from dimred import Dataset, kmeans
 
 
 def brute_silhouette(data, labels):
@@ -56,6 +57,44 @@ def exhaustive_best_inertia(data, k):
             inertia += ((members - center) ** 2).sum()
         best = min(best, inertia)
     return best
+
+
+def per_restart_kmeans(data, k, seed, restarts=10, max_iter=300, tol=1e-4):
+    """``kmeans_fit`` the one-restart-at-a-time way: (labels, centroids,
+    inertia, sample silhouettes).
+
+    Each restart runs its own Lloyd loop with one distance call and a
+    per-cluster mean per iteration. Seeding and the empty-cluster refill are
+    the package's own, looked up at call time, so a test that patches
+    ``kmeans._pp_init`` patches both sides.
+    """
+    data = np.asarray(data, dtype=np.float64)
+    rows = np.arange(data.shape[0])
+
+    def assign(centroids):
+        d2 = cdist(data, centroids, "sqeuclidean")
+        labels = d2.argmin(axis=1)
+        return kmeans._fix_empty(data, labels, d2[rows, labels], k)
+
+    best = None
+    for r in range(restarts):
+        rng = np.random.default_rng(np.random.SeedSequence([seed % (2**63), r]))
+        centroids = kmeans._pp_init(data, k, rng)
+        for _ in range(max_iter):
+            labels = assign(centroids)
+            new_centroids = np.empty_like(centroids)
+            for c in range(k):
+                new_centroids[c] = data[labels == c].mean(axis=0)
+            shift = np.sqrt(((new_centroids - centroids) ** 2).sum(axis=1)).max()
+            centroids = new_centroids
+            if shift < tol:
+                break
+        labels = assign(centroids)
+        inertia = float(((data - centroids[labels]) ** 2).sum())
+        if best is None or inertia < best[0]:
+            best = (inertia, labels, centroids)
+    inertia, labels, centroids = best
+    return labels, centroids, inertia, kmeans.silhouette(data, labels)[0]
 
 
 def charpoly_eigvals_2x2(m):

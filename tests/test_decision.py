@@ -8,8 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dimred import (DecisionConfig, DecisionReport, EXTRACTION, ParameterError,
-                    SELECTION, best_silhouette_over_k, decide, run_decision,
-                    run_decision_detailed, select_for_resolution)
+                    SELECTION, best_silhouette_over_k, decide, decision, kmeans_fit,
+                    run_decision, run_decision_detailed, select_for_resolution)
 from dimred.validation import (REFERENCE_EXTRACTION_WEIGHTS,
                                REFERENCE_SELECTION_WEIGHTS)
 from helpers import make_dataset
@@ -145,15 +145,26 @@ class TestBestSilhouetteOverK:
         rng = np.random.default_rng(0)
         centers = np.array([[0.0, 0.0], [8.0, 8.0], [0.0, 8.0]])
         data = np.vstack([c + rng.normal(scale=0.3, size=(10, 2)) for c in centers])
-        best_si, best_k = best_silhouette_over_k(data, 2, 6, seed=1, restarts=5)
+        best_si, best_k, _ = best_silhouette_over_k(data, 2, 6, seed=1, restarts=5)
         assert best_k == 3
         assert best_si > 0.8
 
     def test_single_candidate(self):
         rng = np.random.default_rng(1)
         data = rng.uniform(size=(20, 2))
-        _, best_k = best_silhouette_over_k(data, 4, 4, seed=2, restarts=2)
+        _, best_k, _ = best_silhouette_over_k(data, 4, 4, seed=2, restarts=2)
         assert best_k == 4
+
+    def test_returns_the_winning_fit(self):
+        rng = np.random.default_rng(2)
+        data = rng.uniform(size=(40, 3))
+        best_si, best_k, fit = best_silhouette_over_k(data, 2, 5, seed=3, restarts=4)
+        refit = kmeans_fit(data, best_k, seed=3, restarts=4)
+        assert fit.k == best_k and fit.mean_silhouette == best_si
+        np.testing.assert_array_equal(fit.labels, refit.labels)
+        np.testing.assert_array_equal(fit.centroids, refit.centroids)
+        assert fit.inertia == refit.inertia
+        np.testing.assert_array_equal(fit.sample_silhouettes, refit.sample_silhouettes)
 
 
 class TestRunDecision:
@@ -190,6 +201,20 @@ class TestRunDecision:
             assert all(label.startswith("PC") for label in outcome.axis_labels)
             assert outcome.clustering.mean_silhouette == pytest.approx(
                 report.best_si_fe, abs=1e-12)
+
+    def test_one_fit_per_branch_and_k(self, monkeypatch):
+        fit_calls = []
+
+        def counting_fit(*args, **kwargs):
+            fit_calls.append(args[1])
+            return kmeans_fit(*args, **kwargs)
+
+        monkeypatch.setattr(decision, "kmeans_fit", counting_fit)
+        rng = np.random.default_rng(6)
+        data = make_dataset(rng.uniform(size=(24, 3)))
+        config = config_for(0.5, target=0.7, k_min=2, k_max=4, restarts=2, seed=3)
+        run_decision_detailed(data, config)
+        assert sorted(fit_calls) == [2, 2, 3, 3, 4, 4]
 
     def test_report_json_roundtrip(self):
         rng = np.random.default_rng(5)

@@ -8,9 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.spatial.distance import cdist
 
-from dimred import (MetricUndefinedError, ParameterError, kmeans_fit, silhouette)
+from dimred import (MetricUndefinedError, ParameterError, kmeans, kmeans_fit, silhouette)
 from dimred.kmeans import _BLOCK_BYTES
-from helpers import brute_silhouette, exhaustive_best_inertia
+from helpers import brute_silhouette, exhaustive_best_inertia, per_restart_kmeans
 
 TWO_BLOBS_1D = np.array([[0.0], [0.1], [0.2], [10.0], [10.1], [10.2]])
 
@@ -85,6 +85,93 @@ class TestKmeansFit:
             fit.sample_silhouettes.mean(), abs=1e-12)
         assert np.all(fit.sample_silhouettes >= -1.0)
         assert np.all(fit.sample_silhouettes <= 1.0)
+
+
+def _table(kind, n, d, seed):
+    rng = np.random.default_rng(seed)
+    if kind == "uniform":
+        return rng.uniform(size=(n, d))
+    if kind == "blobs":
+        return rng.normal(scale=0.4, size=(n, d)) + 3.0 * rng.integers(0, 4, size=(n, 1))
+    if kind == "grid":  # many coincident points
+        return rng.integers(0, 3, size=(n, d)).astype(float)
+    # two binary columns next to continuous ones
+    data = rng.uniform(size=(n, d))
+    data[:, :2] = rng.integers(0, 2, size=(n, 2))
+    return data
+
+
+def _assert_same_fit(fit, reference):
+    labels, centroids, inertia, sample_s = reference
+    assert fit.labels.dtype == labels.dtype
+    np.testing.assert_array_equal(fit.labels, labels)
+    np.testing.assert_array_equal(fit.centroids, centroids)
+    assert fit.inertia == inertia
+    np.testing.assert_array_equal(fit.sample_silhouettes, sample_s)
+
+
+class TestRestartsTogether:
+    """All restarts of a fit iterate together, with the bits of one at a time."""
+
+    @pytest.mark.parametrize("kind, n, d, k, restarts", [
+        ("uniform", 5, 1, 2, 13),
+        ("grid", 12, 2, 3, 10),
+        ("blobs", 40, 8, 10, 13),
+        ("binary", 200, 3, 5, 1),
+        ("blobs", 630, 8, 4, 10),
+        ("uniform", 630, 1, 6, 10),
+        ("binary", 1500, 4, 10, 13),
+        ("blobs", 6000, 3, 5, 10),
+        ("uniform", 6000, 1, 2, 10),
+    ])
+    def test_matches_one_restart_at_a_time(self, kind, n, d, k, restarts):
+        data = _table(kind, n, d, seed=n + d + k)
+        fit = kmeans_fit(data, k, seed=n, restarts=restarts)
+        _assert_same_fit(fit, per_restart_kmeans(data, k, seed=n, restarts=restarts))
+
+    @pytest.mark.parametrize("max_iter", [1, 2, 3])
+    @pytest.mark.parametrize("kind, d", [("grid", 2), ("blobs", 1), ("blobs", 5)])
+    def test_restarts_leave_at_different_iterations(self, kind, d, max_iter):
+        # some restarts converge and leave while others run to max_iter
+        data = _table(kind, 90, d, seed=max_iter)
+        fit = kmeans_fit(data, 4, seed=9, restarts=13, max_iter=max_iter)
+        _assert_same_fit(fit, per_restart_kmeans(data, 4, seed=9, restarts=13,
+                                                 max_iter=max_iter))
+
+    @pytest.mark.parametrize("d", [1, 3])
+    def test_cluster_emptied_during_lloyd(self, monkeypatch, d):
+        data = _table("blobs", 120, d, seed=d)
+        seed_centroids = kmeans._pp_init
+
+        def one_centroid_far_away(data, k, rng):
+            centroids = seed_centroids(data, k, rng)
+            centroids[-1] = data.max(axis=0) + 100.0
+            return centroids
+
+        refills = []
+        fix_empty = kmeans._fix_empty
+
+        def counting_fix_empty(data, labels, own_d2, k):
+            refills.append(np.bincount(labels, minlength=k).min() == 0)
+            return fix_empty(data, labels, own_d2, k)
+
+        monkeypatch.setattr(kmeans, "_pp_init", one_centroid_far_away)
+        monkeypatch.setattr(kmeans, "_fix_empty", counting_fix_empty)
+        fit = kmeans_fit(data, 5, seed=4, restarts=10)
+        assert any(refills)
+        _assert_same_fit(fit, per_restart_kmeans(data, 5, seed=4, restarts=10))
+
+    @pytest.mark.parametrize("group", [1, 3])
+    def test_restart_groups_match_one_group(self, monkeypatch, group):
+        n, k = 300, 4
+        data = _table("blobs", n, 3, seed=12)
+        whole = kmeans_fit(data, k, seed=6, restarts=10)
+        assert kmeans._GROUP_BYTES // (8 * n * k) >= 10
+        monkeypatch.setattr(kmeans, "_GROUP_BYTES", group * 8 * n * k)
+        split = kmeans_fit(data, k, seed=6, restarts=10)
+        _assert_same_fit(split, (whole.labels, whole.centroids, whole.inertia,
+                                 whole.sample_silhouettes))
+        _assert_same_fit(split, per_restart_kmeans(data, k, seed=6, restarts=10))
 
 
 class TestSilhouette:
