@@ -133,19 +133,21 @@ def _fix_empty(data, labels, own_d2, k) -> np.ndarray:
     return labels
 
 
-def _cluster_sums(data, flat, bins) -> np.ndarray:
+def _cluster_sums(data, flat, counts) -> np.ndarray:
     """Column sums of the rows in each bin, with the bits of ``ndarray.mean``.
 
-    ``flat[j, i]`` is the bin of row i in restart j. numpy's
+    ``flat[j, i]`` is the bin of row i in restart j, and ``counts`` holds
+    the size of every bin. numpy's
     ``data[mask].mean(axis=0)`` adds several columns row by row, as
     ``np.bincount`` does, but a single column pairwise. ``np.add.reduceat``
     adds each run pairwise to its first element, so every run gets a leading
     0.0, the value the reduction starts from.
     """
+    bins = counts.size
     if data.shape[1] > 1:
         return np.stack([np.bincount(flat.ravel(), weights=np.tile(column, flat.shape[0]),
                                      minlength=bins) for column in data.T], axis=1)
-    counts = np.bincount(flat.ravel(), minlength=bins)
+    counts = counts.ravel()
     padded = np.zeros(flat.size + bins)
     padded[np.arange(flat.size) + np.repeat(np.arange(1, bins + 1), counts)] = \
         data[np.argsort(flat, axis=None, kind="stable") % data.shape[0], 0]
@@ -192,7 +194,7 @@ def _lloyd_group(data, seeds, max_iter, tol) -> list[tuple[float, np.ndarray, np
                 return out
             a = live.size
             flat = labels + offsets[:a]
-        new = _cluster_sums(data, flat, a * k).reshape(a, k, dim) / counts[:, :, None]
+        new = _cluster_sums(data, flat, counts).reshape(a, k, dim) / counts[:, :, None]
         shift = np.sqrt(((new - centroids[live]) ** 2).sum(axis=2)).max(axis=1)
         centroids[live] = new
         moves += 1
