@@ -1,38 +1,32 @@
 #!/usr/bin/env python3
 """Resolution sweep on one dataset: features/PCs needed per target resolution.
 
-Computes the FRSD and PCA importance weights once, then tabulates for each
-target in 10% steps how many ranked features and how many principal
-components reach it, plus the resolution advantage of extraction wherever
-the two counts coincide.
+Computes the FRSD and PCA importance weights once with ``rank``, then
+tabulates for each target in 10% steps how many ranked features and how
+many principal components reach it, plus the resolution advantage of
+extraction wherever the two counts coincide.
 """
 
 import argparse
 import sys
 
-from dimred import frsd_rank, load_csv, minmax_normalize, pca_fit, pca_importance
-from dimred.cli import _default_threads
+from dimred import load_csv, rank
+from dimred.cli import add_common_flags
 from dimred.validation import resolution_sweep, write_sweep_csv
+
 
 def main():
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--input", required=True, help="input CSV")
     parser.add_argument("--out", default=None, help="optional sweep CSV path")
-    parser.add_argument("--k-min", type=int, default=3)
-    parser.add_argument("--k-max", type=int, default=10)
-    parser.add_argument("--seed", type=int, default=42)
-    parser.add_argument("--restarts", type=int, default=10)
-    parser.add_argument("--threads", type=int, default=None)
+    add_common_flags(parser)
     args = parser.parse_args()
 
-    threads = args.threads if args.threads is not None else _default_threads()
-    normalized = minmax_normalize(load_csv(args.input))
-    weights_fs, scores = frsd_rank(normalized, args.k_min, args.k_max, args.seed,
-                                   restarts=args.restarts, max_workers=threads)
-    weights_fe = pca_importance(pca_fit(normalized.values))
-    print(f"FRSD sweep: {len(scores)} silhouette runs")
+    rankings = rank(load_csv(args.input), args.k_min, args.k_max, args.seed,
+                    restarts=args.restarts, max_workers=args.threads)
+    print(f"FRSD sweep: {len(rankings.subset_scores)} silhouette runs")
 
-    rows = resolution_sweep(weights_fs, weights_fe)
+    rows = resolution_sweep(rankings.frsd_weights, rankings.pca_weights)
     print(f"{'target':>7} {'features':>9} {'res_fs':>8} {'PCs':>5} {'res_fe':>8} "
           f"{'delta':>8}")
     for row in rows:

@@ -9,8 +9,9 @@ the strategy with the better preference-weighted silhouette.
 
 from .dataset import Dataset, load_csv, minmax_columns, minmax_normalize
 from .decision import (DecisionConfig, DecisionOutcome, DecisionReport,
-                       EXTRACTION, SELECTION, best_silhouette_over_k, decide,
-                       run_decision, run_decision_detailed, select_for_resolution)
+                       EXTRACTION, Rankings, SELECTION, best_silhouette_over_k,
+                       decide, evaluate, rank, run_decision, run_decision_detailed,
+                       select_for_resolution)
 from .errors import (ConstantColumnWarning, DimredError, IngestionError,
                      MetricUndefinedError, ParameterError, SchemaError)
 from .figures import RadarSeries, render_silhouette_plot, render_stacked_radar
@@ -39,6 +40,7 @@ __all__ = [
     "PcaModel",
     "RadarSeries",
     "RandomCase",
+    "Rankings",
     "SELECTION",
     "SchemaError",
     "SubsetScore",
@@ -47,6 +49,7 @@ __all__ = [
     "count_misclassified",
     "decide",
     "enumerate_subsets",
+    "evaluate",
     "frsd_rank",
     "generate_cases",
     "jacobi_eigh",
@@ -57,6 +60,7 @@ __all__ = [
     "pca_fit",
     "pca_importance",
     "pca_project",
+    "rank",
     "render_silhouette_plot",
     "render_stacked_radar",
     "resolution_sweep",

@@ -18,19 +18,19 @@ import os
 import sys
 import warnings
 
-from .dataset import load_csv, minmax_columns, minmax_normalize
-from .decision import (DecisionConfig, DecisionOutcome, SELECTION,
+from .dataset import load_csv, minmax_columns
+from .decision import (DecisionConfig, DecisionOutcome, Rankings, SELECTION, rank,
                        run_decision_detailed)
-from .errors import DimredError
+from .errors import DimredError, ParameterError
 from .figures import RadarSeries, cluster_letter, render_silhouette_plot, render_stacked_radar
-from .frsd import FeatureWeights, enumerate_subsets, frsd_rank, write_subset_scores
-from .pca import pca_fit, pca_importance
+from .frsd import FeatureWeights, enumerate_subsets, write_subset_scores
 from .validation import (REFERENCE_EXTRACTION_WEIGHTS, REFERENCE_SELECTION_WEIGHTS,
                          count_misclassified, generate_cases, resolution_sweep,
                          write_cases_csv, write_scatter_csv, write_sweep_csv)
 
 
-def _default_threads() -> int:
+def default_threads() -> int:
+    """Worker count for the FRSD sweep: DIMRED_THREADS, else the CPU count."""
     env = os.environ.get("DIMRED_THREADS")
     if env is not None:
         try:
@@ -40,13 +40,14 @@ def _default_threads() -> int:
     return os.cpu_count() or 1
 
 
-def _add_common_flags(parser: argparse.ArgumentParser) -> None:
+def add_common_flags(parser: argparse.ArgumentParser) -> None:
+    """The sweep flags shared by ``run``, ``rank`` and the scripts."""
     parser.add_argument("--k-min", type=int, default=3, help="smallest cluster count tried")
     parser.add_argument("--k-max", type=int, default=10, help="largest cluster count tried")
     parser.add_argument("--seed", type=int, default=42, help="base random seed")
     parser.add_argument("--restarts", type=int, default=10,
                         help="k-means restarts per fit")
-    parser.add_argument("--threads", type=int, default=None,
+    parser.add_argument("--threads", type=int, default=default_threads(),
                         help="worker processes for the FRSD sweep "
                              "(default: DIMRED_THREADS or the CPU count)")
 
@@ -72,7 +73,7 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--subset-scores", action="store_true",
                      help="also dump the full FRSD score table")
     run.add_argument("--no-figures", action="store_true", help="skip SVG output")
-    _add_common_flags(run)
+    add_common_flags(run)
     run.set_defaults(func=cmd_run, parser=run)
 
     rank = sub.add_parser("rank", help="FRSD and PCA weight tables only")
@@ -80,7 +81,7 @@ def build_parser() -> argparse.ArgumentParser:
     rank.add_argument("--out", default="dimred_out", help="output directory")
     rank.add_argument("--subset-scores", action="store_true",
                       help="also dump the full FRSD score table")
-    _add_common_flags(rank)
+    add_common_flags(rank)
     rank.set_defaults(func=cmd_rank, parser=rank)
 
     validate = sub.add_parser("validate",
@@ -108,11 +109,33 @@ def _resolve_orientation(args) -> tuple[float, float]:
     return interp, integ
 
 
-def _resolve_threads(args) -> int:
-    threads = args.threads if getattr(args, "threads", None) is not None else _default_threads()
-    if threads < 1:
+def _config(args, interpretability: float = 0.5, integrity: float = 0.5,
+            target_resolution: float = 1.0) -> DecisionConfig:
+    """Validate the sweep flags (and, for ``run``, the preference flags) in
+    one place; what DecisionConfig rejects is a flag error (exit 2)."""
+    if args.threads < 1:
         args.parser.error("--threads must be at least 1")
-    return threads
+    try:
+        return DecisionConfig(
+            interpretability_oriented=interpretability,
+            integrity_oriented=integrity,
+            target_resolution=target_resolution,
+            k_min=args.k_min,
+            k_max=args.k_max,
+            seed=args.seed,
+            restarts=args.restarts,
+        )
+    except ParameterError as exc:
+        args.parser.error(str(exc))
+
+
+def _with_warnings_printed(fn, *args, **kwargs):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        result = fn(*args, **kwargs)
+    for w in caught:
+        print(f"warning: {w.message}")
+    return result
 
 
 def _write_weights_csv(weights: FeatureWeights, path, with_minmax: bool = False) -> None:
@@ -126,6 +149,15 @@ def _write_weights_csv(weights: FeatureWeights, path, with_minmax: bool = False)
             writer.writerow(["name", "weight"])
             for name, w in weights.entries:
                 writer.writerow([name, repr(w)])
+
+
+def _write_rankings(rankings: Rankings, args) -> None:
+    _write_weights_csv(rankings.frsd_weights,
+                       os.path.join(args.out, "frsd_weights.csv"), with_minmax=True)
+    _write_weights_csv(rankings.pca_weights, os.path.join(args.out, "pca_weights.csv"))
+    if args.subset_scores:
+        write_subset_scores(rankings.subset_scores,
+                            os.path.join(args.out, "subset_scores.csv"))
 
 
 def _print_weights(title: str, weights: FeatureWeights) -> None:
@@ -159,7 +191,9 @@ def _print_report(outcome: DecisionOutcome) -> None:
     print(f"best number of clusters:   {report.best_k}")
 
 
-def _emit_figures(outcome: DecisionOutcome, out_dir: str, case: str) -> None:
+def emit_figures(outcome: DecisionOutcome, out_dir: str, case: str) -> None:
+    """Silhouette plot of the chosen clustering, plus one stacked radar per
+    cluster when at least 3 dimensions are retained."""
     render_silhouette_plot(outcome.clustering,
                            os.path.join(out_dir, f"silhouette_{case}.svg"))
     if len(outcome.axis_labels) < 3:
@@ -176,47 +210,20 @@ def _emit_figures(outcome: DecisionOutcome, out_dir: str, case: str) -> None:
 
 
 def cmd_run(args) -> int:
-    interp, integ = _resolve_orientation(args)
-    if not 0.0 < args.target_resolution <= 1.0:
-        args.parser.error("--target-resolution must be in (0, 1]")
-    if not 2 <= args.k_min <= args.k_max:
-        args.parser.error("need 2 <= --k-min <= --k-max")
-    if args.restarts < 1:
-        args.parser.error("--restarts must be at least 1")
-    threads = _resolve_threads(args)
-
-    config = DecisionConfig(
-        interpretability_oriented=interp,
-        integrity_oriented=integ,
-        target_resolution=args.target_resolution,
-        k_min=args.k_min,
-        k_max=args.k_max,
-        seed=args.seed,
-        restarts=args.restarts,
-    )
+    config = _config(args, *_resolve_orientation(args), args.target_resolution)
     data = load_csv(args.input)
     os.makedirs(args.out, exist_ok=True)
     _print_sweep_size(data.n_features, config.k_min, config.k_max)
-
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        outcome = run_decision_detailed(data, config, max_workers=threads)
-    for w in caught:
-        print(f"warning: {w.message}")
+    outcome = _with_warnings_printed(run_decision_detailed, data, config,
+                                     max_workers=args.threads)
 
     report_path = os.path.join(args.out, "report.json")
     with open(report_path, "w", encoding="utf-8") as fh:
         json.dump(outcome.report.to_json_dict(), fh, indent=2)
         fh.write("\n")
-    _write_weights_csv(outcome.report.frsd_weights,
-                       os.path.join(args.out, "frsd_weights.csv"), with_minmax=True)
-    _write_weights_csv(outcome.report.pca_weights,
-                       os.path.join(args.out, "pca_weights.csv"))
-    if args.subset_scores:
-        write_subset_scores(outcome.subset_scores,
-                            os.path.join(args.out, "subset_scores.csv"))
+    _write_rankings(outcome.rankings, args)
     if not args.no_figures:
-        _emit_figures(outcome, args.out, args.case)
+        emit_figures(outcome, args.out, args.case)
 
     _print_report(outcome)
     print(f"outputs written to {args.out}")
@@ -224,33 +231,16 @@ def cmd_run(args) -> int:
 
 
 def cmd_rank(args) -> int:
-    if not 2 <= args.k_min <= args.k_max:
-        args.parser.error("need 2 <= --k-min <= --k-max")
-    if args.restarts < 1:
-        args.parser.error("--restarts must be at least 1")
-    threads = _resolve_threads(args)
-
+    config = _config(args)
     data = load_csv(args.input)
     os.makedirs(args.out, exist_ok=True)
-    _print_sweep_size(data.n_features, args.k_min, args.k_max)
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        normalized = minmax_normalize(data)
-        frsd_weights, scores = frsd_rank(normalized, args.k_min, args.k_max,
-                                         args.seed, restarts=args.restarts,
-                                         max_workers=threads)
-        pca_weights = pca_importance(pca_fit(normalized.values))
-    for w in caught:
-        print(f"warning: {w.message}")
+    _print_sweep_size(data.n_features, config.k_min, config.k_max)
+    rankings = _with_warnings_printed(rank, data, config.k_min, config.k_max, config.seed,
+                                      restarts=config.restarts, max_workers=args.threads)
 
-    _write_weights_csv(frsd_weights, os.path.join(args.out, "frsd_weights.csv"),
-                       with_minmax=True)
-    _write_weights_csv(pca_weights, os.path.join(args.out, "pca_weights.csv"))
-    if args.subset_scores:
-        write_subset_scores(scores, os.path.join(args.out, "subset_scores.csv"))
-
-    _print_weights("FRSD feature weights:", frsd_weights)
-    _print_weights("PCA component weights:", pca_weights)
+    _write_rankings(rankings, args)
+    _print_weights("FRSD feature weights:", rankings.frsd_weights)
+    _print_weights("PCA component weights:", rankings.pca_weights)
     print(f"outputs written to {args.out}")
     return 0
 

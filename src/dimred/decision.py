@@ -5,11 +5,14 @@ names) versus integrity (keeping information content); the two preferences
 must sum to 1. Each strategy is scored as preference x best achievable mean
 silhouette after reducing to the target resolution, and the larger score
 wins. Resolution is the cumulative importance weight retained.
+
+``rank`` does the costly, preference-free part once (normalize, FRSD, PCA);
+``evaluate`` does the cheap part per scenario (reduce, cluster, decide).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -21,6 +24,17 @@ from .pca import PcaModel, pca_fit, pca_importance, pca_project
 
 SELECTION = "SELECTION"
 EXTRACTION = "EXTRACTION"
+
+
+def _check_preferences(interpretability: float, integrity: float) -> None:
+    if not 0.0 <= interpretability <= 1.0:
+        raise ParameterError("interpretability_oriented must be in [0, 1]")
+    if not 0.0 <= integrity <= 1.0:
+        raise ParameterError("integrity_oriented must be in [0, 1]")
+    if abs(interpretability + integrity - 1.0) > 1e-9:
+        raise ParameterError(
+            "interpretability_oriented + integrity_oriented must equal 1"
+        )
 
 
 @dataclass(frozen=True)
@@ -36,14 +50,7 @@ class DecisionConfig:
     restarts: int = 10
 
     def __post_init__(self):
-        if not 0.0 <= self.interpretability_oriented <= 1.0:
-            raise ParameterError("interpretability_oriented must be in [0, 1]")
-        if not 0.0 <= self.integrity_oriented <= 1.0:
-            raise ParameterError("integrity_oriented must be in [0, 1]")
-        if abs(self.interpretability_oriented + self.integrity_oriented - 1.0) > 1e-9:
-            raise ParameterError(
-                "interpretability_oriented + integrity_oriented must equal 1"
-            )
+        _check_preferences(self.interpretability_oriented, self.integrity_oriented)
         if not 0.0 < self.target_resolution <= 1.0:
             raise ParameterError("target_resolution must be in (0, 1]")
         if not 2 <= self.k_min <= self.k_max:
@@ -142,21 +149,79 @@ def best_silhouette_over_k(data, k_min: int, k_max: int, seed: int,
     return float(best.mean_silhouette), best.k, best
 
 
-def decide(best_si_fs: float, best_si_fe: float,
-           config: DecisionConfig) -> tuple[str, float, float]:
-    """Score both strategies and pick the larger; ties go to SELECTION."""
+def decide(best_si_fs: float, best_si_fe: float, interpretability: float,
+           integrity: float) -> tuple[str, float, float]:
+    """Score both strategies and pick the larger; ties go to SELECTION.
+
+    ``interpretability`` and ``integrity`` are the two preferences, each in
+    [0, 1] and summing to 1.
+    """
+    _check_preferences(interpretability, integrity)
     for name, si in (("best_si_fs", best_si_fs), ("best_si_fe", best_si_fe)):
         if not -1.0 <= si <= 1.0:
             raise ParameterError(f"{name}={si} outside [-1, 1]")
-    interpretability_score = config.interpretability_oriented * best_si_fs
-    integrity_score = config.integrity_oriented * best_si_fe
+    interpretability_score = interpretability * best_si_fs
+    integrity_score = integrity * best_si_fe
     method = SELECTION if interpretability_score >= integrity_score else EXTRACTION
     return method, interpretability_score, integrity_score
 
 
 @dataclass(frozen=True, eq=False)
+class Branch:
+    """One reduction of the data and its best clustering over the k range.
+
+    ``axis_labels`` are the retained feature names (selection) or PC labels
+    (extraction); ``clustering`` is the fit with the best mean silhouette.
+    """
+
+    reduced_values: np.ndarray
+    axis_labels: tuple[str, ...]
+    best_si: float
+    clustering: ClusteringResult
+
+
+@dataclass(frozen=True, eq=False)
+class Rankings:
+    """Both rankings of one dataset: the costly, preference-free half of a
+    decision, shared by every scenario evaluated on it.
+
+    ``branch`` memoises each (strategy, width) branch, so scenarios that
+    retain the same number of features or components fit it only once.
+    """
+
+    normalized: Dataset
+    frsd_weights: FeatureWeights
+    pca_weights: FeatureWeights
+    subset_scores: list[SubsetScore]
+    pca_model: PcaModel
+    k_min: int
+    k_max: int
+    seed: int
+    restarts: int
+    _branches: dict = field(default_factory=dict, init=False, repr=False)
+
+    def branch(self, method: str, m: int) -> Branch:
+        """The first ``m`` ranked features (SELECTION) or principal
+        components (EXTRACTION), clustered over the k range."""
+        key = (method, m)
+        if key not in self._branches:
+            if method == SELECTION:
+                labels = self.frsd_weights.names[:m]
+                cols = [self.normalized.column_index(n) for n in labels]
+                values = self.normalized.values[:, cols]
+            else:
+                labels = tuple(f"PC{i + 1}" for i in range(m))
+                values = pca_project(self.pca_model, self.normalized.values, m)
+            si, _, fit = best_silhouette_over_k(values, self.k_min, self.k_max,
+                                                self.seed, self.restarts)
+            self._branches[key] = Branch(values, labels, si, fit)
+        return self._branches[key]
+
+
+@dataclass(frozen=True, eq=False)
 class DecisionOutcome:
-    """A report plus the intermediate artifacts needed to render it.
+    """A report plus the rankings it came from and the artifacts needed to
+    render it.
 
     ``reduced_values`` and ``clustering`` describe the chosen branch at its
     best k; ``axis_labels`` are the retained feature names (selection) or PC
@@ -164,70 +229,80 @@ class DecisionOutcome:
     """
 
     report: DecisionReport
-    normalized: Dataset
-    subset_scores: list[SubsetScore]
-    pca_model: PcaModel
+    rankings: Rankings
     reduced_values: np.ndarray
     axis_labels: tuple[str, ...]
     clustering: ClusteringResult
 
 
-def run_decision_detailed(data: Dataset, config: DecisionConfig,
-                          max_workers: int = 1) -> DecisionOutcome:
-    """Full pipeline: normalize, rank both ways, reduce, cluster, decide."""
+def rank(data: Dataset, k_min: int, k_max: int, seed: int, restarts: int = 10,
+         max_workers: int = 1) -> Rankings:
+    """The costly half of a decision: normalize, then rank the features with
+    FRSD and the principal components with PCA."""
     normalized = minmax_normalize(data)
-
     frsd_weights, subset_scores = frsd_rank(
-        normalized, config.k_min, config.k_max, config.seed,
-        restarts=config.restarts, max_workers=max_workers,
+        normalized, k_min, k_max, seed, restarts=restarts, max_workers=max_workers,
     )
     model = pca_fit(normalized.values)
-    pca_weights = pca_importance(model)
-
-    m_fs, achieved_fs = select_for_resolution(frsd_weights, config.target_resolution)
-    fs_names = frsd_weights.names[:m_fs]
-    fs_cols = [normalized.column_index(n) for n in fs_names]
-    fs_values = normalized.values[:, fs_cols]
-    best_si_fs, best_k_fs, fit_fs = best_silhouette_over_k(
-        fs_values, config.k_min, config.k_max, config.seed, config.restarts
+    return Rankings(
+        normalized=normalized,
+        frsd_weights=frsd_weights,
+        pca_weights=pca_importance(model),
+        subset_scores=subset_scores,
+        pca_model=model,
+        k_min=k_min,
+        k_max=k_max,
+        seed=seed,
+        restarts=restarts,
     )
 
-    m_fe, achieved_fe = select_for_resolution(pca_weights, config.target_resolution)
-    fe_values = pca_project(model, normalized.values, m_fe)
-    best_si_fe, best_k_fe, fit_fe = best_silhouette_over_k(
-        fe_values, config.k_min, config.k_max, config.seed, config.restarts
-    )
 
-    method, interpretability_score, integrity_score = decide(best_si_fs, best_si_fe, config)
+def evaluate(rankings: Rankings, interpretability: float, integrity: float,
+             target_resolution: float) -> DecisionOutcome:
+    """The cheap, per-scenario half: reduce both ways to the target
+    resolution, cluster each over the k range, and decide."""
+    _check_preferences(interpretability, integrity)  # before any fit
+    m_fs, achieved_fs = select_for_resolution(rankings.frsd_weights, target_resolution)
+    fs = rankings.branch(SELECTION, m_fs)
+    m_fe, achieved_fe = select_for_resolution(rankings.pca_weights, target_resolution)
+    fe = rankings.branch(EXTRACTION, m_fe)
+
+    method, interpretability_score, integrity_score = decide(
+        fs.best_si, fe.best_si, interpretability, integrity
+    )
     if method == SELECTION:
-        n_selected, achieved, best_k = m_fs, achieved_fs, best_k_fs
-        reduced, labels, clustering = fs_values, tuple(fs_names), fit_fs
+        chosen, n_selected, achieved = fs, m_fs, achieved_fs
     else:
-        n_selected, achieved, best_k = m_fe, achieved_fe, best_k_fe
-        reduced, labels = fe_values, tuple(f"PC{i + 1}" for i in range(m_fe))
-        clustering = fit_fe
+        chosen, n_selected, achieved = fe, m_fe, achieved_fe
 
     report = DecisionReport(
-        frsd_weights=frsd_weights,
-        pca_weights=pca_weights,
-        best_si_fs=best_si_fs,
-        best_si_fe=best_si_fe,
+        frsd_weights=rankings.frsd_weights,
+        pca_weights=rankings.pca_weights,
+        best_si_fs=fs.best_si,
+        best_si_fe=fe.best_si,
         interpretability_score=interpretability_score,
         integrity_score=integrity_score,
         chosen_method=method,
         n_selected=n_selected,
         achieved_resolution=achieved,
-        best_k=best_k,
+        best_k=chosen.clustering.k,
     )
     return DecisionOutcome(
         report=report,
-        normalized=normalized,
-        subset_scores=subset_scores,
-        pca_model=model,
-        reduced_values=reduced,
-        axis_labels=labels,
-        clustering=clustering,
+        rankings=rankings,
+        reduced_values=chosen.reduced_values,
+        axis_labels=chosen.axis_labels,
+        clustering=chosen.clustering,
     )
+
+
+def run_decision_detailed(data: Dataset, config: DecisionConfig,
+                          max_workers: int = 1) -> DecisionOutcome:
+    """Full pipeline: rank, then evaluate the one scenario in ``config``."""
+    rankings = rank(data, config.k_min, config.k_max, config.seed,
+                    restarts=config.restarts, max_workers=max_workers)
+    return evaluate(rankings, config.interpretability_oriented,
+                    config.integrity_oriented, config.target_resolution)
 
 
 def run_decision(data: Dataset, config: DecisionConfig,

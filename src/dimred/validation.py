@@ -1,10 +1,11 @@
 """Monte Carlo validation of the decision rule plus resolution sweeps.
 
 Random cases draw both hypothetical silhouettes and the interpretability
-preference uniformly from [0, 1]; the decision rule must agree with the
-analytic argmax of the two scores on every case. The resolution sweep
-tabulates how many features/components each target resolution requires and,
-where the counts match, the resolution advantage of extraction.
+preference uniformly from [0, 1]; the decision rule must agree on every
+case with the argmax recomputed from those inputs in exact arithmetic. The
+resolution sweep tabulates how many features/components each target
+resolution requires and, where the counts match, the resolution advantage of
+extraction.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from typing import Optional
 
 import numpy as np
 
-from .decision import DecisionConfig, decide, select_for_resolution
+from .decision import EXTRACTION, SELECTION, decide, select_for_resolution
 from .errors import ParameterError
 from .frsd import FeatureWeights
 
@@ -72,14 +73,7 @@ def generate_cases(n: int, seed: int) -> list[RandomCase]:
         si_fs = float(rng.uniform())
         si_fe = float(rng.uniform())
         alpha = float(rng.uniform())
-        config = DecisionConfig(
-            interpretability_oriented=alpha,
-            integrity_oriented=1.0 - alpha,
-            target_resolution=1.0,
-            k_min=2,
-            k_max=2,
-        )
-        method, s_interp, s_integ = decide(si_fs, si_fe, config)
+        method, s_interp, s_integ = decide(si_fs, si_fe, alpha, 1.0 - alpha)
         cases.append(RandomCase(
             si_fs=si_fs,
             si_fe=si_fe,
@@ -93,12 +87,21 @@ def generate_cases(n: int, seed: int) -> list[RandomCase]:
 
 
 def count_misclassified(cases) -> int:
-    """Cases whose recorded choice differs from the analytic argmax."""
+    """Cases whose recorded choice differs from the analytic argmax.
+
+    The argmax is recomputed from the inputs alone, in exact rational
+    arithmetic: SELECTION iff alpha * si_fs >= (1 - alpha) * si_fe. The
+    recorded scores are not consulted, so a case whose scores contradict its
+    inputs counts as misclassified.
+    """
+    # imported here: fractions loads decimal (0.4 MB), which `dimred run` never needs
+    from fractions import Fraction
+
     wrong = 0
     for case in cases:
-        expected = "SELECTION" if case.interpretability_score >= case.integrity_score \
-            else "EXTRACTION"
-        if case.chosen_method != expected:
+        alpha = Fraction(case.alpha)
+        selects = alpha * Fraction(case.si_fs) >= (1 - alpha) * Fraction(case.si_fe)
+        if case.chosen_method != (SELECTION if selects else EXTRACTION):
             wrong += 1
     return wrong
 

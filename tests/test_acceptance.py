@@ -44,10 +44,7 @@ def test_criterion_1_decision_arithmetic():
     """All ten published scores and all five chosen methods reproduced."""
     deviations = []
     for si_fs, si_fe, alpha, method, pub_interp, pub_integ in PUBLISHED_SCENARIOS:
-        config = DecisionConfig(interpretability_oriented=alpha,
-                                integrity_oriented=1.0 - alpha,
-                                target_resolution=0.85)
-        got_method, interp, integ = decide(si_fs, si_fe, config)
+        got_method, interp, integ = decide(si_fs, si_fe, alpha, 1.0 - alpha)
         assert got_method == method
         # published values are 4-decimal truncations (e.g. 0.9 * 0.4393 =
         # 0.39537 is quoted as 0.3953), so displayed-value equality is the

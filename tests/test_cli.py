@@ -11,7 +11,7 @@ import pytest
 import dimred
 from dimred.cli import main
 from dimred import Dataset, DecisionReport
-from helpers import make_blobs_with_noise, write_dataset_csv
+from helpers import make_blobs_with_noise, make_dataset, write_dataset_csv
 
 FAST = ["--k-min", "2", "--k-max", "3", "--restarts", "2", "--threads", "1"]
 
@@ -72,6 +72,26 @@ class TestRun:
             run_cli(["run", "--input", str(demo_csv), "--out", str(tmp_path / "o"),
                      "--k-min", "5", "--k-max", "3"])
         assert exc.value.code == 2
+        # the other flags DecisionConfig rejects are flag errors too, in both commands
+        for argv in (["rank", "--k-min", "5", "--k-max", "3"],
+                     ["run", "--restarts", "0"],
+                     ["run", "--target-resolution", "1.5"]):
+            with pytest.raises(SystemExit) as exc:
+                run_cli(argv + ["--input", str(demo_csv), "--out", str(tmp_path / "o")])
+            assert exc.value.code == 2, argv
+
+    def test_data_dependent_parameter_errors_exit_1(self, demo_csv, tmp_path, capsys):
+        rng = np.random.default_rng(0)
+        binary = write_dataset_csv(make_dataset(np.column_stack(
+            [rng.integers(0, 2, 40), rng.integers(0, 2, 40), rng.uniform(size=40)])),
+            tmp_path / "binary.csv")
+        for csv_path, k_range, needle in (
+                (binary, ["--k-min", "3", "--k-max", "6"], "distinct points"),
+                (demo_csv, ["--k-min", "2", "--k-max", "40"], "exceeds 30 samples")):
+            code = run_cli(["run", "--input", str(csv_path), "--out", str(tmp_path / "o"),
+                            "--restarts", "2", "--threads", "1"] + k_range)
+            assert code == 1
+            assert needle in capsys.readouterr().err
 
     def test_missing_input_exits_1(self, tmp_path, capsys):
         code = run_cli(["run", "--input", str(tmp_path / "nope.csv"),
@@ -127,7 +147,7 @@ class TestValidate:
 
 class TestThreads:
     def test_env_fallback(self, monkeypatch):
-        from dimred.cli import _default_threads
+        from dimred.cli import default_threads as _default_threads
         monkeypatch.setenv("DIMRED_THREADS", "3")
         assert _default_threads() == 3
         monkeypatch.setenv("DIMRED_THREADS", "junk")

@@ -102,7 +102,7 @@ class TestDecide:
         ],
     )
     def test_published_scenarios(self, si_fs, si_fe, alpha, method, interp, integ):
-        got_method, got_interp, got_integ = decide(si_fs, si_fe, config_for(alpha))
+        got_method, got_interp, got_integ = decide(si_fs, si_fe, alpha, 1.0 - alpha)
         assert got_method == method
         # quoted scores are 4-decimal truncations (0.9 * 0.4393 = 0.39537 is
         # quoted as 0.3953, not 0.3954), so compare displayed values
@@ -110,13 +110,13 @@ class TestDecide:
         assert trunc4(got_integ) == integ
 
     def test_tie_goes_to_selection(self):
-        method, interp, integ = decide(0.4, 0.4, config_for(0.5))
+        method, interp, integ = decide(0.4, 0.4, 0.5, 0.5)
         assert interp == integ
         assert method == SELECTION
 
     def test_si_range_checked(self):
         with pytest.raises(ParameterError):
-            decide(1.5, 0.0, config_for(0.5))
+            decide(1.5, 0.0, 0.5, 0.5)
 
     @given(st.integers(0, 100), st.integers(0, 100), st.integers(0, 100),
            st.sampled_from([0.25, 0.5, 2.0, 4.0]))
@@ -125,8 +125,8 @@ class TestDecide:
         si_fs, si_fe, alpha = fs / 100.0, fe / 100.0, a / 100.0
         if max(si_fs, si_fe) * c > 1.0:
             c = 0.25  # keep scaled values inside [-1, 1]
-        base, _, _ = decide(si_fs, si_fe, config_for(alpha))
-        scaled, _, _ = decide(si_fs * c, si_fe * c, config_for(alpha))
+        base, _, _ = decide(si_fs, si_fe, alpha, 1.0 - alpha)
+        scaled, _, _ = decide(si_fs * c, si_fe * c, alpha, 1.0 - alpha)
         assert base == scaled
 
     @given(st.floats(0.0, 1.0), st.floats(0.0, 1.0),
@@ -134,8 +134,8 @@ class TestDecide:
     @settings(max_examples=100)
     def test_monotone_in_interpretability(self, si_fs, si_fe, a1, a2):
         lo, hi = sorted((a1, a2))
-        method_lo, _, _ = decide(si_fs, si_fe, config_for(lo))
-        method_hi, _, _ = decide(si_fs, si_fe, config_for(hi))
+        method_lo, _, _ = decide(si_fs, si_fe, lo, 1.0 - lo)
+        method_hi, _, _ = decide(si_fs, si_fe, hi, 1.0 - hi)
         if method_lo == SELECTION:
             assert method_hi == SELECTION
 
@@ -238,3 +238,13 @@ class TestRunDecision:
                 chosen_method=SELECTION, n_selected=4,
                 achieved_resolution=0.9, best_k=3,
             )
+
+
+class TestEvaluate:
+    def test_bad_preferences_rejected_before_any_fit(self, monkeypatch):
+        data = make_dataset(np.random.default_rng(8).uniform(size=(16, 3)))
+        rankings = decision.rank(data, 2, 3, seed=1, restarts=1)
+        monkeypatch.setattr(decision, "kmeans_fit",
+                            lambda *args, **kwargs: pytest.fail("fitted"))
+        with pytest.raises(ParameterError, match="equal 1"):
+            decision.evaluate(rankings, 0.6, 0.6, 0.85)

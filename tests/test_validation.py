@@ -4,8 +4,8 @@ import csv
 
 import pytest
 
-from dimred import (ParameterError, count_misclassified, generate_cases,
-                    resolution_sweep)
+from dimred import (ParameterError, RandomCase, count_misclassified,
+                    generate_cases, resolution_sweep)
 from dimred.validation import (REFERENCE_EXTRACTION_WEIGHTS,
                                REFERENCE_SELECTION_WEIGHTS, SWEEP_TARGETS,
                                write_cases_csv, write_scatter_csv, write_sweep_csv)
@@ -32,13 +32,18 @@ class TestGenerateCases:
 
     def test_full_interpretability_always_selects(self):
         # alpha = 1 zeroes the integrity score, so any positive si_fs wins
-        from dimred import DecisionConfig, decide
-        config = DecisionConfig(interpretability_oriented=1.0,
-                                integrity_oriented=0.0, target_resolution=1.0,
-                                k_min=2, k_max=2)
+        from dimred import decide
         for si_fs in (0.01, 0.4, 1.0):
-            method, _, _ = decide(si_fs, 0.9, config)
+            method, _, _ = decide(si_fs, 0.9, 1.0, 0.0)
             assert method == "SELECTION"
+
+    def test_recorded_scores_do_not_vouch_for_the_choice(self):
+        # scores and choice agree with each other but not with the inputs:
+        # 0.9 * 0.8 >= 0.1 * 0.2, so the inputs call for SELECTION
+        case = RandomCase(si_fs=0.8, si_fe=0.2, alpha=0.9, integrity=0.1,
+                          interpretability_score=0.0, integrity_score=0.5,
+                          chosen_method="EXTRACTION")
+        assert count_misclassified([case]) == 1
 
     def test_rejects_nonpositive_count(self):
         with pytest.raises(ParameterError):
