@@ -1,10 +1,12 @@
-"""Command-line entry points: run, rank and validate.
+"""Command-line entry points: run, rank, scenarios and validate.
 
 ``run`` executes the full pipeline on a CSV file (ingest, rank with FRSD
 and PCA, decide between selection and extraction, reduce, cluster) and
 writes the report, weight tables and figures. ``rank`` stops after the two
-weight tables. ``validate`` exercises the decision rule on random cases and
-emits the resolution sweep.
+weight tables and the resolution sweep over them. ``scenarios`` ranks once
+and evaluates the five standard preference scenarios. ``validate``
+exercises the decision rule on random cases and emits the resolution sweep
+over built-in reference profiles.
 
 Exit codes: 0 on success, 1 on data or compute errors, 2 on flag errors.
 """
@@ -19,14 +21,25 @@ import sys
 import warnings
 
 from .dataset import load_csv, minmax_columns
-from .decision import (DecisionConfig, DecisionOutcome, Rankings, SELECTION, rank,
-                       run_decision_detailed)
+from .decision import (DecisionConfig, DecisionOutcome, Rankings, SELECTION, evaluate,
+                       rank, run_decision_detailed)
 from .errors import DimredError, ParameterError
 from .figures import RadarSeries, cluster_letter, render_silhouette_plot, render_stacked_radar
 from .frsd import FeatureWeights, enumerate_subsets, write_subset_scores
 from .validation import (REFERENCE_EXTRACTION_WEIGHTS, REFERENCE_SELECTION_WEIGHTS,
                          count_misclassified, generate_cases, resolution_sweep,
                          write_cases_csv, write_scatter_csv, write_sweep_csv)
+
+# (case, interpretability, target resolution): strongly interpretability-
+# oriented, strongly integrity-oriented and balanced at high resolution,
+# plus both strongly oriented splits at low resolution
+SCENARIOS = [
+    ("scenario1", 0.9, 0.85),
+    ("scenario2", 0.1, 0.85),
+    ("scenario3", 0.5, 0.85),
+    ("scenario4", 0.9, 0.50),
+    ("scenario5", 0.1, 0.50),
+]
 
 
 def default_threads() -> int:
@@ -41,7 +54,7 @@ def default_threads() -> int:
 
 
 def add_common_flags(parser: argparse.ArgumentParser) -> None:
-    """The sweep flags shared by ``run``, ``rank`` and the scripts."""
+    """The sweep flags shared by ``run``, ``rank`` and ``scenarios``."""
     parser.add_argument("--k-min", type=int, default=3, help="smallest cluster count tried")
     parser.add_argument("--k-max", type=int, default=10, help="largest cluster count tried")
     parser.add_argument("--seed", type=int, default=42, help="base random seed")
@@ -76,13 +89,21 @@ def build_parser() -> argparse.ArgumentParser:
     add_common_flags(run)
     run.set_defaults(func=cmd_run, parser=run)
 
-    rank = sub.add_parser("rank", help="FRSD and PCA weight tables only")
+    rank = sub.add_parser("rank", help="FRSD and PCA weight tables and resolution sweep")
     rank.add_argument("--input", required=True, help="input CSV")
     rank.add_argument("--out", default="dimred_out", help="output directory")
     rank.add_argument("--subset-scores", action="store_true",
                       help="also dump the full FRSD score table")
     add_common_flags(rank)
     rank.set_defaults(func=cmd_rank, parser=rank)
+
+    scenarios = sub.add_parser("scenarios",
+                               help="the five standard preference scenarios, ranked once")
+    scenarios.add_argument("--input", required=True, help="input CSV")
+    scenarios.add_argument("--out", default=None,
+                           help="directory for figures (omit to skip figures)")
+    add_common_flags(scenarios)
+    scenarios.set_defaults(func=cmd_scenarios, parser=scenarios)
 
     validate = sub.add_parser("validate",
                               help="random-case decision check plus resolution sweep")
@@ -160,10 +181,12 @@ def _write_rankings(rankings: Rankings, args) -> None:
                             os.path.join(args.out, "subset_scores.csv"))
 
 
-def _print_weights(title: str, weights: FeatureWeights) -> None:
-    print(title)
-    for rank, (name, w) in enumerate(weights.entries, start=1):
-        print(f"  {rank}. {name:<24s} {w:.4f}")
+def _print_rankings(rankings: Rankings) -> None:
+    for title, weights in (("FRSD feature weights:", rankings.frsd_weights),
+                           ("PCA component weights:", rankings.pca_weights)):
+        print(title)
+        for position, (name, w) in enumerate(weights.entries, start=1):
+            print(f"  {position}. {name:<24s} {w:.4f}")
 
 
 def _print_sweep_size(n_features: int, k_min: int, k_max: int) -> None:
@@ -173,10 +196,22 @@ def _print_sweep_size(n_features: int, k_min: int, k_max: int) -> None:
           f"({n_subsets} subsets x {n_k} cluster counts)", flush=True)
 
 
+def _print_sweep(title: str, rows) -> None:
+    print(title)
+    for row in rows:
+        delta = "" if row.delta is None else f"  delta={row.delta * 100:+.2f}pp"
+        print(f"  target {row.target:.1f}: features={row.m_fs} "
+              f"({row.achieved_fs * 100:.1f}%)  PCs={row.m_fe} "
+              f"({row.achieved_fe * 100:.1f}%){delta}")
+    comparable = [row for row in rows if row.delta is not None]
+    if comparable:
+        advantage = sum(1 for row in comparable if row.delta >= 0)
+        print(f"extraction resolution advantage in {advantage}/{len(comparable)} "
+              f"comparable targets")
+
+
 def _print_report(outcome: DecisionOutcome) -> None:
     report = outcome.report
-    _print_weights("FRSD feature weights:", report.frsd_weights)
-    _print_weights("PCA component weights:", report.pca_weights)
     print(f"best FS silhouette index:  {report.best_si_fs:.4f}")
     print(f"best FE silhouette index:  {report.best_si_fe:.4f}")
     print(f"interpretability score:    {report.interpretability_score:.4f}")
@@ -209,6 +244,18 @@ def emit_figures(outcome: DecisionOutcome, out_dir: str, case: str) -> None:
         )
 
 
+def _rank_input(args) -> Rankings:
+    """Check the sweep flags, load ``--input``, create ``--out`` if given,
+    and rank the table both ways."""
+    config = _config(args)
+    data = load_csv(args.input)
+    if args.out is not None:
+        os.makedirs(args.out, exist_ok=True)
+    _print_sweep_size(data.n_features, config.k_min, config.k_max)
+    return _with_warnings_printed(rank, data, config.k_min, config.k_max, config.seed,
+                                  restarts=config.restarts, max_workers=args.threads)
+
+
 def cmd_run(args) -> int:
     config = _config(args, *_resolve_orientation(args), args.target_resolution)
     data = load_csv(args.input)
@@ -225,23 +272,42 @@ def cmd_run(args) -> int:
     if not args.no_figures:
         emit_figures(outcome, args.out, args.case)
 
+    _print_rankings(outcome.rankings)
     _print_report(outcome)
     print(f"outputs written to {args.out}")
     return 0
 
 
 def cmd_rank(args) -> int:
-    config = _config(args)
-    data = load_csv(args.input)
-    os.makedirs(args.out, exist_ok=True)
-    _print_sweep_size(data.n_features, config.k_min, config.k_max)
-    rankings = _with_warnings_printed(rank, data, config.k_min, config.k_max, config.seed,
-                                      restarts=config.restarts, max_workers=args.threads)
+    rankings = _rank_input(args)
+    sweep = resolution_sweep(rankings.frsd_weights, rankings.pca_weights)
 
     _write_rankings(rankings, args)
-    _print_weights("FRSD feature weights:", rankings.frsd_weights)
-    _print_weights("PCA component weights:", rankings.pca_weights)
+    write_sweep_csv(sweep, os.path.join(args.out, "sweep.csv"))
+    _print_rankings(rankings)
+    _print_sweep("resolution sweep:", sweep)
     print(f"outputs written to {args.out}")
+    return 0
+
+
+def cmd_scenarios(args) -> int:
+    rankings = _rank_input(args)
+    _print_rankings(rankings)
+
+    best_si = []
+    for case, alpha, target in SCENARIOS:
+        outcome = evaluate(rankings, alpha, 1.0 - alpha, target)
+        print(f"\n== {case}: interpretability={alpha}, target={target:.0%}")
+        _print_report(outcome)
+        if args.out is not None:
+            emit_figures(outcome, args.out, case)
+        best_si.append((target, max(outcome.report.best_si_fs, outcome.report.best_si_fe)))
+
+    hi_si = max(si for target, si in best_si if target > 0.5)
+    lo_si = max(si for target, si in best_si if target <= 0.5)
+    trend = "holds" if lo_si >= hi_si else "does NOT hold"
+    print(f"\nlower-resolution-clusters-better trend: {trend} "
+          f"(best SI {lo_si:.4f} at low targets vs {hi_si:.4f} at high)")
     return 0
 
 
@@ -259,12 +325,7 @@ def cmd_validate(args) -> int:
     write_sweep_csv(sweep, os.path.join(args.out, "sweep.csv"))
 
     print(f"misclassified: {wrong}/{len(cases)}")
-    print("resolution sweep (reference 8-feature profiles):")
-    for row in sweep:
-        delta = "" if row.delta is None else f"  delta={row.delta * 100:+.2f}pp"
-        print(f"  target {row.target:.1f}: features={row.m_fs} "
-              f"({row.achieved_fs * 100:.1f}%)  PCs={row.m_fe} "
-              f"({row.achieved_fe * 100:.1f}%){delta}")
+    _print_sweep("resolution sweep (reference 8-feature profiles):", sweep)
     print(f"outputs written to {args.out}")
     return 0 if wrong == 0 else 1
 

@@ -156,18 +156,11 @@ def minmax_normalize(data: Dataset) -> Dataset:
     to all zeros and a :class:`ConstantColumnWarning` is emitted so callers
     can surface it.
     """
-    values = data.values
-    lo = values.min(axis=0)
-    hi = values.max(axis=0)
-    span = hi - lo
-    out = np.zeros_like(values)
-    for j in range(values.shape[1]):
-        if span[j] == 0.0:
-            warnings.warn(
-                f"column {data.feature_names[j]!r} is constant; normalized to 0.0",
-                ConstantColumnWarning,
-                stacklevel=2,
-            )
-        else:
-            out[:, j] = (values[:, j] - lo[j]) / span[j]
-    return Dataset(ids=data.ids, feature_names=data.feature_names, values=out)
+    for j in np.flatnonzero(np.ptp(data.values, axis=0) == 0.0):
+        warnings.warn(
+            f"column {data.feature_names[j]!r} is constant; normalized to 0.0",
+            ConstantColumnWarning,
+            stacklevel=2,
+        )
+    return Dataset(ids=data.ids, feature_names=data.feature_names,
+                   values=minmax_columns(data.values))

@@ -9,8 +9,12 @@ import numpy as np
 import pytest
 
 import dimred
+from dimred import cli
 from dimred.cli import main
-from dimred import Dataset, DecisionReport
+from dimred import (Dataset, DecisionConfig, DecisionReport, EXTRACTION, SELECTION,
+                    decision, evaluate, kmeans_fit, load_csv, rank, run_decision,
+                    select_for_resolution)
+from dimred.validation import resolution_sweep, write_sweep_csv
 from helpers import make_blobs_with_noise, make_dataset, write_dataset_csv
 
 FAST = ["--k-min", "2", "--k-max", "3", "--restarts", "2", "--threads", "1"]
@@ -72,8 +76,9 @@ class TestRun:
             run_cli(["run", "--input", str(demo_csv), "--out", str(tmp_path / "o"),
                      "--k-min", "5", "--k-max", "3"])
         assert exc.value.code == 2
-        # the other flags DecisionConfig rejects are flag errors too, in both commands
+        # the other flags DecisionConfig rejects are flag errors too, in every command
         for argv in (["rank", "--k-min", "5", "--k-max", "3"],
+                     ["scenarios", "--k-min", "5", "--k-max", "3"],
                      ["run", "--restarts", "0"],
                      ["run", "--target-resolution", "1.5"]):
             with pytest.raises(SystemExit) as exc:
@@ -94,10 +99,12 @@ class TestRun:
             assert needle in capsys.readouterr().err
 
     def test_missing_input_exits_1(self, tmp_path, capsys):
-        code = run_cli(["run", "--input", str(tmp_path / "nope.csv"),
-                        "--out", str(tmp_path / "o")] + FAST)
-        assert code == 1
-        assert "error:" in capsys.readouterr().err
+        for command in ("run", "rank", "scenarios"):
+            code = run_cli([command, "--input", str(tmp_path / "nope.csv"),
+                            "--out", str(tmp_path / "o")] + FAST)
+            assert code == 1, command
+            err = capsys.readouterr().err.splitlines()
+            assert len(err) == 1 and err[0].startswith("error:"), (command, err)
 
     def test_malformed_csv_exits_1(self, tmp_path, capsys):
         bad = tmp_path / "bad.csv"
@@ -120,6 +127,69 @@ class TestRank:
         assert pca_lines[1].startswith("PC1,")
         assert "FRSD sweep:" in capsys.readouterr().out
 
+    def test_writes_resolution_sweep(self, demo_csv, tmp_path, capsys):
+        out = tmp_path / "rank_out"
+        assert run_cli(["rank", "--input", str(demo_csv), "--out", str(out),
+                        "--seed", "42"] + FAST) == 0
+        rankings = rank(load_csv(demo_csv), k_min=2, k_max=3, seed=42, restarts=2,
+                        max_workers=1)
+        write_sweep_csv(resolution_sweep(rankings.frsd_weights, rankings.pca_weights),
+                        tmp_path / "want.csv")
+        assert (out / "sweep.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
+        captured = capsys.readouterr().out
+        assert "resolution sweep:" in captured
+        for target in range(1, 11):
+            assert f"  target {target / 10:.1f}: features=" in captured
+        assert "extraction resolution advantage in" in captured
+
+
+SWEEP = dict(k_min=2, k_max=4, seed=5, restarts=2)
+
+
+class TestScenarios:
+    @pytest.fixture(scope="class")
+    def blobs(self):
+        return make_blobs_with_noise(seed=21, n_samples=40, n_noise=2)
+
+    def test_evaluate_per_scenario_matches_run_decision(self, blobs):
+        rankings = rank(blobs, **SWEEP)
+        for case, alpha, target in cli.SCENARIOS:
+            got = evaluate(rankings, alpha, 1.0 - alpha, target).report
+            want = run_decision(blobs, DecisionConfig(
+                interpretability_oriented=alpha, integrity_oriented=1.0 - alpha,
+                target_resolution=target, **SWEEP))
+            assert got.to_json_dict() == want.to_json_dict(), case
+
+    def test_scenarios_fit_each_branch_width_once(self, blobs, monkeypatch):
+        fit_calls = []
+
+        def counting_fit(*args, **kwargs):
+            fit_calls.append(args[1])
+            return kmeans_fit(*args, **kwargs)
+
+        monkeypatch.setattr(decision, "kmeans_fit", counting_fit)
+        rankings = rank(blobs, **SWEEP)
+        for _, alpha, target in cli.SCENARIOS:
+            evaluate(rankings, alpha, 1.0 - alpha, target)
+        branches = {(method, select_for_resolution(weights, target)[0])
+                    for _, _, target in cli.SCENARIOS
+                    for method, weights in ((SELECTION, rankings.frsd_weights),
+                                            (EXTRACTION, rankings.pca_weights))}
+        assert len(branches) < 2 * len(cli.SCENARIOS)  # scenarios do share branches
+        n_k = SWEEP["k_max"] - SWEEP["k_min"] + 1
+        assert len(fit_calls) == n_k * len(branches)
+
+    def test_writes_each_scenarios_silhouette(self, blobs, tmp_path, capsys):
+        csv_path = write_dataset_csv(blobs, tmp_path / "blobs.csv")
+        figs = tmp_path / "figs"
+        assert run_cli(["scenarios", "--input", str(csv_path), "--out", str(figs)]
+                       + FAST) == 0
+        for case, _, _ in cli.SCENARIOS:
+            assert (figs / f"silhouette_{case}.svg").exists()
+        captured = capsys.readouterr().out
+        assert captured.count("chosen method:") == len(cli.SCENARIOS)
+        assert "lower-resolution-clusters-better trend:" in captured
+
 
 class TestValidate:
     def test_zero_misclassified(self, tmp_path, capsys):
@@ -127,7 +197,9 @@ class TestValidate:
         code = run_cli(["validate", "--cases", "250", "--seed", "7",
                         "--out", str(out)])
         assert code == 0
-        assert "misclassified: 0/250" in capsys.readouterr().out
+        captured = capsys.readouterr().out
+        assert "misclassified: 0/250" in captured
+        assert "extraction resolution advantage in" in captured
         assert (out / "cases.csv").exists()
         assert (out / "scatter.csv").exists()
         assert (out / "sweep.csv").exists()
@@ -150,6 +222,9 @@ class TestThreads:
         from dimred.cli import default_threads as _default_threads
         monkeypatch.setenv("DIMRED_THREADS", "3")
         assert _default_threads() == 3
+        for command in ("run", "rank", "scenarios"):
+            args = cli.build_parser().parse_args([command, "--input", "x.csv"])
+            assert args.threads == 3, command
         monkeypatch.setenv("DIMRED_THREADS", "junk")
         assert _default_threads() >= 1
         monkeypatch.delenv("DIMRED_THREADS")
