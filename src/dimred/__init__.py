@@ -17,7 +17,7 @@ from .errors import (ConstantColumnWarning, DimredError, IngestionError,
 from .figures import RadarSeries, render_silhouette_plot, render_stacked_radar
 from .frsd import (FeatureWeights, SubsetScore, enumerate_subsets, frsd_rank,
                    write_subset_scores)
-from .kmeans import ClusteringResult, kmeans_fit, silhouette
+from .kmeans import ClusteringResult, kmeans_fit, kmeans_fits, silhouette
 from .pca import PcaModel, jacobi_eigh, pca_fit, pca_importance, pca_project
 from .validation import (RandomCase, SweepRow, generate_cases,
                          count_misclassified, resolution_sweep)
@@ -54,6 +54,7 @@ __all__ = [
     "generate_cases",
     "jacobi_eigh",
     "kmeans_fit",
+    "kmeans_fits",
     "load_csv",
     "minmax_columns",
     "minmax_normalize",

@@ -19,7 +19,8 @@ import numpy as np
 from .dataset import Dataset, minmax_normalize
 from .errors import ParameterError
 from .frsd import FeatureWeights, SubsetScore, frsd_rank
-from .kmeans import ClusteringResult, kmeans_fit
+from .kmeans import kmeans_fit  # noqa: F401  (kept importable: perfbench/spans.py wraps it)
+from .kmeans import ClusteringResult, kmeans_fits
 from .pca import PcaModel, pca_fit, pca_importance, pca_project
 
 SELECTION = "SELECTION"
@@ -137,13 +138,14 @@ def best_silhouette_over_k(data, k_min: int, k_max: int, seed: int,
     """Maximum mean silhouette over k in [k_min, k_max]; ties favor smaller k.
 
     Returns (silhouette, k, fit), where ``fit`` is the winning k-means fit.
+    Every k is fitted with the same ``seed``, in one ``kmeans_fits`` batch.
     """
     data = np.asarray(data, dtype=np.float64)
     if not 2 <= k_min <= k_max:
         raise ParameterError(f"need 2 <= k_min <= k_max, got [{k_min}, {k_max}]")
+    ks = range(k_min, k_max + 1)
     best = None
-    for k in range(k_min, k_max + 1):
-        fit = kmeans_fit(data, k, seed=seed, restarts=restarts)
+    for fit in kmeans_fits(data, ks, [seed] * len(ks), restarts):
         if best is None or fit.mean_silhouette > best.mean_silhouette:
             best = fit
     return float(best.mean_silhouette), best.k, best

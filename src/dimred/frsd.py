@@ -7,10 +7,13 @@ contains it; dividing by the grand total of raw scores yields normalized
 importance weights (proportions summing to 1), the basis of "resolution"
 downstream.
 
-The sweep is embarrassingly parallel. Two choices make its output
-independent of execution order, worker count and dataset column order:
+The sweep is embarrassingly parallel, with one task per subset: the task
+fits every k of the range on the subset's columns, so the column slice, the
+checks and the silhouette's pairwise distances are shared by all its k. Two
+choices make its output independent of execution order, worker count and
+dataset column order:
 
-* each (subset, k) task derives its k-means seed from a stable hash of the
+* each (subset, k) run derives its k-means seed from a stable hash of the
   base seed, the subset's sorted feature names and k;
 * subset columns are always presented to k-means in feature-name order, and
   aggregation walks the score table in a name-based canonical order.
@@ -29,7 +32,8 @@ import numpy as np
 
 from .dataset import Dataset
 from .errors import ParameterError
-from .kmeans import kmeans_fit
+from .kmeans import kmeans_fit  # noqa: F401  (kept importable: perfbench/spans.py wraps it)
+from .kmeans import kmeans_fits
 
 
 @dataclass(frozen=True)
@@ -127,10 +131,9 @@ def task_seed(base_seed: int, names, k: int) -> int:
     return int.from_bytes(digest[:8], "big")
 
 
-def _score_one(values, cols, k, seed, restarts, max_iter, tol) -> float:
-    fit = kmeans_fit(values[:, cols], k, seed=seed, restarts=restarts,
-                     max_iter=max_iter, tol=tol)
-    return fit.mean_silhouette
+def _score_subset(values, cols, ks, seeds, restarts, max_iter, tol) -> list[float]:
+    fits = kmeans_fits(values[:, cols], ks, seeds, restarts, max_iter, tol)
+    return [fit.mean_silhouette for fit in fits]
 
 
 # worker-process state; set once per worker by the pool initializer
@@ -142,8 +145,8 @@ def _pool_init(values: np.ndarray) -> None:
     _POOL_VALUES = values
 
 
-def _pool_task(args) -> float:
-    return _score_one(_POOL_VALUES, *args)
+def _pool_task(args) -> list[float]:
+    return _score_subset(_POOL_VALUES, *args)
 
 
 def frsd_rank(data: Dataset, k_min: int, k_max: int, seed: int,
@@ -161,32 +164,32 @@ def frsd_rank(data: Dataset, k_min: int, k_max: int, seed: int,
         raise ParameterError(f"k_max={k_max} exceeds {data.n_samples} samples")
 
     subsets = enumerate_subsets(data.n_features)
+    ks = tuple(range(k_min, k_max + 1))
     tasks = []
     for subset in subsets:
         names = tuple(sorted(data.feature_names[i] for i in subset))
         # columns in name order: results cannot depend on column position
         cols = tuple(sorted(subset, key=lambda i: data.feature_names[i]))
-        for k in range(k_min, k_max + 1):
-            tasks.append((subset, names, cols, k, task_seed(seed, names, k)))
+        tasks.append((subset, names, cols))
 
-    args = [(cols, k, s, restarts, max_iter, tol) for _, _, cols, k, s in tasks]
+    args = [(cols, ks, tuple(task_seed(seed, names, k) for k in ks), restarts, max_iter, tol)
+            for _, names, cols in tasks]
     if max_workers > 1:
         # about 8 chunks per worker, so short sweeps still reach every worker
         chunksize = max(1, len(args) // (8 * max_workers))
         with ProcessPoolExecutor(max_workers=max_workers, initializer=_pool_init,
                                  initargs=(data.values,)) as pool:
-            sis = list(pool.map(_pool_task, args, chunksize=chunksize))
+            per_subset = list(pool.map(_pool_task, args, chunksize=chunksize))
     else:
-        sis = [_score_one(data.values, *a) for a in args]
+        per_subset = [_score_subset(data.values, *a) for a in args]
+    runs = [(subset, names, k, si) for (subset, names, _), sis in zip(tasks, per_subset)
+            for k, si in zip(ks, sis)]
 
-    scores = [SubsetScore(subset=subset, k=k, si=si)
-              for (subset, _, _, k, _), si in zip(tasks, sis)]
+    scores = [SubsetScore(subset=subset, k=k, si=si) for subset, _, k, si in runs]
 
     # canonical name-keyed aggregation order, so sums are reproducible
     # bit-for-bit regardless of column permutation
-    keyed = sorted(
-        ((len(names), names, k, si) for (_, names, _, k, _), si in zip(tasks, sis)),
-    )
+    keyed = sorted((len(names), names, k, si) for _, names, k, si in runs)
     raw = {name: 0.0 for name in data.feature_names}
     for _, names, _, si in keyed:
         for name in names:

@@ -15,9 +15,11 @@ from scipy.spatial.distance import cdist
 
 from .errors import MetricUndefinedError, ParameterError
 
-# upper bound on the pairwise distances that silhouette holds at once
-# (32 MiB of float64); tables up to about 2000 rows take a single block
-_BLOCK_BYTES = 32 * 2**20
+# upper bound on the pairwise distances that silhouette holds at once (1 MiB
+# of float64), so a row block and its per-labelling column gather stay in
+# cache instead of going out to RAM and back; a 6000-row table takes 21 rows
+# per block
+_BLOCK_BYTES = 2**20
 # upper bound on the point-to-centroid distances that one group of k-means
 # restarts holds at once (1 MiB of float64); demo-sized fits run all 10
 # restarts as one group, a 6000-row table at k=5 runs 4 at a time
@@ -45,10 +47,11 @@ def silhouette(data, labels) -> tuple[np.ndarray, float]:
     cluster gets s = 0.
 
     The values are exact (Rousseeuw 1987), built from per-cluster sums of
-    pairwise distances. Time is O(n^2); memory is O(n * block), because the
-    distances are computed one row block at a time, with at most
-    ``_BLOCK_BYTES`` of them alive at once. No BLAS routine is called, so the
-    result does not depend on the BLAS thread count.
+    pairwise distances. Time is O(n^2); memory is O(n * (k + d)) plus one
+    row block of distances, at most ``_BLOCK_BYTES``. No BLAS routine is
+    called, so the result does not depend on the BLAS thread count. It is
+    bit for bit the silhouette that ``kmeans_fit`` and ``kmeans_fits``
+    compute for the same labels.
     """
     data = np.asarray(data, dtype=np.float64)
     labels = np.asarray(labels)
@@ -65,20 +68,48 @@ def silhouette(data, labels) -> tuple[np.ndarray, float]:
         raise ParameterError(f"empty cluster index {empty[0]} (labels must cover [0, k))")
     if k < 2:
         raise MetricUndefinedError("silhouette needs at least 2 clusters")
+    return _silhouettes(data, [labels])[0]
 
+
+def _silhouettes(data, labellings) -> list[tuple[np.ndarray, float]]:
+    """Silhouettes of several valid labellings of ``data``, in one pass over
+    row blocks of pairwise distances that every labelling shares.
+
+    Sorted by label, each cluster's members form one contiguous run of
+    columns, so a cluster's distance sum is one ``np.add.reduceat`` over a
+    block whose columns are in that order. A block's columns are computed
+    in the first labelling's order, and every other labelling gathers its
+    own order from them: the same pairs, added in the same order, as a block
+    computed against the data sorted its way.
+    """
     n = data.shape[0]
-    # sorted by label, each cluster's members form one contiguous run of columns
-    order = np.argsort(labels, kind="stable")
-    by_cluster = data[order]
-    starts = np.concatenate(([0], np.cumsum(counts)[:-1]))
-    # cluster_sums[i, c] = sum of distances from sample i to members of cluster c
-    cluster_sums = np.empty((n, k))
+    orders, starts, sums = [], [], []
+    for labels in labellings:
+        counts = np.bincount(labels)
+        orders.append(np.argsort(labels, kind="stable"))
+        starts.append(np.concatenate(([0], np.cumsum(counts)[:-1])))
+        # sums[i, c] = sum of distances from sample i to members of cluster c
+        sums.append(np.empty((n, counts.size)))
+    by_first = data[orders[0]]
+    position = np.argsort(orders[0])  # column of each sample in a block
+    columns = [slice(None)] + [position[order] for order in orders[1:]]
     rows = max(1, _BLOCK_BYTES // (8 * n))
+    # one block's memory, reused: freeing and allocating a block per step
+    # lets malloc hand it back to the system and fault it in again, which
+    # cost 2 s of a 7 s run on a 6000-row table
+    buffer = np.empty((min(rows, n), n))
     for lo in range(0, n, rows):
-        # one temporary per statement, so only one block is ever alive
-        cluster_sums[lo : lo + rows] = np.add.reduceat(
-            cdist(data[lo : lo + rows], by_cluster), starts, axis=1)
+        block = cdist(data[lo : lo + rows], by_first, out=buffer[: n - lo])
+        for cols, start, out in zip(columns, starts, sums):
+            out[lo : lo + rows] = np.add.reduceat(block[:, cols], start, axis=1)
+    del buffer, block  # not held while the scores are computed
+    return [_scores(out, labels) for out, labels in zip(sums, labellings)]
 
+
+def _scores(cluster_sums, labels) -> tuple[np.ndarray, float]:
+    """Per-sample silhouettes and their mean from per-cluster distance sums."""
+    n = labels.size
+    counts = np.bincount(labels)
     own = counts[labels]
     idx = np.arange(n)
     means = cluster_sums / counts
@@ -94,6 +125,14 @@ def silhouette(data, labels) -> tuple[np.ndarray, float]:
     return s, float(np.mean(s))
 
 
+def _weighted_index(weights, total, rng) -> int:
+    """``rng.choice(weights.size, p=weights / total)`` without its per-call
+    checks: the same index from the same single draw of ``rng``."""
+    cdf = (weights / total).cumsum()
+    cdf /= cdf[-1]
+    return int(cdf.searchsorted(rng.random(), side="right"))
+
+
 def _pp_init(data, k, rng) -> np.ndarray:
     """Distance-weighted (k-means++-style) centroid seeding."""
     n = data.shape[0]
@@ -103,7 +142,7 @@ def _pp_init(data, k, rng) -> np.ndarray:
     for j in range(1, k):
         total = closest.sum()
         if total > 0.0:
-            idx = rng.choice(n, p=closest / total)
+            idx = _weighted_index(closest, total, rng)
         else:
             idx = rng.integers(n)
         centroids[j] = data[idx]
@@ -145,8 +184,13 @@ def _cluster_sums(data, flat, counts) -> np.ndarray:
     """
     bins = counts.size
     if data.shape[1] > 1:
-        return np.stack([np.bincount(flat.ravel(), weights=np.tile(column, flat.shape[0]),
-                                     minlength=bins) for column in data.T], axis=1)
+        bin_of = flat.ravel()
+        weights = np.empty(flat.shape)  # one row of the column per restart
+        out = np.empty((bins, data.shape[1]))
+        for j, column in enumerate(data.T):
+            weights[:] = column
+            out[:, j] = np.bincount(bin_of, weights=weights.ravel(), minlength=bins)
+        return out
     counts = counts.ravel()
     padded = np.zeros(flat.size + bins)
     padded[np.arange(flat.size) + np.repeat(np.arange(1, bins + 1), counts)] = \
@@ -212,22 +256,65 @@ def kmeans_fit(data, k: int, seed: int, restarts: int = 10,
     distances at once; the result is bit for bit the one of running them one
     by one. The first restart with the lowest inertia wins; silhouettes are
     computed once on its final assignment. The returned result never
-    contains an empty cluster.
+    contains an empty cluster. This is ``kmeans_fits`` with one k.
+    """
+    return kmeans_fits(data, [k], [seed], restarts, max_iter, tol)[0]
+
+
+def kmeans_fits(data, ks, seeds, restarts: int = 10, max_iter: int = 300,
+                tol: float = 1e-4) -> list[ClusteringResult]:
+    """``kmeans_fit(data, k, seed, ...)`` for each pair of ``ks`` and
+    ``seeds``, bit for bit, with the work that does not depend on k done once.
+
+    The checks and the distinct-point count run once, before any fit; the
+    first k that exceeds the number of distinct rows raises. The silhouettes
+    of all the winning assignments are then computed in one pass over row
+    blocks of pairwise distances, so each block is computed once and shared
+    by every k.
     """
     data = np.asarray(data, dtype=np.float64)
+    ks, seeds = list(ks), list(seeds)
+    if not ks:
+        raise ParameterError("need at least one k")
+    if len(ks) != len(seeds):
+        raise ParameterError("one seed per k required")
     if data.ndim != 2 or data.shape[0] == 0:
         raise ParameterError("data must be a nonempty 2-D matrix")
     if not np.isfinite(data).all():
         raise ParameterError("data contains non-finite entries")
-    if k < 2:
-        raise ParameterError("k must be at least 2")
-    if k > data.shape[0]:
-        raise ParameterError(f"k={k} exceeds {data.shape[0]} samples")
+    for k in ks:
+        if k < 2:
+            raise ParameterError("k must be at least 2")
+        if k > data.shape[0]:
+            raise ParameterError(f"k={k} exceeds {data.shape[0]} samples")
     if restarts < 1:
         raise ParameterError("restarts must be at least 1")
-    if np.unique(data, axis=0).shape[0] < k:
-        raise ParameterError(f"fewer than k={k} distinct points")
+    distinct = np.unique(data, axis=0).shape[0]
+    for k in ks:
+        if distinct < k:
+            raise ParameterError(f"fewer than k={k} distinct points")
 
+    best = [_best_of_restarts(data, k, seed, restarts, max_iter, tol)
+            for k, seed in zip(ks, seeds)]
+    silhouettes = _silhouettes(data, [labels for _, labels, _ in best])
+    return [
+        ClusteringResult(
+            labels=labels,
+            centroids=centroids,
+            inertia=inertia,
+            sample_silhouettes=sample_s,
+            mean_silhouette=mean_s,
+            k=k,
+            seed=seed,
+        )
+        for k, seed, (inertia, labels, centroids), (sample_s, mean_s)
+        in zip(ks, seeds, best, silhouettes)
+    ]
+
+
+def _best_of_restarts(data, k, seed, restarts, max_iter,
+                      tol) -> tuple[float, np.ndarray, np.ndarray]:
+    """(inertia, labels, centroids) of the first restart with the lowest inertia."""
     seeds = np.stack([
         _pp_init(data, k, np.random.default_rng(np.random.SeedSequence([seed % (2**63), r])))
         for r in range(restarts)
@@ -239,15 +326,4 @@ def kmeans_fit(data, k: int, seed: int, restarts: int = 10,
         for inertia, labels, centroids in fits:
             if best is None or inertia < best[0]:
                 best = (inertia, labels, centroids)
-
-    inertia, labels, centroids = best
-    sample_s, mean_s = silhouette(data, labels)
-    return ClusteringResult(
-        labels=labels,
-        centroids=centroids,
-        inertia=inertia,
-        sample_silhouettes=sample_s,
-        mean_silhouette=mean_s,
-        k=k,
-        seed=seed,
-    )
+    return best

@@ -12,7 +12,7 @@ import dimred
 from dimred import cli
 from dimred.cli import main
 from dimred import (Dataset, DecisionConfig, DecisionReport, EXTRACTION, SELECTION,
-                    decision, evaluate, kmeans_fit, load_csv, rank, run_decision,
+                    decision, evaluate, kmeans_fits, load_csv, rank, run_decision,
                     select_for_resolution)
 from dimred.validation import resolution_sweep, write_sweep_csv
 from helpers import make_blobs_with_noise, make_dataset, write_dataset_csv
@@ -163,11 +163,11 @@ class TestScenarios:
     def test_scenarios_fit_each_branch_width_once(self, blobs, monkeypatch):
         fit_calls = []
 
-        def counting_fit(*args, **kwargs):
-            fit_calls.append(args[1])
-            return kmeans_fit(*args, **kwargs)
+        def counting_fits(*args, **kwargs):
+            fit_calls.extend(args[1])
+            return kmeans_fits(*args, **kwargs)
 
-        monkeypatch.setattr(decision, "kmeans_fit", counting_fit)
+        monkeypatch.setattr(decision, "kmeans_fits", counting_fits)
         rankings = rank(blobs, **SWEEP)
         for _, alpha, target in cli.SCENARIOS:
             evaluate(rankings, alpha, 1.0 - alpha, target)

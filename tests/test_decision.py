@@ -9,7 +9,8 @@ from hypothesis import strategies as st
 
 from dimred import (DecisionConfig, DecisionReport, EXTRACTION, ParameterError,
                     SELECTION, best_silhouette_over_k, decide, decision, kmeans_fit,
-                    run_decision, run_decision_detailed, select_for_resolution)
+                    kmeans_fits, run_decision, run_decision_detailed,
+                    select_for_resolution)
 from dimred.validation import (REFERENCE_EXTRACTION_WEIGHTS,
                                REFERENCE_SELECTION_WEIGHTS)
 from helpers import make_dataset
@@ -205,11 +206,11 @@ class TestRunDecision:
     def test_one_fit_per_branch_and_k(self, monkeypatch):
         fit_calls = []
 
-        def counting_fit(*args, **kwargs):
-            fit_calls.append(args[1])
-            return kmeans_fit(*args, **kwargs)
+        def counting_fits(*args, **kwargs):
+            fit_calls.extend(args[1])
+            return kmeans_fits(*args, **kwargs)
 
-        monkeypatch.setattr(decision, "kmeans_fit", counting_fit)
+        monkeypatch.setattr(decision, "kmeans_fits", counting_fits)
         rng = np.random.default_rng(6)
         data = make_dataset(rng.uniform(size=(24, 3)))
         config = config_for(0.5, target=0.7, k_min=2, k_max=4, restarts=2, seed=3)
@@ -244,7 +245,7 @@ class TestEvaluate:
     def test_bad_preferences_rejected_before_any_fit(self, monkeypatch):
         data = make_dataset(np.random.default_rng(8).uniform(size=(16, 3)))
         rankings = decision.rank(data, 2, 3, seed=1, restarts=1)
-        monkeypatch.setattr(decision, "kmeans_fit",
+        monkeypatch.setattr(decision, "kmeans_fits",
                             lambda *args, **kwargs: pytest.fail("fitted"))
         with pytest.raises(ParameterError, match="equal 1"):
             decision.evaluate(rankings, 0.6, 0.6, 0.85)

@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from dimred import (FeatureWeights, ParameterError, enumerate_subsets, frsd_rank,
-                    minmax_normalize, write_subset_scores)
+from dimred import (FeatureWeights, ParameterError, enumerate_subsets, frsd, frsd_rank,
+                    kmeans_fit, kmeans_fits, minmax_normalize, write_subset_scores)
 from dimred.frsd import task_seed
 from helpers import make_blobs_with_noise, make_dataset, powerset_subsets
 
@@ -129,6 +129,29 @@ class TestFrsdRank:
         pooled_w, pooled_s = frsd_rank(data, 2, 3, seed=5, restarts=2, max_workers=2)
         assert serial_w.entries == pooled_w.entries
         assert serial_s == pooled_s
+
+    def test_one_batch_per_subset_with_a_seed_per_k(self, monkeypatch):
+        data = minmax_normalize(make_dataset(np.random.default_rng(3).uniform(size=(24, 8))))
+        calls = []
+
+        def counting_fits(values, ks, seeds, *args):
+            calls.append((values.shape[1], tuple(ks), tuple(seeds)))
+            return kmeans_fits(values, ks, seeds, *args)
+
+        monkeypatch.setattr(frsd, "kmeans_fits", counting_fits)
+        _, scores = frsd_rank(data, 2, 3, seed=4, restarts=1)
+        subsets = enumerate_subsets(8)
+        assert len(calls) == len(subsets) == 247
+        for (width, ks, seeds), subset in zip(calls, subsets):
+            names = [data.feature_names[i] for i in subset]
+            assert width == len(subset) and ks == (2, 3)
+            assert seeds == tuple(task_seed(4, names, k) for k in ks)
+        # each score is the one a separate fit of its (subset, k) gives
+        for score in scores[::7]:
+            cols = sorted(score.subset, key=lambda i: data.feature_names[i])
+            seed = task_seed(4, [data.feature_names[i] for i in cols], score.k)
+            fit = kmeans_fit(data.values[:, cols], score.k, seed, restarts=1)
+            assert score.si == fit.mean_silhouette
 
     def test_informative_features_outrank_noise(self):
         data = minmax_normalize(make_blobs_with_noise(seed=42))

@@ -8,7 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.spatial.distance import cdist
 
-from dimred import (MetricUndefinedError, ParameterError, kmeans, kmeans_fit, silhouette)
+from dimred import (MetricUndefinedError, ParameterError, kmeans, kmeans_fit, kmeans_fits,
+                    silhouette)
 from dimred.kmeans import _BLOCK_BYTES
 from helpers import brute_silhouette, exhaustive_best_inertia, per_restart_kmeans
 
@@ -57,6 +58,15 @@ class TestKmeansFit:
     def test_k_below_two_rejected(self):
         with pytest.raises(ParameterError):
             kmeans_fit(TWO_BLOBS_1D, 1, seed=0)
+
+    def test_batch_rejects_bad_k_lists(self):
+        data = np.array([[1.0, 1.0]] * 5 + [[2.0, 2.0]] * 5 + [[3.0, 3.0]] * 2)
+        with pytest.raises(ParameterError, match="fewer than k=5 distinct"):
+            kmeans_fits(data, [2, 5, 4], [0, 0, 0])  # the first infeasible k
+        with pytest.raises(ParameterError, match="one seed per k"):
+            kmeans_fits(data, [2, 3], [0])
+        with pytest.raises(ParameterError, match="at least one k"):
+            kmeans_fits(data, [], [])
 
     @given(st.integers(0, 2**32))
     @settings(max_examples=20, deadline=None)
@@ -160,6 +170,23 @@ class TestRestartsTogether:
         fit = kmeans_fit(data, 5, seed=4, restarts=10)
         assert any(refills)
         _assert_same_fit(fit, per_restart_kmeans(data, 5, seed=4, restarts=10))
+
+    @pytest.mark.parametrize("kind, n, d, ks, restarts", [
+        ("uniform", 5, 1, [2, 3, 5], 13),
+        ("grid", 12, 2, [3, 2], 10),
+        ("blobs", 40, 8, [10, 2, 6], 3),
+        ("binary", 200, 3, [5, 3, 4], 1),
+        ("blobs", 630, 8, [3, 4], 10),
+        ("uniform", 630, 1, [6, 2, 3, 4], 10),
+        ("blobs", 3000, 3, [3, 4, 5], 10),
+    ])
+    def test_multi_k_batch_matches_one_fit_at_a_time(self, kind, n, d, ks, restarts):
+        data = _table(kind, n, d, seed=n + d)
+        seeds = [n + k for k in ks]
+        fits = kmeans_fits(data, ks, seeds, restarts=restarts)
+        assert [fit.k for fit in fits] == ks and [fit.seed for fit in fits] == seeds
+        for fit, k, seed in zip(fits, ks, seeds):
+            _assert_same_fit(fit, per_restart_kmeans(data, k, seed=seed, restarts=restarts))
 
     @pytest.mark.parametrize("group", [1, 3])
     def test_restart_groups_match_one_group(self, monkeypatch, group):
@@ -283,7 +310,38 @@ class TestSilhouette:
             tracemalloc.stop()
         np.testing.assert_allclose(s, expected, atol=1e-12, rtol=0)
         assert mean == pytest.approx(np.mean(expected), abs=1e-12)
-        assert peak < 8 * n * n / 2
+        # one row block of distances, plus a few n x k and n x d arrays
+        assert peak < _BLOCK_BYTES + 8 * n * (4 * k + 8)
+
+    @pytest.mark.parametrize("rows_per_block", [None, 1])
+    def test_shared_blocks_match_each_labelling_alone(self, monkeypatch, rows_per_block):
+        n = 300
+        rng = np.random.default_rng(8)
+        data = _table("blobs", n, 3, seed=8)
+        labellings = [_labels_covering(rng, n, k) for k in (2, 5, 3, 9)]
+        assert _BLOCK_BYTES // (8 * n) >= n  # alone, the input is one block
+        alone = [silhouette(data, labels) for labels in labellings]
+        rows = rows_per_block or n // 3 - 1  # or 4 blocks, the last one short
+        monkeypatch.setattr(kmeans, "_BLOCK_BYTES", 8 * n * rows)
+        together = kmeans._silhouettes(data, labellings)
+        for (s, mean), (s_alone, mean_alone) in zip(together, alone):
+            np.testing.assert_array_equal(s, s_alone)
+            assert mean == mean_alone
+
+
+class TestSeeding:
+    def test_weighted_index_matches_rng_choice(self):
+        rng = np.random.default_rng(17)
+        ours, oracle = np.random.default_rng(3), np.random.default_rng(3)
+        for trial in range(3000):
+            n = int(rng.integers(1, 60))
+            weights = rng.uniform(size=n) ** 3
+            weights[rng.uniform(size=n) < 0.3] = 0.0  # zero entries are never drawn
+            weights[rng.integers(n)] += 1e-3
+            total = weights.sum()
+            assert kmeans._weighted_index(weights, total, ours) == \
+                oracle.choice(n, p=weights / total), trial
+        assert ours.bit_generator.state == oracle.bit_generator.state
 
 
 def _labels_covering(rng, n, k):
