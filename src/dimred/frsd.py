@@ -33,7 +33,14 @@ import numpy as np
 from .dataset import Dataset
 from .errors import ParameterError
 from .kmeans import kmeans_fit  # noqa: F401  (kept importable: perfbench/spans.py wraps it)
-from .kmeans import kmeans_fits
+from .kmeans import kmeans_fits, require_distinct
+
+# a sweep of less work than this (rows x subsets x k values x restarts) runs
+# in-process even when workers are allowed. Timed as the first sweep of a
+# fresh process on 2 CPUs, k 3..6 and 10 restarts, 2 workers lost on every
+# 150x3 table (24 000; 0.055-0.059 s in-process against 0.064-0.096 s) and
+# were about even on 330x3 tables (53 000)
+_POOL_MIN_WORK = 50_000
 
 
 @dataclass(frozen=True)
@@ -156,7 +163,10 @@ def frsd_rank(data: Dataset, k_min: int, k_max: int, seed: int,
 
     ``data`` is expected to be MinMax-normalized. Returns the weights plus
     the full (subset, k, si) score table, one row per subset per k in
-    [k_min, k_max]. Output is identical for any ``max_workers``.
+    [k_min, k_max]. Output is identical for any ``max_workers``: a sweep of
+    less work than ``_POOL_MIN_WORK`` runs in-process whatever its value, and
+    a k the data cannot support raises before any fit or worker starts, with
+    the first feature pair that has too few distinct rows.
     """
     if not 2 <= k_min <= k_max:
         raise ParameterError(f"need 2 <= k_min <= k_max, got [{k_min}, {k_max}]")
@@ -165,6 +175,12 @@ def frsd_rank(data: Dataset, k_min: int, k_max: int, seed: int,
 
     subsets = enumerate_subsets(data.n_features)
     ks = tuple(range(k_min, k_max + 1))
+    # a subset has no fewer distinct rows than a pair inside it, and pairs come
+    # first in `subsets`: the first infeasible pair is the sweep's first
+    # infeasible subset, found here before any fit runs or any worker starts
+    for pair in combinations(range(data.n_features), 2):
+        require_distinct(data.values[:, pair], ks, " in features "
+                         + " and ".join(repr(data.feature_names[i]) for i in pair))
     tasks = []
     for subset in subsets:
         names = tuple(sorted(data.feature_names[i] for i in subset))
@@ -174,7 +190,7 @@ def frsd_rank(data: Dataset, k_min: int, k_max: int, seed: int,
 
     args = [(cols, ks, tuple(task_seed(seed, names, k) for k in ks), restarts, max_iter, tol)
             for _, names, cols in tasks]
-    if max_workers > 1:
+    if max_workers > 1 and data.n_samples * len(args) * len(ks) * restarts >= _POOL_MIN_WORK:
         # about 8 chunks per worker, so short sweeps still reach every worker
         chunksize = max(1, len(args) // (8 * max_workers))
         with ProcessPoolExecutor(max_workers=max_workers, initializer=_pool_init,

@@ -125,30 +125,37 @@ def _scores(cluster_sums, labels) -> tuple[np.ndarray, float]:
     return s, float(np.mean(s))
 
 
-def _weighted_index(weights, total, rng) -> int:
-    """``rng.choice(weights.size, p=weights / total)`` without its per-call
-    checks: the same index from the same single draw of ``rng``."""
-    cdf = (weights / total).cumsum()
-    cdf /= cdf[-1]
-    return int(cdf.searchsorted(rng.random(), side="right"))
+def _weighted_indices(weights, rngs) -> list[int]:
+    """``rng.choice(n, p=row / row.sum())`` for each row of ``weights`` and
+    its own generator, without the per-call checks: the same index from the
+    same single draw. A row of zeros draws ``rng.integers(n)`` instead."""
+    n = weights.shape[1]
+    totals = weights.sum(axis=1)
+    with np.errstate(invalid="ignore"):  # a row of zeros gives NaNs, never read
+        cdf = (weights / totals[:, None]).cumsum(axis=1)
+        cdf /= cdf[:, -1:]
+    return [int(row.searchsorted(rng.random(), side="right")) if total > 0.0
+            else int(rng.integers(n)) for row, total, rng in zip(cdf, totals, rngs)]
 
 
-def _pp_init(data, k, rng) -> np.ndarray:
-    """Distance-weighted (k-means++-style) centroid seeding."""
+def _pp_seeds(data, k, rngs) -> np.ndarray:
+    """Distance-weighted (k-means++-style) initial centroids of a group of
+    restarts, shape (len(rngs), k, d); restart r draws from ``rngs[r]``.
+
+    A restart's first centroid is a uniform row, and each next one a row
+    drawn with weight its squared distance to the nearest centroid so far.
+    One distance call per centroid serves every restart, and the sums,
+    cumulative sums and normalisation run row-wise; per restart these are
+    the operations, and the draws, of seeding it alone.
+    """
     n = data.shape[0]
-    centroids = np.empty((k, data.shape[1]))
-    centroids[0] = data[rng.integers(n)]
-    closest = cdist(data, centroids[:1], "sqeuclidean")[:, 0]
+    seeds = np.empty((len(rngs), k, data.shape[1]))
+    seeds[:, 0] = data[[rng.integers(n) for rng in rngs]]
+    closest = cdist(seeds[:, 0], data, "sqeuclidean")
     for j in range(1, k):
-        total = closest.sum()
-        if total > 0.0:
-            idx = _weighted_index(closest, total, rng)
-        else:
-            idx = rng.integers(n)
-        centroids[j] = data[idx]
-        d = cdist(data, centroids[j : j + 1], "sqeuclidean")[:, 0]
-        np.minimum(closest, d, out=closest)
-    return centroids
+        seeds[:, j] = data[_weighted_indices(closest, rngs)]
+        np.minimum(closest, cdist(seeds[:, j], data, "sqeuclidean"), out=closest)
+    return seeds
 
 
 def _fix_empty(data, labels, own_d2, k) -> np.ndarray:
@@ -172,24 +179,23 @@ def _fix_empty(data, labels, own_d2, k) -> np.ndarray:
     return labels
 
 
-def _cluster_sums(data, flat, counts) -> np.ndarray:
+def _cluster_sums(data, flat, counts, tiled) -> np.ndarray:
     """Column sums of the rows in each bin, with the bits of ``ndarray.mean``.
 
     ``flat[j, i]`` is the bin of row i in restart j, and ``counts`` holds
-    the size of every bin. numpy's
-    ``data[mask].mean(axis=0)`` adds several columns row by row, as
-    ``np.bincount`` does, but a single column pairwise. ``np.add.reduceat``
-    adds each run pairwise to its first element, so every run gets a leading
-    0.0, the value the reduction starts from.
+    the size of every bin. ``tiled[c, j]`` is data column c, once per restart
+    of the group; restarts that have left the group leave its last rows
+    unused. numpy's ``data[mask].mean(axis=0)`` adds several columns row by
+    row, as ``np.bincount`` does, but a single column pairwise.
+    ``np.add.reduceat`` adds each run pairwise to its first element, so every
+    run gets a leading 0.0, the value the reduction starts from.
     """
     bins = counts.size
     if data.shape[1] > 1:
         bin_of = flat.ravel()
-        weights = np.empty(flat.shape)  # one row of the column per restart
         out = np.empty((bins, data.shape[1]))
-        for j, column in enumerate(data.T):
-            weights[:] = column
-            out[:, j] = np.bincount(bin_of, weights=weights.ravel(), minlength=bins)
+        for j, column in enumerate(tiled[:, : flat.shape[0]]):
+            out[:, j] = np.bincount(bin_of, weights=column.ravel(), minlength=bins)
         return out
     counts = counts.ravel()
     padded = np.zeros(flat.size + bins)
@@ -206,15 +212,22 @@ def _lloyd_group(data, seeds, max_iter, tol) -> list[tuple[float, np.ndarray, np
     would alone: assign each point to its nearest centroid, refill empty
     clusters, move the centroids to their cluster means, and stop once the
     largest move is below ``tol`` or after ``max_iter`` moves; a last
-    assignment then gives its labels and inertia. Returns (inertia, labels,
-    centroids) per restart, in seed order.
+    assignment then gives its labels and inertia. A restart whose assignment
+    repeats the previous one stops at once: its centroids are already the
+    means of those labels, so every further move would be exactly 0 and
+    every further assignment the same one again, whatever ``tol`` and
+    ``max_iter`` are. Returns (inertia, labels, centroids) per restart, in
+    seed order.
     """
     n, dim = data.shape
     g, k, _ = seeds.shape
     centroids = seeds.copy()
     offsets = k * np.arange(g)[:, None]
+    # the bincount weights of the centroid sums, built once for the group
+    tiled = np.repeat(data.T[:, None], g, axis=1) if dim > 1 else None
     live = np.arange(g)  # restarts still in the group
     last = np.full(g, max_iter <= 0)  # the next assignment is the restart's last
+    previous = None  # the live restarts' labels at the previous assignment
     moves = 0
     out = [None] * g
     while True:
@@ -229,6 +242,8 @@ def _lloyd_group(data, seeds, max_iter, tol) -> list[tuple[float, np.ndarray, np
             flat[j] = labels[j] + offsets[j]
             counts[j] = np.bincount(labels[j], minlength=k)
         leaving = last[live]
+        if previous is not None:
+            leaving |= (labels == previous).all(axis=1)
         if leaving.any():
             for j in np.flatnonzero(leaving):
                 c = centroids[live[j]].copy()
@@ -238,7 +253,8 @@ def _lloyd_group(data, seeds, max_iter, tol) -> list[tuple[float, np.ndarray, np
                 return out
             a = live.size
             flat = labels + offsets[:a]
-        new = _cluster_sums(data, flat, counts).reshape(a, k, dim) / counts[:, :, None]
+        previous = labels
+        new = _cluster_sums(data, flat, counts, tiled).reshape(a, k, dim) / counts[:, :, None]
         shift = np.sqrt(((new - centroids[live]) ** 2).sum(axis=2)).max(axis=1)
         centroids[live] = new
         moves += 1
@@ -251,12 +267,15 @@ def kmeans_fit(data, k: int, seed: int, restarts: int = 10,
 
     Each restart r draws its own generator from (seed, r), seeds centroids
     with distance-weighted sampling, and iterates until the largest centroid
-    displacement falls below ``tol`` or ``max_iter`` is reached. The restarts
-    iterate together, in groups that hold at most ``_GROUP_BYTES`` of
-    distances at once; the result is bit for bit the one of running them one
-    by one. The first restart with the lowest inertia wins; silhouettes are
-    computed once on its final assignment. The returned result never
-    contains an empty cluster. This is ``kmeans_fits`` with one k.
+    displacement falls below ``tol`` or ``max_iter`` is reached; it also
+    stops as soon as an assignment repeats, which changes no result, since
+    its centroids could not move again. All restarts are seeded together,
+    one distance call per centroid, and iterate together, in groups that
+    hold at most ``_GROUP_BYTES`` of distances at once; the result is bit
+    for bit the one of running them one by one. The first restart with the
+    lowest inertia wins; silhouettes are computed once on its final
+    assignment. The returned result never contains an empty cluster. This
+    is ``kmeans_fits`` with one k.
     """
     return kmeans_fits(data, [k], [seed], restarts, max_iter, tol)[0]
 
@@ -266,11 +285,11 @@ def kmeans_fits(data, ks, seeds, restarts: int = 10, max_iter: int = 300,
     """``kmeans_fit(data, k, seed, ...)`` for each pair of ``ks`` and
     ``seeds``, bit for bit, with the work that does not depend on k done once.
 
-    The checks and the distinct-point count run once, before any fit; the
-    first k that exceeds the number of distinct rows raises. The silhouettes
-    of all the winning assignments are then computed in one pass over row
-    blocks of pairwise distances, so each block is computed once and shared
-    by every k.
+    The checks and the distinct-point count (``require_distinct``) run once,
+    before any fit; the first k that exceeds the number of distinct rows
+    raises. The silhouettes of all the winning assignments are then computed
+    in one pass over row blocks of pairwise distances, so each block is
+    computed once and shared by every k.
     """
     data = np.asarray(data, dtype=np.float64)
     ks, seeds = list(ks), list(seeds)
@@ -289,10 +308,7 @@ def kmeans_fits(data, ks, seeds, restarts: int = 10, max_iter: int = 300,
             raise ParameterError(f"k={k} exceeds {data.shape[0]} samples")
     if restarts < 1:
         raise ParameterError("restarts must be at least 1")
-    distinct = np.unique(data, axis=0).shape[0]
-    for k in ks:
-        if distinct < k:
-            raise ParameterError(f"fewer than k={k} distinct points")
+    require_distinct(data, ks)
 
     best = [_best_of_restarts(data, k, seed, restarts, max_iter, tol)
             for k, seed in zip(ks, seeds)]
@@ -312,13 +328,21 @@ def kmeans_fits(data, ks, seeds, restarts: int = 10, max_iter: int = 300,
     ]
 
 
+def require_distinct(data, ks, where: str = "") -> None:
+    """Raise ``ParameterError`` for the first k in ``ks`` that exceeds the
+    number of distinct rows of ``data``: no k-means fit can fill k clusters
+    then. ``where`` is appended to the message."""
+    distinct = np.unique(data, axis=0).shape[0]
+    for k in ks:
+        if distinct < k:
+            raise ParameterError(f"fewer than k={k} distinct points{where}")
+
+
 def _best_of_restarts(data, k, seed, restarts, max_iter,
                       tol) -> tuple[float, np.ndarray, np.ndarray]:
     """(inertia, labels, centroids) of the first restart with the lowest inertia."""
-    seeds = np.stack([
-        _pp_init(data, k, np.random.default_rng(np.random.SeedSequence([seed % (2**63), r])))
-        for r in range(restarts)
-    ])
+    seeds = _pp_seeds(data, k, [np.random.default_rng(np.random.SeedSequence([seed % (2**63), r]))
+                                for r in range(restarts)])
     group = max(1, _GROUP_BYTES // (8 * data.shape[0] * k))
     best = None
     for lo in range(0, restarts, group):

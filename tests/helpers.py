@@ -59,14 +59,31 @@ def exhaustive_best_inertia(data, k):
     return best
 
 
+def pp_init(data, k, rng):
+    """Distance-weighted (k-means++-style) seeding of one restart: a uniform
+    first row, then each next row drawn with ``rng.choice`` weighted by its
+    squared distance to the nearest centroid so far (uniform once all are 0)."""
+    n = data.shape[0]
+    centroids = np.empty((k, data.shape[1]))
+    centroids[0] = data[rng.integers(n)]
+    closest = cdist(data, centroids[:1], "sqeuclidean")[:, 0]
+    for j in range(1, k):
+        total = closest.sum()
+        idx = rng.choice(n, p=closest / total) if total > 0.0 else rng.integers(n)
+        centroids[j] = data[idx]
+        d = cdist(data, centroids[j : j + 1], "sqeuclidean")[:, 0]
+        np.minimum(closest, d, out=closest)
+    return centroids
+
+
 def per_restart_kmeans(data, k, seed, restarts=10, max_iter=300, tol=1e-4):
     """``kmeans_fit`` the one-restart-at-a-time way: (labels, centroids,
     inertia, sample silhouettes).
 
-    Each restart runs its own Lloyd loop with one distance call and a
-    per-cluster mean per iteration. Seeding and the empty-cluster refill are
-    the package's own, looked up at call time, so a test that patches
-    ``kmeans._pp_init`` patches both sides.
+    Each restart is seeded alone by ``pp_init`` and runs its own Lloyd loop
+    with one distance call and a per-cluster mean per iteration. Both
+    ``pp_init`` and the package's empty-cluster refill are looked up at call
+    time, so a test can patch them.
     """
     data = np.asarray(data, dtype=np.float64)
     rows = np.arange(data.shape[0])
@@ -79,7 +96,7 @@ def per_restart_kmeans(data, k, seed, restarts=10, max_iter=300, tol=1e-4):
     best = None
     for r in range(restarts):
         rng = np.random.default_rng(np.random.SeedSequence([seed % (2**63), r]))
-        centroids = kmeans._pp_init(data, k, rng)
+        centroids = pp_init(data, k, rng)
         for _ in range(max_iter):
             labels = assign(centroids)
             new_centroids = np.empty_like(centroids)

@@ -90,11 +90,12 @@ class TestRun:
         binary = write_dataset_csv(make_dataset(np.column_stack(
             [rng.integers(0, 2, 40), rng.integers(0, 2, 40), rng.uniform(size=40)])),
             tmp_path / "binary.csv")
-        for csv_path, k_range, needle in (
-                (binary, ["--k-min", "3", "--k-max", "6"], "distinct points"),
-                (demo_csv, ["--k-min", "2", "--k-max", "40"], "exceeds 30 samples")):
+        for csv_path, k_range, needle, threads in (
+                (binary, ["--k-min", "3", "--k-max", "6"], "distinct points", "1"),
+                (binary, ["--k-min", "3", "--k-max", "6"], "distinct points", "2"),
+                (demo_csv, ["--k-min", "2", "--k-max", "40"], "exceeds 30 samples", "1")):
             code = run_cli(["run", "--input", str(csv_path), "--out", str(tmp_path / "o"),
-                            "--restarts", "2", "--threads", "1"] + k_range)
+                            "--restarts", "2", "--threads", threads] + k_range)
             assert code == 1
             assert needle in capsys.readouterr().err
 

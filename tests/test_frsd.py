@@ -123,12 +123,49 @@ class TestFrsdRank:
         # identical weights per feature name, bit for bit
         assert dict(w1.entries) == dict(w2.entries)
 
-    def test_worker_count_does_not_change_results(self):
+    def test_worker_count_does_not_change_results(self, monkeypatch):
+        monkeypatch.setattr(frsd, "_POOL_MIN_WORK", 0)  # a sweep this small runs in-process
         data = minmax_normalize(make_blobs_with_noise(seed=10, n_samples=30))
         serial_w, serial_s = frsd_rank(data, 2, 3, seed=5, restarts=2, max_workers=1)
         pooled_w, pooled_s = frsd_rank(data, 2, 3, seed=5, restarts=2, max_workers=2)
         assert serial_w.entries == pooled_w.entries
         assert serial_s == pooled_s
+
+    def test_small_sweeps_run_in_process(self, monkeypatch):
+        data = minmax_normalize(make_blobs_with_noise(seed=10, n_samples=30))
+        work = 30 * 26 * 2 * 2  # rows x subsets x k values x restarts
+        pools = []
+
+        class CountingPool(frsd.ProcessPoolExecutor):
+            def __init__(self, *args, **kwargs):
+                pools.append(kwargs["max_workers"])
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(frsd, "ProcessPoolExecutor", CountingPool)
+        monkeypatch.setattr(frsd, "_POOL_MIN_WORK", work + 1)
+        serial = frsd_rank(data, 2, 3, seed=5, restarts=2, max_workers=2)
+        assert pools == []
+        monkeypatch.setattr(frsd, "_POOL_MIN_WORK", work)
+        pooled = frsd_rank(data, 2, 3, seed=5, restarts=2, max_workers=2)
+        assert pools == [2]
+        assert serial[0].entries == pooled[0].entries and serial[1] == pooled[1]
+
+    def test_infeasible_pair_rejected_before_any_pool(self, monkeypatch):
+        rng = np.random.default_rng(0)
+        data = minmax_normalize(make_dataset(np.column_stack(
+            [rng.uniform(size=40), rng.integers(0, 2, 40), rng.integers(0, 2, 40)])))
+
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a pool was started")
+
+        monkeypatch.setattr(frsd, "ProcessPoolExecutor", no_pool)
+        monkeypatch.setattr(frsd, "_POOL_MIN_WORK", 0)
+        # features 2 and 3 are binary: 4 distinct rows, so k=5 is the first that fails
+        with pytest.raises(ParameterError,
+                           match="fewer than k=5 distinct points in features 'f2' and 'f3'"):
+            frsd_rank(data, 3, 6, seed=0, restarts=2, max_workers=2)
+        with pytest.raises(ParameterError, match="fewer than k=5 distinct points"):
+            kmeans_fits(data.values[:, [1, 2]], [3, 4, 5, 6], [0] * 4)
 
     def test_one_batch_per_subset_with_a_seed_per_k(self, monkeypatch):
         data = minmax_normalize(make_dataset(np.random.default_rng(3).uniform(size=(24, 8))))

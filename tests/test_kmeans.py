@@ -11,7 +11,8 @@ from scipy.spatial.distance import cdist
 from dimred import (MetricUndefinedError, ParameterError, kmeans, kmeans_fit, kmeans_fits,
                     silhouette)
 from dimred.kmeans import _BLOCK_BYTES
-from helpers import brute_silhouette, exhaustive_best_inertia, per_restart_kmeans
+import helpers
+from helpers import brute_silhouette, exhaustive_best_inertia, per_restart_kmeans, pp_init
 
 TWO_BLOBS_1D = np.array([[0.0], [0.1], [0.2], [10.0], [10.1], [10.2]])
 
@@ -142,19 +143,42 @@ class TestRestartsTogether:
     @pytest.mark.parametrize("max_iter", [1, 2, 3])
     @pytest.mark.parametrize("kind, d", [("grid", 2), ("blobs", 1), ("blobs", 5)])
     def test_restarts_leave_at_different_iterations(self, kind, d, max_iter):
-        # some restarts converge and leave while others run to max_iter
+        # some restarts converge and leave while others run to max_iter; with
+        # tol=0 no move is small enough, so only a repeated assignment ends one early
         data = _table(kind, 90, d, seed=max_iter)
-        fit = kmeans_fit(data, 4, seed=9, restarts=13, max_iter=max_iter)
-        _assert_same_fit(fit, per_restart_kmeans(data, 4, seed=9, restarts=13,
-                                                 max_iter=max_iter))
+        for tol in (1e-4, 0.0):
+            fit = kmeans_fit(data, 4, seed=9, restarts=13, max_iter=max_iter, tol=tol)
+            _assert_same_fit(fit, per_restart_kmeans(data, 4, seed=9, restarts=13,
+                                                     max_iter=max_iter, tol=tol))
+
+    @pytest.mark.parametrize("d", [1, 3])
+    def test_repeated_assignment_ends_a_restart(self, monkeypatch, d):
+        # with tol=0 the reference makes all 300 moves; the last ones move nothing
+        data = _table("blobs", 150, d, seed=d)
+        updates = []
+        cluster_sums = kmeans._cluster_sums
+
+        def counting_sums(*args):
+            updates.append(1)
+            return cluster_sums(*args)
+
+        monkeypatch.setattr(kmeans, "_cluster_sums", counting_sums)
+        fit = kmeans_fit(data, 3, seed=2, restarts=1, tol=0.0)
+        assert 0 < len(updates) < 50
+        _assert_same_fit(fit, per_restart_kmeans(data, 3, seed=2, restarts=1, tol=0.0))
 
     @pytest.mark.parametrize("d", [1, 3])
     def test_cluster_emptied_during_lloyd(self, monkeypatch, d):
         data = _table("blobs", 120, d, seed=d)
-        seed_centroids = kmeans._pp_init
+        seed_restarts, seed_one = kmeans._pp_seeds, helpers.pp_init
 
-        def one_centroid_far_away(data, k, rng):
-            centroids = seed_centroids(data, k, rng)
+        def one_centroid_far_away(data, k, rngs):
+            seeds = seed_restarts(data, k, rngs)
+            seeds[:, -1] = data.max(axis=0) + 100.0
+            return seeds
+
+        def one_far_away_alone(data, k, rng):
+            centroids = seed_one(data, k, rng)
             centroids[-1] = data.max(axis=0) + 100.0
             return centroids
 
@@ -165,7 +189,9 @@ class TestRestartsTogether:
             refills.append(np.bincount(labels, minlength=k).min() == 0)
             return fix_empty(data, labels, own_d2, k)
 
-        monkeypatch.setattr(kmeans, "_pp_init", one_centroid_far_away)
+        # the package seeds all restarts at once, the reference one at a time
+        monkeypatch.setattr(kmeans, "_pp_seeds", one_centroid_far_away)
+        monkeypatch.setattr(helpers, "pp_init", one_far_away_alone)
         monkeypatch.setattr(kmeans, "_fix_empty", counting_fix_empty)
         fit = kmeans_fit(data, 5, seed=4, restarts=10)
         assert any(refills)
@@ -339,9 +365,26 @@ class TestSeeding:
             weights[rng.uniform(size=n) < 0.3] = 0.0  # zero entries are never drawn
             weights[rng.integers(n)] += 1e-3
             total = weights.sum()
-            assert kmeans._weighted_index(weights, total, ours) == \
-                oracle.choice(n, p=weights / total), trial
+            assert kmeans._weighted_indices(weights[None], [ours]) == \
+                [oracle.choice(n, p=weights / total)], trial
         assert ours.bit_generator.state == oracle.bit_generator.state
+
+    @pytest.mark.parametrize("kind, n, d, k, restarts", [
+        ("uniform", 5, 1, 5, 13),
+        ("grid", 40, 2, 9, 10),  # 9 distinct rows: the last draws see zeros
+        ("blobs", 630, 8, 10, 10),
+        ("binary", 6000, 3, 5, 7),
+        ("same", 30, 3, 4, 5),  # identical rows: every draw after the first is uniform
+    ])
+    def test_restarts_seeded_together_match_one_at_a_time(self, kind, n, d, k, restarts):
+        data = np.ones((n, d)) if kind == "same" else _table(kind, n, d, seed=n)
+        ours = [np.random.default_rng(np.random.SeedSequence([n, r])) for r in range(restarts)]
+        alone = [np.random.default_rng(np.random.SeedSequence([n, r])) for r in range(restarts)]
+        seeds = kmeans._pp_seeds(data, k, ours)
+        assert seeds.shape == (restarts, k, d)
+        for r in range(restarts):
+            np.testing.assert_array_equal(seeds[r], pp_init(data, k, alone[r]))
+            assert ours[r].bit_generator.state == alone[r].bit_generator.state
 
 
 def _labels_covering(rng, n, k):
