@@ -14,18 +14,17 @@ Exit codes: 0 on success, 1 on data or compute errors, 2 on flag errors.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import os
 import sys
 import warnings
 
-from .dataset import load_csv, minmax_columns
+from .dataset import load_csv, minmax_columns, write_csv
 from .decision import (DecisionConfig, DecisionOutcome, Rankings, SELECTION, evaluate,
                        rank, run_decision_detailed)
 from .errors import DimredError, ParameterError
 from .figures import RadarSeries, cluster_letter, render_silhouette_plot, render_stacked_radar
-from .frsd import FeatureWeights, enumerate_subsets, write_subset_scores
+from .frsd import enumerate_subsets, write_subset_scores
 from .validation import (REFERENCE_EXTRACTION_WEIGHTS, REFERENCE_SELECTION_WEIGHTS,
                          count_misclassified, generate_cases, resolution_sweep,
                          write_cases_csv, write_scatter_csv, write_sweep_csv)
@@ -159,23 +158,11 @@ def _with_warnings_printed(fn, *args, **kwargs):
     return result
 
 
-def _write_weights_csv(weights: FeatureWeights, path, with_minmax: bool = False) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        if with_minmax:
-            writer.writerow(["name", "weight", "weight_minmax"])
-            for (name, w), (_, z) in zip(weights.entries, weights.minmax_view()):
-                writer.writerow([name, repr(w), repr(z)])
-        else:
-            writer.writerow(["name", "weight"])
-            for name, w in weights.entries:
-                writer.writerow([name, repr(w)])
-
-
 def _write_rankings(rankings: Rankings, args) -> None:
-    _write_weights_csv(rankings.frsd_weights,
-                       os.path.join(args.out, "frsd_weights.csv"), with_minmax=True)
-    _write_weights_csv(rankings.pca_weights, os.path.join(args.out, "pca_weights.csv"))
+    frsd, pca = rankings.frsd_weights, rankings.pca_weights
+    write_csv(os.path.join(args.out, "frsd_weights.csv"), ["name", "weight", "weight_minmax"],
+              [(n, w, z) for (n, w), (_, z) in zip(frsd.entries, frsd.minmax_view())])
+    write_csv(os.path.join(args.out, "pca_weights.csv"), ["name", "weight"], pca.entries)
     if args.subset_scores:
         write_subset_scores(rankings.subset_scores,
                             os.path.join(args.out, "subset_scores.csv"))
@@ -334,10 +321,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except DimredError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
+    except (DimredError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

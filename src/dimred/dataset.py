@@ -134,6 +134,18 @@ def load_csv(path) -> Dataset:
                    values=np.array(rows, dtype=np.float64))
 
 
+def write_csv(path, header, rows) -> None:
+    """Write a header row and then ``rows`` as a UTF-8 CSV file.
+
+    A float is written as its ``repr``, which reads back exactly; ``None``
+    becomes an empty cell.
+    """
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
 def minmax_columns(matrix) -> np.ndarray:
     """Per-column MinMax of a plain matrix onto [0, 1]; constants map to 0.
 

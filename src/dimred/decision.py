@@ -12,7 +12,7 @@ wins. Resolution is the cumulative importance weight retained.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -60,6 +60,10 @@ class DecisionConfig:
             raise ParameterError("restarts must be at least 1")
 
 
+# the report fields that hold weights, and the source each one records
+_WEIGHT_FIELDS = {"frsd_weights": "FRSD", "pca_weights": "PCA"}
+
+
 @dataclass(frozen=True, eq=False)
 class DecisionReport:
     """The ten-item outcome of a decision run."""
@@ -83,37 +87,20 @@ class DecisionReport:
             raise ParameterError("chosen_method contradicts the scores")
 
     def to_json_dict(self) -> dict:
-        return {
-            "frsd_weights": [[n, w] for n, w in self.frsd_weights.entries],
-            "pca_weights": [[n, w] for n, w in self.pca_weights.entries],
-            "best_si_fs": self.best_si_fs,
-            "best_si_fe": self.best_si_fe,
-            "interpretability_score": self.interpretability_score,
-            "integrity_score": self.integrity_score,
-            "chosen_method": self.chosen_method,
-            "n_selected": self.n_selected,
-            "achieved_resolution": self.achieved_resolution,
-            "best_k": self.best_k,
-        }
+        """The fields in declaration order; weights as [name, weight] pairs."""
+        doc = {f.name: getattr(self, f.name) for f in fields(self)}
+        for key in _WEIGHT_FIELDS:
+            doc[key] = [[n, w] for n, w in doc[key].entries]
+        return doc
 
     @classmethod
     def from_json_dict(cls, doc: dict) -> "DecisionReport":
-        return cls(
-            frsd_weights=FeatureWeights(
-                entries=tuple((n, w) for n, w in doc["frsd_weights"]), source="FRSD"
-            ),
-            pca_weights=FeatureWeights(
-                entries=tuple((n, w) for n, w in doc["pca_weights"]), source="PCA"
-            ),
-            best_si_fs=doc["best_si_fs"],
-            best_si_fe=doc["best_si_fe"],
-            interpretability_score=doc["interpretability_score"],
-            integrity_score=doc["integrity_score"],
-            chosen_method=doc["chosen_method"],
-            n_selected=doc["n_selected"],
-            achieved_resolution=doc["achieved_resolution"],
-            best_k=doc["best_k"],
-        )
+        """Inverse of :meth:`to_json_dict`; extra keys are ignored and a
+        missing one raises ``KeyError``."""
+        kwargs = {f.name: doc[f.name] for f in fields(cls)}
+        for key, source in _WEIGHT_FIELDS.items():
+            kwargs[key] = FeatureWeights(entries=kwargs[key], source=source)
+        return cls(**kwargs)
 
 
 def select_for_resolution(weights: FeatureWeights, target_resolution: float) -> tuple[int, float]:

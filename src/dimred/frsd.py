@@ -21,7 +21,6 @@ dataset column order:
 
 from __future__ import annotations
 
-import csv
 import hashlib
 import warnings
 from concurrent.futures import ProcessPoolExecutor
@@ -30,7 +29,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .dataset import Dataset
+from .dataset import Dataset, minmax_columns, write_csv
 from .errors import ParameterError
 from .kmeans import kmeans_fit  # noqa: F401  (kept importable: perfbench/spans.py wraps it)
 from .kmeans import kmeans_fits, require_distinct
@@ -110,11 +109,8 @@ class FeatureWeights:
 
     def minmax_view(self) -> tuple[tuple[str, float], ...]:
         """Display-only MinMax rescaling of the weights to [0, 1]."""
-        w = self.weights
-        span = w.max() - w.min()
-        if span == 0.0:
-            return tuple((n, 0.0) for n, _ in self.entries)
-        return tuple((n, float((v - w.min()) / span)) for n, v in self.entries)
+        scaled = minmax_columns(self.weights[:, None])[:, 0]
+        return tuple(zip(self.names, scaled.tolist()))
 
 
 def enumerate_subsets(n_features: int) -> list[tuple[int, ...]]:
@@ -138,8 +134,8 @@ def task_seed(base_seed: int, names, k: int) -> int:
     return int.from_bytes(digest[:8], "big")
 
 
-def _score_subset(values, cols, ks, seeds, restarts, max_iter, tol) -> list[float]:
-    fits = kmeans_fits(values[:, cols], ks, seeds, restarts, max_iter, tol)
+def _score_subset(values, cols, ks, seeds, restarts) -> list[float]:
+    fits = kmeans_fits(values[:, cols], ks, seeds, restarts)
     return [fit.mean_silhouette for fit in fits]
 
 
@@ -156,8 +152,7 @@ def _pool_task(args) -> list[float]:
     return _score_subset(_POOL_VALUES, *args)
 
 
-def frsd_rank(data: Dataset, k_min: int, k_max: int, seed: int,
-              restarts: int = 10, max_iter: int = 300, tol: float = 1e-4,
+def frsd_rank(data: Dataset, k_min: int, k_max: int, seed: int, restarts: int = 10,
               max_workers: int = 1) -> tuple[FeatureWeights, list[SubsetScore]]:
     """Rank features by decomposed silhouette scores.
 
@@ -181,15 +176,11 @@ def frsd_rank(data: Dataset, k_min: int, k_max: int, seed: int,
     for pair in combinations(range(data.n_features), 2):
         require_distinct(data.values[:, pair], ks, " in features "
                          + " and ".join(repr(data.feature_names[i]) for i in pair))
-    tasks = []
-    for subset in subsets:
-        names = tuple(sorted(data.feature_names[i] for i in subset))
-        # columns in name order: results cannot depend on column position
-        cols = tuple(sorted(subset, key=lambda i: data.feature_names[i]))
-        tasks.append((subset, names, cols))
-
-    args = [(cols, ks, tuple(task_seed(seed, names, k) for k in ks), restarts, max_iter, tol)
-            for _, names, cols in tasks]
+    # columns in name order: results cannot depend on column position
+    cols = [tuple(sorted(subset, key=lambda i: data.feature_names[i])) for subset in subsets]
+    names = [tuple(data.feature_names[i] for i in c) for c in cols]
+    args = [(c, ks, tuple(task_seed(seed, n, k) for k in ks), restarts)
+            for c, n in zip(cols, names)]
     if max_workers > 1 and data.n_samples * len(args) * len(ks) * restarts >= _POOL_MIN_WORK:
         # about 8 chunks per worker, so short sweeps still reach every worker
         chunksize = max(1, len(args) // (8 * max_workers))
@@ -198,17 +189,16 @@ def frsd_rank(data: Dataset, k_min: int, k_max: int, seed: int,
             per_subset = list(pool.map(_pool_task, args, chunksize=chunksize))
     else:
         per_subset = [_score_subset(data.values, *a) for a in args]
-    runs = [(subset, names, k, si) for (subset, names, _), sis in zip(tasks, per_subset)
-            for k, si in zip(ks, sis)]
 
-    scores = [SubsetScore(subset=subset, k=k, si=si) for subset, _, k, si in runs]
-
+    scores = [SubsetScore(subset=subset, k=k, si=si)
+              for subset, sis in zip(subsets, per_subset) for k, si in zip(ks, sis)]
     # canonical name-keyed aggregation order, so sums are reproducible
     # bit-for-bit regardless of column permutation
-    keyed = sorted((len(names), names, k, si) for _, names, k, si in runs)
+    keyed = sorted((len(n), n, k, si) for n, sis in zip(names, per_subset)
+                   for k, si in zip(ks, sis))
     raw = {name: 0.0 for name in data.feature_names}
-    for _, names, _, si in keyed:
-        for name in names:
+    for _, subset_names, _, si in keyed:
+        for name in subset_names:
             raw[name] += si
     weights = FeatureWeights.from_scores(
         list(data.feature_names), [raw[n] for n in data.feature_names], source="FRSD"
@@ -222,9 +212,5 @@ def write_subset_scores(scores, path) -> None:
     Subsets are rendered as comma-joined 1-based feature positions, e.g.
     "1,3,7".
     """
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["subset", "k", "si"])
-        for score in scores:
-            writer.writerow([",".join(str(i + 1) for i in score.subset),
-                             score.k, repr(score.si)])
+    write_csv(path, ["subset", "k", "si"],
+              [(",".join(str(i + 1) for i in s.subset), s.k, s.si) for s in scores])

@@ -10,12 +10,12 @@ extraction.
 
 from __future__ import annotations
 
-import csv
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass, fields
 from typing import Optional
 
 import numpy as np
 
+from .dataset import write_csv
 from .decision import EXTRACTION, SELECTION, decide, select_for_resolution
 from .errors import ParameterError
 from .frsd import FeatureWeights
@@ -111,8 +111,6 @@ def resolution_sweep(weights_fs: FeatureWeights, weights_fe: FeatureWeights,
     """Feature/component counts for each target, with deltas where comparable."""
     rows = []
     for target in targets:
-        if not 0.0 < target <= 1.0:
-            raise ParameterError(f"target {target} outside (0, 1]")
         m_fs, achieved_fs = select_for_resolution(weights_fs, target)
         m_fe, achieved_fe = select_for_resolution(weights_fe, target)
         delta = achieved_fe - achieved_fs if m_fs == m_fe else None
@@ -122,31 +120,18 @@ def resolution_sweep(weights_fs: FeatureWeights, weights_fe: FeatureWeights,
 
 
 def write_cases_csv(cases, path) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["si_fs", "si_fe", "alpha", "integrity",
-                         "interpretability_score", "integrity_score", "chosen_method"])
-        for c in cases:
-            writer.writerow([repr(c.si_fs), repr(c.si_fe), repr(c.alpha),
-                             repr(c.integrity), repr(c.interpretability_score),
-                             repr(c.integrity_score), c.chosen_method])
+    """One row per case, its fields in declaration order."""
+    write_csv(path, [f.name for f in fields(RandomCase)], [astuple(c) for c in cases])
 
 
 def write_scatter_csv(cases, path) -> None:
     """Scatter-plot data: one point per case, classed by the chosen method."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["interpretability_score", "integrity_score", "chosen_method"])
-        for c in cases:
-            writer.writerow([repr(c.interpretability_score),
-                             repr(c.integrity_score), c.chosen_method])
+    write_csv(path, ["interpretability_score", "integrity_score", "chosen_method"],
+              [(c.interpretability_score, c.integrity_score, c.chosen_method)
+               for c in cases])
 
 
 def write_sweep_csv(rows, path) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["target", "m_fs", "achieved_fs", "m_fe", "achieved_fe", "delta"])
-        for r in rows:
-            writer.writerow([r.target, r.m_fs, repr(r.achieved_fs),
-                             r.m_fe, repr(r.achieved_fe),
-                             "" if r.delta is None else repr(r.delta)])
+    """One row per target, its fields in declaration order; ``delta`` is empty
+    where the two counts differ."""
+    write_csv(path, [f.name for f in fields(SweepRow)], [astuple(r) for r in rows])

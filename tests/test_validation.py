@@ -56,6 +56,9 @@ class TestResolutionSweep:
                                 REFERENCE_EXTRACTION_WEIGHTS, targets=[1.0])
         assert rows[0].m_fs == 8
         assert rows[0].m_fe == 8
+        with pytest.raises(ParameterError):
+            resolution_sweep(REFERENCE_SELECTION_WEIGHTS, REFERENCE_EXTRACTION_WEIGHTS,
+                             targets=(1.5,))
 
     def test_published_085_row(self):
         rows = resolution_sweep(REFERENCE_SELECTION_WEIGHTS,
