@@ -19,7 +19,7 @@ import os
 import sys
 import warnings
 
-from .dataset import load_csv, minmax_columns, write_csv
+from .dataset import Dataset, load_csv, minmax_columns, write_csv
 from .decision import (DecisionConfig, DecisionOutcome, Rankings, SELECTION, evaluate,
                        rank, run_decision_detailed)
 from .errors import DimredError, ParameterError
@@ -176,13 +176,6 @@ def _print_rankings(rankings: Rankings) -> None:
             print(f"  {position}. {name:<24s} {w:.4f}")
 
 
-def _print_sweep_size(n_features: int, k_min: int, k_max: int) -> None:
-    n_subsets = len(enumerate_subsets(n_features))
-    n_k = k_max - k_min + 1
-    print(f"FRSD sweep: {n_subsets * n_k} silhouette runs "
-          f"({n_subsets} subsets x {n_k} cluster counts)", flush=True)
-
-
 def _print_sweep(title: str, rows) -> None:
     print(title)
     for row in rows:
@@ -216,38 +209,45 @@ def _print_report(outcome: DecisionOutcome) -> None:
 def emit_figures(outcome: DecisionOutcome, out_dir: str, case: str) -> None:
     """Silhouette plot of the chosen clustering, plus one stacked radar per
     cluster when at least 3 dimensions are retained."""
-    render_silhouette_plot(outcome.clustering,
+    chosen = outcome.chosen
+    render_silhouette_plot(chosen.clustering,
                            os.path.join(out_dir, f"silhouette_{case}.svg"))
-    if len(outcome.axis_labels) < 3:
+    if len(chosen.axis_labels) < 3:
         print("note: fewer than 3 retained dimensions; radar charts skipped")
         return
-    scaled = minmax_columns(outcome.reduced_values)
-    for c in range(outcome.clustering.k):
-        series = RadarSeries(axis_labels=outcome.axis_labels,
-                             rows=scaled[outcome.clustering.labels == c],
+    scaled = minmax_columns(chosen.reduced_values)
+    for c in range(chosen.clustering.k):
+        series = RadarSeries(axis_labels=chosen.axis_labels,
+                             rows=scaled[chosen.clustering.labels == c],
                              cluster_id=c)
         render_stacked_radar(
             series, os.path.join(out_dir, f"radar_{case}_{cluster_letter(c)}.svg")
         )
 
 
-def _rank_input(args) -> Rankings:
-    """Check the sweep flags, load ``--input``, create ``--out`` if given,
-    and rank the table both ways."""
-    config = _config(args)
+def _load_input(args, config: DecisionConfig) -> Dataset:
+    """Load ``--input``, create ``--out`` if given, print the FRSD sweep size."""
     data = load_csv(args.input)
     if args.out is not None:
         os.makedirs(args.out, exist_ok=True)
-    _print_sweep_size(data.n_features, config.k_min, config.k_max)
+    n_subsets = len(enumerate_subsets(data.n_features))
+    n_k = config.k_max - config.k_min + 1
+    print(f"FRSD sweep: {n_subsets * n_k} silhouette runs "
+          f"({n_subsets} subsets x {n_k} cluster counts)", flush=True)
+    return data
+
+
+def _rank_input(args) -> Rankings:
+    """Check the sweep flags, load the input, and rank the table both ways."""
+    config = _config(args)
+    data = _load_input(args, config)
     return _with_warnings_printed(rank, data, config.k_min, config.k_max, config.seed,
                                   restarts=config.restarts, max_workers=args.threads)
 
 
 def cmd_run(args) -> int:
     config = _config(args, *_resolve_orientation(args), args.target_resolution)
-    data = load_csv(args.input)
-    os.makedirs(args.out, exist_ok=True)
-    _print_sweep_size(data.n_features, config.k_min, config.k_max)
+    data = _load_input(args, config)
     outcome = _with_warnings_printed(run_decision_detailed, data, config,
                                      max_workers=args.threads)
 

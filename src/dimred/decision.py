@@ -121,21 +121,17 @@ def select_for_resolution(weights: FeatureWeights, target_resolution: float) -> 
 
 
 def best_silhouette_over_k(data, k_min: int, k_max: int, seed: int,
-                           restarts: int = 10) -> tuple[float, int, ClusteringResult]:
-    """Maximum mean silhouette over k in [k_min, k_max]; ties favor smaller k.
+                           restarts: int = 10) -> ClusteringResult:
+    """The k-means fit with the maximum mean silhouette over k in
+    [k_min, k_max]; ties favor smaller k.
 
-    Returns (silhouette, k, fit), where ``fit`` is the winning k-means fit.
     Every k is fitted with the same ``seed``, in one ``kmeans_fits`` batch.
     """
-    data = np.asarray(data, dtype=np.float64)
     if not 2 <= k_min <= k_max:
         raise ParameterError(f"need 2 <= k_min <= k_max, got [{k_min}, {k_max}]")
     ks = range(k_min, k_max + 1)
-    best = None
-    for fit in kmeans_fits(data, ks, [seed] * len(ks), restarts):
-        if best is None or fit.mean_silhouette > best.mean_silhouette:
-            best = fit
-    return float(best.mean_silhouette), best.k, best
+    return max(kmeans_fits(data, ks, [seed] * len(ks), restarts),
+               key=lambda fit: fit.mean_silhouette)
 
 
 def decide(best_si_fs: float, best_si_fe: float, interpretability: float,
@@ -165,7 +161,6 @@ class Branch:
 
     reduced_values: np.ndarray
     axis_labels: tuple[str, ...]
-    best_si: float
     clustering: ClusteringResult
 
 
@@ -201,27 +196,20 @@ class Rankings:
             else:
                 labels = tuple(f"PC{i + 1}" for i in range(m))
                 values = pca_project(self.pca_model, self.normalized.values, m)
-            si, _, fit = best_silhouette_over_k(values, self.k_min, self.k_max,
-                                                self.seed, self.restarts)
-            self._branches[key] = Branch(values, labels, si, fit)
+            fit = best_silhouette_over_k(values, self.k_min, self.k_max,
+                                         self.seed, self.restarts)
+            self._branches[key] = Branch(values, labels, fit)
         return self._branches[key]
 
 
 @dataclass(frozen=True, eq=False)
 class DecisionOutcome:
-    """A report plus the rankings it came from and the artifacts needed to
-    render it.
-
-    ``reduced_values`` and ``clustering`` describe the chosen branch at its
-    best k; ``axis_labels`` are the retained feature names (selection) or PC
-    labels (extraction).
-    """
+    """A report plus the rankings it came from and the chosen branch, whose
+    reduced values, axis labels and clustering at its best k render it."""
 
     report: DecisionReport
     rankings: Rankings
-    reduced_values: np.ndarray
-    axis_labels: tuple[str, ...]
-    clustering: ClusteringResult
+    chosen: Branch
 
 
 def rank(data: Dataset, k_min: int, k_max: int, seed: int, restarts: int = 10,
@@ -256,33 +244,25 @@ def evaluate(rankings: Rankings, interpretability: float, integrity: float,
     m_fe, achieved_fe = select_for_resolution(rankings.pca_weights, target_resolution)
     fe = rankings.branch(EXTRACTION, m_fe)
 
+    si_fs, si_fe = fs.clustering.mean_silhouette, fe.clustering.mean_silhouette
     method, interpretability_score, integrity_score = decide(
-        fs.best_si, fe.best_si, interpretability, integrity
+        si_fs, si_fe, interpretability, integrity
     )
-    if method == SELECTION:
-        chosen, n_selected, achieved = fs, m_fs, achieved_fs
-    else:
-        chosen, n_selected, achieved = fe, m_fe, achieved_fe
+    chosen, achieved = (fs, achieved_fs) if method == SELECTION else (fe, achieved_fe)
 
     report = DecisionReport(
         frsd_weights=rankings.frsd_weights,
         pca_weights=rankings.pca_weights,
-        best_si_fs=fs.best_si,
-        best_si_fe=fe.best_si,
+        best_si_fs=si_fs,
+        best_si_fe=si_fe,
         interpretability_score=interpretability_score,
         integrity_score=integrity_score,
         chosen_method=method,
-        n_selected=n_selected,
+        n_selected=len(chosen.axis_labels),
         achieved_resolution=achieved,
         best_k=chosen.clustering.k,
     )
-    return DecisionOutcome(
-        report=report,
-        rankings=rankings,
-        reduced_values=chosen.reduced_values,
-        axis_labels=chosen.axis_labels,
-        clustering=chosen.clustering,
-    )
+    return DecisionOutcome(report=report, rankings=rankings, chosen=chosen)
 
 
 def run_decision_detailed(data: Dataset, config: DecisionConfig,

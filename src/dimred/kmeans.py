@@ -15,15 +15,12 @@ from scipy.spatial.distance import cdist
 
 from .errors import MetricUndefinedError, ParameterError
 
-# upper bound on the pairwise distances that silhouette holds at once (1 MiB
-# of float64), so a row block and its per-labelling column gather stay in
-# cache instead of going out to RAM and back; a 6000-row table takes 21 rows
-# per block
+# upper bound on the distances held at once (1 MiB of float64), so they stay
+# in cache instead of going out to RAM and back: the pairwise distances of
+# one silhouette row block (a 6000-row table takes 21 rows per block) and the
+# point-to-centroid distances of one group of k-means restarts (demo-sized
+# fits run all 10 restarts as one group, a 6000-row table at k=5 runs 4)
 _BLOCK_BYTES = 2**20
-# upper bound on the point-to-centroid distances that one group of k-means
-# restarts holds at once (1 MiB of float64); demo-sized fits run all 10
-# restarts as one group, a 6000-row table at k=5 runs 4 at a time
-_GROUP_BYTES = 2**20
 
 
 @dataclass(frozen=True, eq=False)
@@ -271,7 +268,7 @@ def kmeans_fit(data, k: int, seed: int, restarts: int = 10,
     stops as soon as an assignment repeats, which changes no result, since
     its centroids could not move again. All restarts are seeded together,
     one distance call per centroid, and iterate together, in groups that
-    hold at most ``_GROUP_BYTES`` of distances at once; the result is bit
+    hold at most ``_BLOCK_BYTES`` of distances at once; the result is bit
     for bit the one of running them one by one. The first restart with the
     lowest inertia wins; silhouettes are computed once on its final
     assignment. The returned result never contains an empty cluster. This
@@ -343,7 +340,7 @@ def _best_of_restarts(data, k, seed, restarts, max_iter,
     """(inertia, labels, centroids) of the first restart with the lowest inertia."""
     seeds = _pp_seeds(data, k, [np.random.default_rng(np.random.SeedSequence([seed % (2**63), r]))
                                 for r in range(restarts)])
-    group = max(1, _GROUP_BYTES // (8 * data.shape[0] * k))
+    group = max(1, _BLOCK_BYTES // (8 * data.shape[0] * k))
     best = None
     for lo in range(0, restarts, group):
         fits = _lloyd_group(data, seeds[lo : lo + group], max_iter, tol)

@@ -10,7 +10,7 @@ import math
 import numpy as np
 import pytest
 
-from dimred import (DecisionConfig, SELECTION, decide, enumerate_subsets,
+from dimred import (DecisionConfig, SELECTION, decide, enumerate_subsets, frsd,
                     frsd_rank, minmax_normalize, pca_fit, run_decision,
                     select_for_resolution, silhouette)
 from dimred.cli import main as cli_main
@@ -161,8 +161,17 @@ def test_criterion_7_validation_harness():
          "target 1.0 selects all 8 features")
 
 
-def test_criterion_8_end_to_end_determinism(tmp_path):
+def test_criterion_8_end_to_end_determinism(tmp_path, monkeypatch):
     """Identical runs produce byte-identical outputs; workers don't matter."""
+    pools = []
+
+    class CountingPool(frsd.ProcessPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            pools.append(kwargs["max_workers"])
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(frsd, "ProcessPoolExecutor", CountingPool)
+    monkeypatch.setattr(frsd, "_POOL_MIN_WORK", 0)  # these sweeps are too small for a pool
     csv_path = write_dataset_csv(make_blobs_with_noise(seed=21, n_samples=30),
                                  tmp_path / "data.csv")
     flags = ["--input", str(csv_path), "--interpretability", "0.8",
@@ -170,7 +179,9 @@ def test_criterion_8_end_to_end_determinism(tmp_path):
              "--seed", "11", "--restarts", "3", "--subset-scores"]
     out_a, out_b = tmp_path / "a", tmp_path / "b"
     assert cli_main(["run", "--out", str(out_a), "--threads", "1"] + flags) == 0
+    assert pools == []
     assert cli_main(["run", "--out", str(out_b), "--threads", "2"] + flags) == 0
+    assert pools == [2]
 
     compared = []
     for name in sorted(p.name for p in out_a.iterdir()):
@@ -185,6 +196,7 @@ def test_criterion_8_end_to_end_determinism(tmp_path):
     data = minmax_normalize(make_blobs_with_noise(seed=5, n_samples=24))
     w1, s1 = frsd_rank(data, 2, 3, seed=9, restarts=2, max_workers=1)
     w2, s2 = frsd_rank(data, 2, 3, seed=9, restarts=2, max_workers=2)
+    assert pools == [2, 2]
     assert w1.entries == w2.entries
     assert s1 == s2
     note(f"8 (determinism): PASS - {len(compared)} output files byte-identical "

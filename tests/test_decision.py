@@ -1,5 +1,6 @@
 """Scores, resolution prefixes, k search and the full decision pipeline."""
 
+import dataclasses
 import json
 
 import numpy as np
@@ -146,26 +147,35 @@ class TestBestSilhouetteOverK:
         rng = np.random.default_rng(0)
         centers = np.array([[0.0, 0.0], [8.0, 8.0], [0.0, 8.0]])
         data = np.vstack([c + rng.normal(scale=0.3, size=(10, 2)) for c in centers])
-        best_si, best_k, _ = best_silhouette_over_k(data, 2, 6, seed=1, restarts=5)
-        assert best_k == 3
-        assert best_si > 0.8
+        fit = best_silhouette_over_k(data, 2, 6, seed=1, restarts=5)
+        assert fit.k == 3
+        assert fit.mean_silhouette > 0.8
 
     def test_single_candidate(self):
         rng = np.random.default_rng(1)
         data = rng.uniform(size=(20, 2))
-        _, best_k, _ = best_silhouette_over_k(data, 4, 4, seed=2, restarts=2)
-        assert best_k == 4
+        assert best_silhouette_over_k(data, 4, 4, seed=2, restarts=2).k == 4
 
     def test_returns_the_winning_fit(self):
         rng = np.random.default_rng(2)
         data = rng.uniform(size=(40, 3))
-        best_si, best_k, fit = best_silhouette_over_k(data, 2, 5, seed=3, restarts=4)
-        refit = kmeans_fit(data, best_k, seed=3, restarts=4)
-        assert fit.k == best_k and fit.mean_silhouette == best_si
+        fit = best_silhouette_over_k(data, 2, 5, seed=3, restarts=4)
+        fits = kmeans_fits(data, range(2, 6), [3] * 4, restarts=4)
+        assert fit.mean_silhouette == max(f.mean_silhouette for f in fits)
+        refit = kmeans_fit(data, fit.k, seed=3, restarts=4)
         np.testing.assert_array_equal(fit.labels, refit.labels)
         np.testing.assert_array_equal(fit.centroids, refit.centroids)
         assert fit.inertia == refit.inertia
         np.testing.assert_array_equal(fit.sample_silhouettes, refit.sample_silhouettes)
+
+    def test_ties_go_to_the_smallest_k(self, monkeypatch):
+        def equal_silhouettes(*args, **kwargs):
+            return [dataclasses.replace(fit, mean_silhouette=0.5)
+                    for fit in kmeans_fits(*args, **kwargs)]
+
+        monkeypatch.setattr(decision, "kmeans_fits", equal_silhouettes)
+        data = np.random.default_rng(5).uniform(size=(30, 2))
+        assert best_silhouette_over_k(data, 3, 6, seed=4, restarts=2).k == 3
 
 
 class TestRunDecision:
@@ -191,16 +201,17 @@ class TestRunDecision:
         config = config_for(0.9, target=0.6, k_min=2, k_max=3, restarts=2, seed=7)
         outcome = run_decision_detailed(data, config)
         report = outcome.report
-        assert outcome.reduced_values.shape == (20, report.n_selected)
-        assert len(outcome.axis_labels) == report.n_selected
-        assert outcome.clustering.k == report.best_k
+        chosen = outcome.chosen
+        assert chosen.reduced_values.shape == (20, report.n_selected)
+        assert len(chosen.axis_labels) == report.n_selected
+        assert chosen.clustering.k == report.best_k
         if report.chosen_method == SELECTION:
-            assert set(outcome.axis_labels) <= set(data.feature_names)
-            assert outcome.clustering.mean_silhouette == pytest.approx(
+            assert set(chosen.axis_labels) <= set(data.feature_names)
+            assert chosen.clustering.mean_silhouette == pytest.approx(
                 report.best_si_fs, abs=1e-12)
         else:
-            assert all(label.startswith("PC") for label in outcome.axis_labels)
-            assert outcome.clustering.mean_silhouette == pytest.approx(
+            assert all(label.startswith("PC") for label in chosen.axis_labels)
+            assert chosen.clustering.mean_silhouette == pytest.approx(
                 report.best_si_fe, abs=1e-12)
 
     def test_one_fit_per_branch_and_k(self, monkeypatch):

@@ -219,8 +219,8 @@ class TestRestartsTogether:
         n, k = 300, 4
         data = _table("blobs", n, 3, seed=12)
         whole = kmeans_fit(data, k, seed=6, restarts=10)
-        assert kmeans._GROUP_BYTES // (8 * n * k) >= 10
-        monkeypatch.setattr(kmeans, "_GROUP_BYTES", group * 8 * n * k)
+        assert kmeans._BLOCK_BYTES // (8 * n * k) >= 10
+        monkeypatch.setattr(kmeans, "_BLOCK_BYTES", group * 8 * n * k)
         split = kmeans_fit(data, k, seed=6, restarts=10)
         _assert_same_fit(split, (whole.labels, whole.centroids, whole.inertia,
                                  whole.sample_silhouettes))
