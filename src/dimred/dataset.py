@@ -104,7 +104,7 @@ def load_csv(path) -> Dataset:
             raise SchemaError(f"{path}: duplicate header names {dupes}")
 
         ids: list[str] = []
-        rows: list[list[float]] = []
+        values: list[float] = []  # row after row, one list for the whole table
         for lineno, row in enumerate(reader, start=2):
             if not row:
                 continue
@@ -113,7 +113,6 @@ def load_csv(path) -> Dataset:
                     f"{path}: line {lineno}: expected {len(header)} fields, got {len(row)}"
                 )
             ids.append(row[0].strip())
-            parsed = []
             for name, cell in zip(feature_names, row[1:]):
                 try:
                     value = float(cell)
@@ -127,11 +126,10 @@ def load_csv(path) -> Dataset:
                         f"{path}: line {lineno}, column {name!r}: "
                         f"non-finite value {cell.strip()!r}"
                     )
-                parsed.append(value)
-            rows.append(parsed)
+                values.append(value)
 
     return Dataset(ids=tuple(ids), feature_names=tuple(feature_names),
-                   values=np.array(rows, dtype=np.float64))
+                   values=np.array(values, dtype=np.float64).reshape(len(ids), len(feature_names)))
 
 
 def write_csv(path, header, rows) -> None:
@@ -153,11 +151,17 @@ def minmax_columns(matrix) -> np.ndarray:
     (e.g. principal-component coordinates before radar rendering).
     """
     matrix = np.asarray(matrix, dtype=np.float64)
-    lo = matrix.min(axis=0)
-    span = matrix.max(axis=0) - lo
+    lo, hi = matrix.min(axis=0), matrix.max(axis=0)
+    with np.errstate(over="ignore"):
+        span = hi - lo
     out = np.zeros_like(matrix)
-    nonconst = span > 0.0
+    nonconst = (span > 0.0) & (span < np.inf)
     out[:, nonconst] = (matrix[:, nonconst] - lo[nonconst]) / span[nonconst]
+    # a span above the float64 maximum: halving is exact away from subnormals,
+    # so the halved values give the quotient the overflow would have spoiled
+    huge = span == np.inf
+    half_lo, half_hi = lo[huge] / 2, hi[huge] / 2
+    out[:, huge] = (matrix[:, huge] / 2 - half_lo) / (half_hi - half_lo)
     return out
 
 
@@ -168,7 +172,9 @@ def minmax_normalize(data: Dataset) -> Dataset:
     to all zeros and a :class:`ConstantColumnWarning` is emitted so callers
     can surface it.
     """
-    for j in np.flatnonzero(np.ptp(data.values, axis=0) == 0.0):
+    with np.errstate(over="ignore"):  # a span above the float64 maximum is not 0
+        spans = np.ptp(data.values, axis=0)
+    for j in np.flatnonzero(spans == 0.0):
         warnings.warn(
             f"column {data.feature_names[j]!r} is constant; normalized to 0.0",
             ConstantColumnWarning,

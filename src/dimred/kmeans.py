@@ -227,10 +227,14 @@ def _lloyd_group(data, seeds, max_iter, tol) -> list[tuple[float, np.ndarray, np
     previous = None  # the live restarts' labels at the previous assignment
     moves = 0
     out = [None] * g
+    # one distance matrix's memory, reused: the live restarts' distances fill
+    # its prefix, so the previous matrix is never alive next to the next one
+    buffer = np.empty(n * g * k)
     while True:
         a = live.size
         # one distance call for every live restart; each pair is computed as alone
-        d2 = cdist(data, centroids[live].reshape(a * k, dim), "sqeuclidean").reshape(n, a, k)
+        d2 = cdist(data, centroids[live].reshape(a * k, dim), "sqeuclidean",
+                   out=buffer[: n * a * k].reshape(n, a * k)).reshape(n, a, k)
         labels = np.ascontiguousarray(d2.argmin(axis=2).T)
         flat = labels + offsets[:a]
         counts = np.bincount(flat.ravel(), minlength=a * k).reshape(a, k)

@@ -99,6 +99,21 @@ class TestRun:
             assert code == 1
             assert needle in capsys.readouterr().err
 
+    def test_column_range_above_float64_max(self, tmp_path, capsys):
+        # every value is finite, but the column's max - min overflows to inf
+        rng = np.random.default_rng(0)
+        huge = rng.uniform(-1.0, 1.0, 40) * 1e308
+        huge[:2] = 1e308, -1e308
+        path = write_dataset_csv(make_dataset(np.column_stack(
+            [huge, rng.normal(size=40), rng.uniform(size=40)]), names=["a", "b", "c"]),
+            tmp_path / "huge.csv")
+        code = run_cli(["run", "--input", str(path), "--out", str(tmp_path / "o")] + FAST)
+        captured = capsys.readouterr()
+        assert code == 0, captured.err
+        assert "warning" not in captured.out and captured.err == ""
+        column = dimred.minmax_normalize(load_csv(path)).values[:, 0]
+        assert column.min() == 0.0 and column.max() == 1.0  # so it lies in [0, 1]
+
     def test_missing_input_exits_1(self, tmp_path, capsys):
         for command in ("run", "rank", "scenarios"):
             code = run_cli([command, "--input", str(tmp_path / "nope.csv"),

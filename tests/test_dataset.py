@@ -63,6 +63,12 @@ class TestLoadCsv:
         assert ds.n_samples == 630
         assert ds.n_features == 8
 
+    def test_header_only_has_no_samples(self, tmp_path):
+        path = write(tmp_path, "id,a,b\n")
+        with pytest.raises(ParameterError,
+                           match=r"need at least as many samples \(0\) as features \(2\)"):
+            load_csv(path)
+
 
 class TestDatasetInvariants:
     def test_needs_two_features(self):
@@ -106,6 +112,16 @@ class TestMinMax:
         out = minmax_normalize(ds)
         np.testing.assert_allclose(out.values.min(axis=0), 0.0, atol=1e-15)
         np.testing.assert_allclose(out.values.max(axis=0), 1.0, atol=1e-15)
+
+    def test_range_above_float64_max(self):
+        # max - min overflows to inf although every value is finite
+        column = [1e308, -1e308, 0.0, 5e307, -2.5e307]
+        ds = make_dataset(np.column_stack([column, np.arange(5.0)]))
+        with np.errstate(over="raise"):
+            out = minmax_normalize(ds).values
+        np.testing.assert_allclose(out[:, 0], [1.0, 0.0, 0.5, 0.75, 0.375], rtol=1e-15)
+        assert out[:, 0].min() == 0.0 and out[:, 0].max() == 1.0
+        np.testing.assert_array_equal(out[:, 1], np.arange(5.0) / 4)
 
 
 finite_matrices = arrays(

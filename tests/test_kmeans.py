@@ -227,6 +227,23 @@ class TestRestartsTogether:
         _assert_same_fit(split, per_restart_kmeans(data, k, seed=6, restarts=10))
 
 
+class TestLloydMemory:
+    def test_one_distance_matrix_alive_per_restart_group(self):
+        n, d, k, g = 6000, 3, 5, 4
+        assert _BLOCK_BYTES // (8 * n * k) == g  # the group a 6000-row fit at k=5 runs
+        data = _table("blobs", n, d, seed=n + d + k)
+        seeds = kmeans._pp_seeds(data, k, [np.random.default_rng(r) for r in range(g)])
+        tracemalloc.start()
+        try:
+            kmeans._lloyd_group(data, seeds, 300, 1e-4)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # one distance matrix is 8 * n * g * k bytes, the tiled data 8 * n * g * d,
+        # and labels and bins a few 8 * n * g each; a second matrix would not fit
+        assert peak < 8 * n * g * (k + d + 6)
+
+
 class TestSilhouette:
     def test_hand_computed_two_pairs(self):
         data = np.array([[0.0], [0.1], [10.0], [10.1]])
