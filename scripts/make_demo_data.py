@@ -13,30 +13,17 @@ import csv
 
 import numpy as np
 
-COLUMNS = ["IMD Score", "Income Score", "Employment Score", "Health Score",
-           "Education Score", "Barriers Score", "Crime Score", "Living Score"]
-
-# (loading on the latent factor, output range)
-PROFILES = {
-    "Income Score": (0.90, (0.01, 0.45)),
-    "Employment Score": (0.90, (0.01, 0.40)),
-    "Health Score": (0.80, (-2.5, 2.5)),
-    "Education Score": (0.75, (0.5, 45.0)),
-    "Barriers Score": (0.30, (5.0, 55.0)),
-    "Crime Score": (0.70, (-2.0, 2.0)),
-    "Living Score": (0.35, (2.0, 60.0)),
-}
-
-# combined-index blend over the domain columns
-IMD_BLEND = {
-    "Income Score": 0.225,
-    "Employment Score": 0.225,
-    "Health Score": 0.135,
-    "Education Score": 0.135,
-    "Barriers Score": 0.093,
-    "Crime Score": 0.093,
-    "Living Score": 0.094,
-}
+# domain columns in output order: (name, loading on the latent factor,
+# output range, weight in the combined index)
+DOMAINS = (
+    ("Income Score", 0.90, (0.01, 0.45), 0.225),
+    ("Employment Score", 0.90, (0.01, 0.40), 0.225),
+    ("Health Score", 0.80, (-2.5, 2.5), 0.135),
+    ("Education Score", 0.75, (0.5, 45.0), 0.135),
+    ("Barriers Score", 0.30, (5.0, 55.0), 0.093),
+    ("Crime Score", 0.70, (-2.0, 2.0), 0.093),
+    ("Living Score", 0.35, (2.0, 60.0), 0.094),
+)
 
 
 def rescale(x, lo, hi):
@@ -55,23 +42,23 @@ def main():
     centers = rng.choice([-1.8, 0.0, 1.8], size=args.rows, p=[0.3, 0.45, 0.25])
     latent = centers + rng.normal(scale=0.55, size=args.rows)
 
-    domains = {}
-    for name, (loading, (lo, hi)) in PROFILES.items():
+    domains = []
+    for _, loading, (lo, hi), _ in DOMAINS:
         raw = loading * latent + np.sqrt(1.0 - loading**2) * rng.normal(size=args.rows)
-        domains[name] = rescale(raw, lo, hi)
+        domains.append(rescale(raw, lo, hi))
 
-    blended = sum(w * rescale(domains[name], 0.0, 1.0)
-                  for name, w in IMD_BLEND.items())
+    blended = sum(weight * rescale(domain, 0.0, 1.0)
+                  for (*_, weight), domain in zip(DOMAINS, domains))
     imd = rescale(blended + rng.normal(scale=0.02, size=args.rows), 1.5, 62.0)
 
+    columns = ["IMD Score"] + [name for name, *_ in DOMAINS]
     with open(args.out, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["ward"] + COLUMNS)
+        writer.writerow(["ward"] + columns)
         for i in range(args.rows):
-            row = [f"E{5000000 + i:08d}", f"{imd[i]:.4f}"]
-            row += [f"{domains[name][i]:.4f}" for name in COLUMNS[1:]]
-            writer.writerow(row)
-    print(f"wrote {args.rows} wards x {len(COLUMNS)} features to {args.out}")
+            writer.writerow([f"E{5000000 + i:08d}", f"{imd[i]:.4f}"]
+                            + [f"{domain[i]:.4f}" for domain in domains])
+    print(f"wrote {args.rows} wards x {len(columns)} features to {args.out}")
 
 
 if __name__ == "__main__":

@@ -86,7 +86,7 @@ def load_csv(path) -> Dataset:
 
     Raises :class:`SchemaError` on duplicate header names and
     :class:`IngestionError` on malformed rows, naming the offending line
-    and cell.
+    and cell, and on a file without data rows.
     """
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
@@ -127,6 +127,8 @@ def load_csv(path) -> Dataset:
                         f"non-finite value {cell.strip()!r}"
                     )
                 values.append(value)
+    if not ids:
+        raise IngestionError(f"{path}: no data rows")
 
     return Dataset(ids=tuple(ids), feature_names=tuple(feature_names),
                    values=np.array(values, dtype=np.float64).reshape(len(ids), len(feature_names)))

@@ -38,15 +38,30 @@ def _escape(text: str) -> str:
     )
 
 
-def _header(title: str) -> list[str]:
-    return [
+def _line(x1, y1, x2, y2, stroke: str, width: str = "1", extra: str = "") -> str:
+    return (f'<line x1="{x1:.2f}" y1="{y1:.2f}" x2="{x2:.2f}" y2="{y2:.2f}" '
+            f'stroke="{stroke}" stroke-width="{width}"{extra}/>')
+
+
+def _text(x, y, text: str, size: int, anchor: str = "middle", extra: str = "") -> str:
+    return (f'<text x="{x:.2f}" y="{y:.2f}" text-anchor="{anchor}" '
+            f'font-family="Helvetica" font-size="{size}"{extra}>{_escape(text)}</text>')
+
+
+def _write_svg(path, title: str, body: list[str]) -> None:
+    """Write ``body`` between the prolog, white canvas and title and the closing tag."""
+    head = [
         '<?xml version="1.0" encoding="UTF-8"?>',
         f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
         f'width="{WIDTH}" height="{HEIGHT}" viewBox="0 0 {WIDTH} {HEIGHT}">',
         f'<rect x="0" y="0" width="{WIDTH}" height="{HEIGHT}" fill="#ffffff"/>',
+        # y="28" is written unformatted, unlike every other coordinate, so the
+        # title does not go through _text
         f'<text x="{WIDTH / 2:.2f}" y="28" text-anchor="middle" '
         f'font-family="Helvetica" font-size="18">{_escape(title)}</text>',
     ]
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write("\n".join(head + body + ["</svg>"]) + "\n")
 
 
 @dataclass(frozen=True, eq=False)
@@ -91,28 +106,13 @@ def render_silhouette_plot(result: ClusteringResult, path) -> None:
     n = len(result.sample_silhouettes)
     row_h = (bottom - top) / n
 
-    parts = _header(
-        f"Silhouette plot (k={result.k}, mean={result.mean_silhouette:.4f})"
-    )
     # axis frame, zero line and ticks
-    parts.append(
-        f'<line x1="{left:.2f}" y1="{bottom:.2f}" x2="{right:.2f}" y2="{bottom:.2f}" '
-        f'stroke="#000000" stroke-width="1"/>'
-    )
+    parts = [_line(left, bottom, right, bottom, "#000000")]
     for tick in (-1.0, -0.5, 0.0, 0.5, 1.0):
         tx = x_of(tick)
-        parts.append(
-            f'<line x1="{tx:.2f}" y1="{bottom:.2f}" x2="{tx:.2f}" y2="{bottom + 6:.2f}" '
-            f'stroke="#000000" stroke-width="1"/>'
-        )
-        parts.append(
-            f'<text x="{tx:.2f}" y="{bottom + 22:.2f}" text-anchor="middle" '
-            f'font-family="Helvetica" font-size="13">{tick:g}</text>'
-        )
-    parts.append(
-        f'<line x1="{x_of(0.0):.2f}" y1="{top:.2f}" x2="{x_of(0.0):.2f}" y2="{bottom:.2f}" '
-        f'stroke="#bbbbbb" stroke-width="1"/>'
-    )
+        parts.append(_line(tx, bottom, tx, bottom + 6, "#000000"))
+        parts.append(_text(tx, bottom + 22, f"{tick:g}", 13))
+    parts.append(_line(x_of(0.0), top, x_of(0.0), bottom, "#bbbbbb"))
 
     y = top
     for c in range(result.k):
@@ -128,20 +128,14 @@ def render_silhouette_plot(result: ClusteringResult, path) -> None:
             )
             y += row_h
         label_y = (band_top + y) / 2.0 + 4.0
-        parts.append(
-            f'<text x="{left - 40:.2f}" y="{label_y:.2f}" text-anchor="start" '
-            f'font-family="Helvetica" font-size="14" fill="{color}">'
-            f'{cluster_letter(c)} ({values.size})</text>'
-        )
+        parts.append(_text(left - 40, label_y, f"{cluster_letter(c)} ({values.size})", 14,
+                           anchor="start", extra=f' fill="{color}"'))
 
     mx = x_of(result.mean_silhouette)
-    parts.append(
-        f'<line x1="{mx:.2f}" y1="{top:.2f}" x2="{mx:.2f}" y2="{bottom:.2f}" '
-        f'stroke="{MEAN_LINE_COLOR}" stroke-width="1.5" stroke-dasharray="6,4"/>'
-    )
-    parts.append("</svg>")
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(parts) + "\n")
+    parts.append(_line(mx, top, mx, bottom, MEAN_LINE_COLOR, width="1.5",
+                       extra=' stroke-dasharray="6,4"'))
+    _write_svg(path, f"Silhouette plot (k={result.k}, mean={result.mean_silhouette:.4f})",
+               parts)
 
 
 def render_stacked_radar(series: RadarSeries, path) -> None:
@@ -162,10 +156,7 @@ def render_stacked_radar(series: RadarSeries, path) -> None:
                 cy + radius * value * np.sin(angles[axis]))
 
     color = PALETTE[series.cluster_id % len(PALETTE)]
-    parts = _header(
-        f"Cluster {cluster_letter(series.cluster_id)} ({series.rows.shape[0]} rows)"
-    )
-
+    parts = []
     for frac in (0.25, 0.5, 0.75, 1.0):
         ring = " ".join(f"{x:.2f},{y:.2f}" for x, y in
                         (point(i, frac) for i in range(n_axes)))
@@ -174,16 +165,10 @@ def render_stacked_radar(series: RadarSeries, path) -> None:
         )
     for i in range(n_axes):
         ex, ey = point(i, 1.0)
-        parts.append(
-            f'<line x1="{cx:.2f}" y1="{cy:.2f}" x2="{ex:.2f}" y2="{ey:.2f}" '
-            f'stroke="#999999" stroke-width="1"/>'
-        )
+        parts.append(_line(cx, cy, ex, ey, "#999999"))
         lx = cx + (radius + 26.0) * np.cos(angles[i])
         ly = cy + (radius + 26.0) * np.sin(angles[i]) + 4.0
-        parts.append(
-            f'<text x="{lx:.2f}" y="{ly:.2f}" text-anchor="middle" '
-            f'font-family="Helvetica" font-size="13">{_escape(series.axis_labels[i])}</text>'
-        )
+        parts.append(_text(lx, ly, series.axis_labels[i], 13))
 
     for row in series.rows:
         pts = " ".join(f"{x:.2f},{y:.2f}" for x, y in
@@ -192,6 +177,5 @@ def render_stacked_radar(series: RadarSeries, path) -> None:
             f'<polygon points="{pts}" fill="{color}" fill-opacity="{RADAR_FILL_OPACITY}" '
             f'stroke="{color}" stroke-width="1"/>'
         )
-    parts.append("</svg>")
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(parts) + "\n")
+    _write_svg(path, f"Cluster {cluster_letter(series.cluster_id)} ({series.rows.shape[0]} rows)",
+               parts)

@@ -21,6 +21,7 @@ dataset column order:
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import warnings
 from concurrent.futures import ProcessPoolExecutor
@@ -134,22 +135,9 @@ def task_seed(base_seed: int, names, k: int) -> int:
     return int.from_bytes(digest[:8], "big")
 
 
-def _score_subset(values, cols, ks, seeds, restarts) -> list[float]:
+def _score_subset(values, cols, seeds, ks, restarts) -> list[float]:
     fits = kmeans_fits(values[:, cols], ks, seeds, restarts)
     return [fit.mean_silhouette for fit in fits]
-
-
-# worker-process state; set once per worker by the pool initializer
-_POOL_VALUES: np.ndarray | None = None
-
-
-def _pool_init(values: np.ndarray) -> None:
-    global _POOL_VALUES
-    _POOL_VALUES = values
-
-
-def _pool_task(args) -> list[float]:
-    return _score_subset(_POOL_VALUES, *args)
 
 
 def frsd_rank(data: Dataset, k_min: int, k_max: int, seed: int, restarts: int = 10,
@@ -179,16 +167,15 @@ def frsd_rank(data: Dataset, k_min: int, k_max: int, seed: int, restarts: int = 
     # columns in name order: results cannot depend on column position
     cols = [tuple(sorted(subset, key=lambda i: data.feature_names[i])) for subset in subsets]
     names = [tuple(data.feature_names[i] for i in c) for c in cols]
-    args = [(c, ks, tuple(task_seed(seed, n, k) for k in ks), restarts)
-            for c, n in zip(cols, names)]
-    if max_workers > 1 and data.n_samples * len(args) * len(ks) * restarts >= _POOL_MIN_WORK:
+    seeds = [tuple(task_seed(seed, n, k) for k in ks) for n in names]
+    score = functools.partial(_score_subset, data.values, ks=ks, restarts=restarts)
+    if max_workers > 1 and data.n_samples * len(cols) * len(ks) * restarts >= _POOL_MIN_WORK:
         # about 8 chunks per worker, so short sweeps still reach every worker
-        chunksize = max(1, len(args) // (8 * max_workers))
-        with ProcessPoolExecutor(max_workers=max_workers, initializer=_pool_init,
-                                 initargs=(data.values,)) as pool:
-            per_subset = list(pool.map(_pool_task, args, chunksize=chunksize))
+        chunksize = max(1, len(cols) // (8 * max_workers))
+        with ProcessPoolExecutor(max_workers=max_workers) as pool:
+            per_subset = list(pool.map(score, cols, seeds, chunksize=chunksize))
     else:
-        per_subset = [_score_subset(data.values, *a) for a in args]
+        per_subset = list(map(score, cols, seeds))
 
     scores = [SubsetScore(subset=subset, k=k, si=si)
               for subset, sis in zip(subsets, per_subset) for k, si in zip(ks, sis)]

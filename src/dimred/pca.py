@@ -35,6 +35,11 @@ class PcaModel:
         return self.components.shape[0]
 
 
+def _rotate(x, y, c, s):
+    """(x, y) turned by the plane rotation with cosine c and sine s."""
+    return c * x - s * y, s * x + c * y
+
+
 def jacobi_eigh(matrix, tol: float = 1e-10, max_sweeps: int = 100):
     """Eigenvalues and eigenvectors of a symmetric matrix by cyclic Jacobi.
 
@@ -68,16 +73,10 @@ def jacobi_eigh(matrix, tol: float = 1e-10, max_sweeps: int = 100):
                     t = np.sign(theta) / (abs(theta) + np.sqrt(theta * theta + 1.0))
                 c = 1.0 / np.sqrt(t * t + 1.0)
                 s = t * c
-                rot_p = c * a[:, p] - s * a[:, q]
-                rot_q = s * a[:, p] + c * a[:, q]
-                a[:, p], a[:, q] = rot_p, rot_q
-                rot_p = c * a[p, :] - s * a[q, :]
-                rot_q = s * a[p, :] + c * a[q, :]
-                a[p, :], a[q, :] = rot_p, rot_q
+                a[:, p], a[:, q] = _rotate(a[:, p], a[:, q], c, s)
+                a[p, :], a[q, :] = _rotate(a[p, :], a[q, :], c, s)
                 a[p, q] = a[q, p] = 0.0
-                rot_p = c * v[:, p] - s * v[:, q]
-                rot_q = s * v[:, p] + c * v[:, q]
-                v[:, p], v[:, q] = rot_p, rot_q
+                v[:, p], v[:, q] = _rotate(v[:, p], v[:, q], c, s)
     return np.diag(a).copy(), v
 
 

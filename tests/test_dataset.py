@@ -65,8 +65,7 @@ class TestLoadCsv:
 
     def test_header_only_has_no_samples(self, tmp_path):
         path = write(tmp_path, "id,a,b\n")
-        with pytest.raises(ParameterError,
-                           match=r"need at least as many samples \(0\) as features \(2\)"):
+        with pytest.raises(IngestionError, match=r"data\.csv: no data rows$"):
             load_csv(path)
 
 
