@@ -41,17 +41,6 @@ SCENARIOS = [
 ]
 
 
-def default_threads() -> int:
-    """Worker count for the FRSD sweep: DIMRED_THREADS, else the CPU count."""
-    env = os.environ.get("DIMRED_THREADS")
-    if env is not None:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            pass
-    return os.cpu_count() or 1
-
-
 def add_common_flags(parser: argparse.ArgumentParser) -> None:
     """The sweep flags shared by ``run``, ``rank`` and ``scenarios``."""
     parser.add_argument("--k-min", type=int, default=3, help="smallest cluster count tried")
@@ -59,9 +48,8 @@ def add_common_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--seed", type=int, default=42, help="base random seed")
     parser.add_argument("--restarts", type=int, default=10,
                         help="k-means restarts per fit")
-    parser.add_argument("--threads", type=int, default=default_threads(),
-                        help="worker processes for the FRSD sweep "
-                             "(default: DIMRED_THREADS or the CPU count)")
+    parser.add_argument("--threads", type=int, default=os.cpu_count() or 1,
+                        help="worker processes for the FRSD sweep (default: the CPU count)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -301,6 +289,8 @@ def cmd_scenarios(args) -> int:
 def cmd_validate(args) -> int:
     if args.cases < 1:
         args.parser.error("--cases must be at least 1")
+    if args.seed < 0:
+        args.parser.error("--seed must be nonnegative")
     os.makedirs(args.out, exist_ok=True)
 
     cases = generate_cases(args.cases, args.seed)

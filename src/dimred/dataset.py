@@ -85,48 +85,51 @@ def load_csv(path) -> Dataset:
     identifier followed by one real number per feature.
 
     Raises :class:`SchemaError` on duplicate header names and
-    :class:`IngestionError` on malformed rows, naming the offending line
-    and cell, and on a file without data rows.
+    :class:`IngestionError` on malformed rows (naming the line and cell),
+    on a file without data rows, on non-UTF-8 bytes and on over-long cells.
     """
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise IngestionError(f"{path}: file is empty") from None
-        if len(header) < 3:
-            raise SchemaError(
-                f"{path}: header must name an id column and at least 2 features"
-            )
-        feature_names = [h.strip() for h in header[1:]]
-        if len(set(feature_names)) != len(feature_names):
-            dupes = sorted({n for n in feature_names if feature_names.count(n) > 1})
-            raise SchemaError(f"{path}: duplicate header names {dupes}")
-
-        ids: list[str] = []
-        values: list[float] = []  # row after row, one list for the whole table
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != len(header):
-                raise IngestionError(
-                    f"{path}: line {lineno}: expected {len(header)} fields, got {len(row)}"
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            reader = csv.reader(fh)
+            try:
+                header = next(reader)
+            except StopIteration:
+                raise IngestionError(f"{path}: file is empty") from None
+            if len(header) < 3:
+                raise SchemaError(
+                    f"{path}: header must name an id column and at least 2 features"
                 )
-            ids.append(row[0].strip())
-            for name, cell in zip(feature_names, row[1:]):
-                try:
-                    value = float(cell)
-                except ValueError:
+            feature_names = [h.strip() for h in header[1:]]
+            if len(set(feature_names)) != len(feature_names):
+                dupes = sorted({n for n in feature_names if feature_names.count(n) > 1})
+                raise SchemaError(f"{path}: duplicate header names {dupes}")
+
+            ids: list[str] = []
+            values: list[float] = []  # row after row, one list for the whole table
+            for lineno, row in enumerate(reader, start=2):
+                if not row:
+                    continue
+                if len(row) != len(header):
                     raise IngestionError(
-                        f"{path}: line {lineno}, column {name!r}: "
-                        f"cannot parse {cell.strip()!r} as a number"
-                    ) from None
-                if not math.isfinite(value):
-                    raise IngestionError(
-                        f"{path}: line {lineno}, column {name!r}: "
-                        f"non-finite value {cell.strip()!r}"
+                        f"{path}: line {lineno}: expected {len(header)} fields, got {len(row)}"
                     )
-                values.append(value)
+                ids.append(row[0].strip())
+                for name, cell in zip(feature_names, row[1:]):
+                    try:
+                        value = float(cell)
+                    except ValueError:
+                        raise IngestionError(
+                            f"{path}: line {lineno}, column {name!r}: "
+                            f"cannot parse {cell.strip()!r} as a number"
+                        ) from None
+                    if not math.isfinite(value):
+                        raise IngestionError(
+                            f"{path}: line {lineno}, column {name!r}: "
+                            f"non-finite value {cell.strip()!r}"
+                        )
+                    values.append(value)
+    except (UnicodeDecodeError, csv.Error) as exc:  # not UTF-8, or a cell over the csv limit
+        raise IngestionError(f"{path}: cannot read as UTF-8 CSV: {exc}") from None
     if not ids:
         raise IngestionError(f"{path}: no data rows")
 
@@ -174,13 +177,12 @@ def minmax_normalize(data: Dataset) -> Dataset:
     to all zeros and a :class:`ConstantColumnWarning` is emitted so callers
     can surface it.
     """
-    with np.errstate(over="ignore"):  # a span above the float64 maximum is not 0
-        spans = np.ptp(data.values, axis=0)
-    for j in np.flatnonzero(spans == 0.0):
+    values = minmax_columns(data.values)
+    # every other column reaches exactly 1.0, the overflow path included
+    for j in np.flatnonzero(values.max(axis=0) == 0.0):
         warnings.warn(
             f"column {data.feature_names[j]!r} is constant; normalized to 0.0",
             ConstantColumnWarning,
             stacklevel=2,
         )
-    return Dataset(ids=data.ids, feature_names=data.feature_names,
-                   values=minmax_columns(data.values))
+    return Dataset(ids=data.ids, feature_names=data.feature_names, values=values)

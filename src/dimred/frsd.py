@@ -169,10 +169,11 @@ def frsd_rank(data: Dataset, k_min: int, k_max: int, seed: int, restarts: int = 
     names = [tuple(data.feature_names[i] for i in c) for c in cols]
     seeds = [tuple(task_seed(seed, n, k) for k in ks) for n in names]
     score = functools.partial(_score_subset, data.values, ks=ks, restarts=restarts)
-    if max_workers > 1 and data.n_samples * len(cols) * len(ks) * restarts >= _POOL_MIN_WORK:
+    workers = min(max_workers, len(cols))  # the pool starts every worker up front
+    if workers > 1 and data.n_samples * len(cols) * len(ks) * restarts >= _POOL_MIN_WORK:
         # about 8 chunks per worker, so short sweeps still reach every worker
-        chunksize = max(1, len(cols) // (8 * max_workers))
-        with ProcessPoolExecutor(max_workers=max_workers) as pool:
+        chunksize = max(1, len(cols) // (8 * workers))
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             per_subset = list(pool.map(score, cols, seeds, chunksize=chunksize))
     else:
         per_subset = list(map(score, cols, seeds))

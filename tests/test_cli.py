@@ -122,6 +122,14 @@ class TestRun:
             err = capsys.readouterr().err.splitlines()
             assert len(err) == 1 and err[0].startswith("error:"), (command, err)
 
+    def test_csv_that_is_not_utf8_exits_1(self, tmp_path, capsys):
+        bad = tmp_path / "latin1.csv"
+        bad.write_bytes(b"id,caf\xe9,b\nr1,1.0,2.0\nr2,3.0,4.0\n")
+        code = run_cli(["run", "--input", str(bad), "--out", str(tmp_path / "o")] + FAST)
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith(f"error: {bad}: ") and "Traceback" not in err
+
     def test_malformed_csv_exits_1(self, tmp_path, capsys):
         bad = tmp_path / "bad.csv"
         bad.write_text("id,a,b\nr1,1.0,oops\nr2,2.0,3.0\n")
@@ -232,19 +240,20 @@ class TestValidate:
             run_cli(["validate", "--cases", "0", "--out", str(tmp_path / "v")])
         assert exc.value.code == 2
 
+    def test_negative_seed_exits_2(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run_cli(["validate", "--seed", "-1", "--out", str(tmp_path / "v")])
+        assert exc.value.code == 2
+        assert "--seed must be nonnegative" in capsys.readouterr().err
+        assert not (tmp_path / "v").exists()
+
 
 class TestThreads:
-    def test_env_fallback(self, monkeypatch):
-        from dimred.cli import default_threads as _default_threads
-        monkeypatch.setenv("DIMRED_THREADS", "3")
-        assert _default_threads() == 3
+    def test_default_is_the_cpu_count(self, monkeypatch):
+        monkeypatch.setenv("DIMRED_THREADS", "3")  # an environment variable changes nothing
         for command in ("run", "rank", "scenarios"):
             args = cli.build_parser().parse_args([command, "--input", "x.csv"])
-            assert args.threads == 3, command
-        monkeypatch.setenv("DIMRED_THREADS", "junk")
-        assert _default_threads() >= 1
-        monkeypatch.delenv("DIMRED_THREADS")
-        assert _default_threads() >= 1
+            assert args.threads == (os.cpu_count() or 1), command
 
     def test_invalid_threads_exits_2(self, demo_csv, tmp_path):
         with pytest.raises(SystemExit) as exc:

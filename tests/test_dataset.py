@@ -1,5 +1,7 @@
 """Ingestion and MinMax normalization."""
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -66,6 +68,17 @@ class TestLoadCsv:
     def test_header_only_has_no_samples(self, tmp_path):
         path = write(tmp_path, "id,a,b\n")
         with pytest.raises(IngestionError, match=r"data\.csv: no data rows$"):
+            load_csv(path)
+
+    def test_bytes_that_are_not_utf8(self, tmp_path):
+        path = tmp_path / "latin1.csv"
+        path.write_bytes(b"id,caf\xe9,b\nr1,1.0,2.0\nr2,3.0,4.0\n")  # 0xe9 is latin-1 'e acute'
+        with pytest.raises(IngestionError, match=r"^" + re.escape(str(path)) + ": "):
+            load_csv(path)
+
+    def test_cell_over_the_csv_field_limit(self, tmp_path):
+        path = write(tmp_path, "id,a,b\nr1," + "1" * 200_000 + ",2.0\nr2,3.0,4.0\n")
+        with pytest.raises(IngestionError, match=r"^" + re.escape(str(path)) + ": "):
             load_csv(path)
 
 

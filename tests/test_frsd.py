@@ -150,6 +150,34 @@ class TestFrsdRank:
         assert pools == [2]
         assert serial[0].entries == pooled[0].entries and serial[1] == pooled[1]
 
+    def test_never_more_workers_than_subsets(self, monkeypatch):
+        pools = []
+
+        class InProcessPool:
+            def __init__(self, max_workers):
+                pools.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                pass
+
+            def map(self, fn, *iterables, chunksize=1):
+                return map(fn, *iterables)
+
+        monkeypatch.setattr(frsd, "ProcessPoolExecutor", InProcessPool)
+        monkeypatch.setattr(frsd, "_POOL_MIN_WORK", 0)
+        rng = np.random.default_rng(6)
+        three = minmax_normalize(make_dataset(rng.uniform(size=(20, 3))))
+        serial = frsd_rank(three, 2, 3, seed=2, restarts=2, max_workers=1)
+        pooled = frsd_rank(three, 2, 3, seed=2, restarts=2, max_workers=16)
+        assert pools == [4]  # 3 features form 4 subsets
+        assert serial[0].entries == pooled[0].entries and serial[1] == pooled[1]
+        two = minmax_normalize(make_dataset(rng.uniform(size=(20, 2))))
+        frsd_rank(two, 2, 3, seed=2, restarts=2, max_workers=2)
+        assert pools == [4]  # a single subset runs in-process
+
     def test_infeasible_pair_rejected_before_any_pool(self, monkeypatch):
         rng = np.random.default_rng(0)
         data = minmax_normalize(make_dataset(np.column_stack(

@@ -356,6 +356,21 @@ class TestSilhouette:
         # one row block of distances, plus a few n x k and n x d arrays
         assert peak < _BLOCK_BYTES + 8 * n * (4 * k + 8)
 
+    def test_shared_blocks_hold_at_most_two_blocks_of_distances(self):
+        n, ks = 6000, (3, 4, 5)
+        rng = np.random.default_rng(13)
+        data = rng.uniform(size=(n, 3))
+        labellings = [rng.permutation(np.arange(n) % k) for k in ks]
+        tracemalloc.start()
+        try:
+            kmeans._silhouettes(data, labellings)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # the shared block and one gathered copy, plus per labelling its n x k
+        # sums and a few n-vectors; a copy per labelling would not fit
+        assert peak < 2 * _BLOCK_BYTES + 8 * n * (sum(ks) + 4 * len(ks) + 8)
+
     @pytest.mark.parametrize("rows_per_block", [None, 1])
     def test_shared_blocks_match_each_labelling_alone(self, monkeypatch, rows_per_block):
         n = 300
