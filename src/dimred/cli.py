@@ -48,8 +48,11 @@ def add_common_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--seed", type=int, default=42, help="base random seed")
     parser.add_argument("--restarts", type=int, default=10,
                         help="k-means restarts per fit")
-    parser.add_argument("--threads", type=int, default=os.cpu_count() or 1,
-                        help="worker processes for the FRSD sweep (default: the CPU count)")
+    cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+            else os.cpu_count() or 1)
+    parser.add_argument("--threads", type=int, default=cpus,
+                        help="worker processes for the FRSD sweep "
+                             "(default: the CPUs this process may run on)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -235,6 +238,8 @@ def _rank_input(args) -> Rankings:
 
 def cmd_run(args) -> int:
     config = _config(args, *_resolve_orientation(args), args.target_resolution)
+    if any(sep and sep in args.case for sep in (os.sep, os.altsep)):
+        args.parser.error("--case must not contain a path separator")
     data = _load_input(args, config)
     outcome = _with_warnings_printed(run_decision_detailed, data, config,
                                      max_workers=args.threads)

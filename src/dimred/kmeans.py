@@ -8,12 +8,32 @@ distance to any other cluster. Distances are Euclidean throughout.
 
 from __future__ import annotations
 
+import functools
+import importlib.machinery
+import importlib.util
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial.distance import cdist
 
 from .errors import MetricUndefinedError, ParameterError
+
+
+def _distance_kernels():
+    """The kernels ``scipy.spatial.distance.cdist`` runs for "sqeuclidean" and
+    "euclidean", loaded without the rest of ``scipy.spatial`` and its KD-tree,
+    Qhull, sparse and linalg imports (README: Dependencies); else ``cdist``."""
+    package = importlib.util.find_spec("scipy.spatial").submodule_search_locations
+    spec = importlib.machinery.PathFinder.find_spec("scipy.spatial._distance_pybind", package)
+    if spec is not None:
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+        if hasattr(module, "cdist_sqeuclidean") and hasattr(module, "cdist_euclidean"):
+            return module.cdist_sqeuclidean, module.cdist_euclidean
+    from scipy.spatial.distance import cdist
+    return functools.partial(cdist, metric="sqeuclidean"), cdist
+
+
+_sqeuclidean, _euclidean = _distance_kernels()
 
 # upper bound on the distances held at once (1 MiB of float64), so they stay
 # in cache instead of going out to RAM and back: the pairwise distances of
@@ -96,7 +116,7 @@ def _silhouettes(data, labellings) -> list[tuple[np.ndarray, float]]:
     # cost 2 s of a 7 s run on a 6000-row table
     buffer = np.empty((min(rows, n), n))
     for lo in range(0, n, rows):
-        block = cdist(data[lo : lo + rows], by_first, out=buffer[: n - lo])
+        block = _euclidean(data[lo : lo + rows], by_first, out=buffer[: n - lo])
         for cols, start, out in zip(columns, starts, sums):
             out[lo : lo + rows] = np.add.reduceat(block[:, cols], start, axis=1)
     del buffer, block  # not held while the scores are computed
@@ -148,10 +168,10 @@ def _pp_seeds(data, k, rngs) -> np.ndarray:
     n = data.shape[0]
     seeds = np.empty((len(rngs), k, data.shape[1]))
     seeds[:, 0] = data[[rng.integers(n) for rng in rngs]]
-    closest = cdist(seeds[:, 0], data, "sqeuclidean")
+    closest = _sqeuclidean(seeds[:, 0], data)
     for j in range(1, k):
         seeds[:, j] = data[_weighted_indices(closest, rngs)]
-        np.minimum(closest, cdist(seeds[:, j], data, "sqeuclidean"), out=closest)
+        np.minimum(closest, _sqeuclidean(seeds[:, j], data), out=closest)
     return seeds
 
 
@@ -233,8 +253,8 @@ def _lloyd_group(data, seeds, max_iter, tol) -> list[tuple[float, np.ndarray, np
     while True:
         a = live.size
         # one distance call for every live restart; each pair is computed as alone
-        d2 = cdist(data, centroids[live].reshape(a * k, dim), "sqeuclidean",
-                   out=buffer[: n * a * k].reshape(n, a * k)).reshape(n, a, k)
+        d2 = _sqeuclidean(data, centroids[live].reshape(a * k, dim),
+                          out=buffer[: n * a * k].reshape(n, a * k)).reshape(n, a, k)
         labels = np.ascontiguousarray(d2.argmin(axis=2).T)
         flat = labels + offsets[:a]
         counts = np.bincount(flat.ravel(), minlength=a * k).reshape(a, k)

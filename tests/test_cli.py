@@ -114,6 +114,16 @@ class TestRun:
         column = dimred.minmax_normalize(load_csv(path)).values[:, 0]
         assert column.min() == 0.0 and column.max() == 1.0  # so it lies in [0, 1]
 
+    def test_case_with_a_path_separator_exits_2_before_the_sweep(self, demo_csv, tmp_path,
+                                                                 capsys):
+        out = tmp_path / "o"
+        with pytest.raises(SystemExit) as exc:
+            run_cli(["run", "--input", str(demo_csv), "--out", str(out),
+                     "--case", f"a{os.sep}b"] + FAST)
+        assert exc.value.code == 2
+        assert "--case must not contain a path separator" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_missing_input_exits_1(self, tmp_path, capsys):
         for command in ("run", "rank", "scenarios"):
             code = run_cli([command, "--input", str(tmp_path / "nope.csv"),
@@ -250,10 +260,16 @@ class TestValidate:
 
 class TestThreads:
     def test_default_is_the_cpu_count(self, monkeypatch):
+        # the CPUs this process may run on: one under `taskset -c 0` on any machine
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
         monkeypatch.setenv("DIMRED_THREADS", "3")  # an environment variable changes nothing
         for command in ("run", "rank", "scenarios"):
             args = cli.build_parser().parse_args([command, "--input", "x.csv"])
-            assert args.threads == (os.cpu_count() or 1), command
+            assert args.threads == 1, command
+        # a platform without sched_getaffinity counts every CPU
+        monkeypatch.delattr(os, "sched_getaffinity")
+        monkeypatch.setattr(os, "cpu_count", lambda: 3)
+        assert cli.build_parser().parse_args(["run", "--input", "x.csv"]).threads == 3
 
     def test_invalid_threads_exits_2(self, demo_csv, tmp_path):
         with pytest.raises(SystemExit) as exc:
@@ -288,3 +304,20 @@ class TestBlasThreads:
             one, two = tmp_path / "blas1" / name, tmp_path / "blas2" / name
             assert one.read_bytes() == two.read_bytes(), \
                 f"{name} differs between OPENBLAS_NUM_THREADS=1 and 2"
+
+
+class TestImportFootprint:
+    def test_no_unused_scipy_package_is_loaded(self):
+        # the k-means code needs only scipy's compiled distance kernels; a scipy
+        # that moves them turns this red while dimred runs on the public cdist
+        src = os.path.dirname(os.path.dirname(os.path.abspath(dimred.__file__)))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run(
+            [sys.executable, "-c", "import sys, dimred, dimred.cli; print(*sys.modules)"],
+            env=env, capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        unused = {"scipy.spatial", "scipy.sparse", "scipy.linalg", "scipy.special"}
+        modules = proc.stdout.split()
+        assert "dimred.kmeans" in modules
+        assert [m for m in modules if ".".join(m.split(".")[:2]) in unused] == []

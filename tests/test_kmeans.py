@@ -1,5 +1,6 @@
 """K-means fits and the silhouette index, checked against brute-force oracles."""
 
+import importlib.machinery
 import tracemalloc
 
 import numpy as np
@@ -242,6 +243,45 @@ class TestLloydMemory:
         # one distance matrix is 8 * n * g * k bytes, the tiled data 8 * n * g * d,
         # and labels and bins a few 8 * n * g each; a second matrix would not fit
         assert peak < 8 * n * g * (k + d + 6)
+
+
+@pytest.fixture(params=["loaded", "fallback"])
+def kernels(request, monkeypatch):
+    """(sqeuclidean, euclidean) from the loader, and from its public-cdist
+    fallback, taken when the compiled module cannot be found."""
+    with monkeypatch.context() as patch:
+        if request.param == "fallback":
+            patch.setattr(importlib.machinery.PathFinder, "find_spec",
+                          lambda *args, **kwargs: None)
+        found = kmeans._distance_kernels()
+    assert (found[1] is cdist) == (request.param == "fallback")
+    return found
+
+
+class TestDistanceKernels:
+    @pytest.mark.parametrize("d", range(1, 9))
+    def test_bit_equal_to_public_cdist(self, kernels, d):
+        sqeuclidean, euclidean = kernels
+        x = np.random.default_rng(d).normal(size=(37, d))
+        x[5:9] = x[0]  # duplicated rows: exact zeros
+        for a, b in ((x, x), (x[:1], x), (x, x[:1]), (x[:1], x[:1]), (x[::3], x[1::2])):
+            assert np.array_equal(sqeuclidean(a, b), cdist(a, b, "sqeuclidean"))
+            assert np.array_equal(euclidean(a, b), cdist(a, b))
+
+    def test_out_forms_the_kmeans_code_passes(self, kernels):
+        sqeuclidean, euclidean = kernels
+        rng = np.random.default_rng(5)
+        data, centroids = rng.random((50, 3)), rng.random((2 * 4, 3))
+        # _silhouettes: the last, short row block in a prefix of the block buffer
+        buffer = np.full((8, 50), np.nan)
+        block = euclidean(data[45:], data, out=buffer[:5])
+        assert np.shares_memory(block, buffer)
+        assert np.array_equal(block, cdist(data[45:], data))
+        # _lloyd_group: 2 live restarts at k=4 in a prefix of a group of 3's buffer
+        flat = np.full(50 * 3 * 4, np.nan)
+        d2 = sqeuclidean(data, centroids, out=flat[: 50 * 8].reshape(50, 8))
+        assert np.shares_memory(d2, flat)
+        assert np.array_equal(d2, cdist(data, centroids, "sqeuclidean"))
 
 
 class TestSilhouette:
