@@ -11,6 +11,7 @@ from __future__ import annotations
 import csv
 import math
 import warnings
+from array import array
 from dataclasses import dataclass
 
 import numpy as np
@@ -105,7 +106,7 @@ def load_csv(path) -> Dataset:
                 raise SchemaError(f"{path}: duplicate header names {dupes}")
 
             ids: list[str] = []
-            values: list[float] = []  # row after row, one list for the whole table
+            values = array("d")  # row after row, 8 bytes a value, not a 32-byte float
             for lineno, row in enumerate(reader, start=2):
                 if not row:
                     continue
@@ -134,7 +135,7 @@ def load_csv(path) -> Dataset:
         raise IngestionError(f"{path}: no data rows")
 
     return Dataset(ids=tuple(ids), feature_names=tuple(feature_names),
-                   values=np.array(values, dtype=np.float64).reshape(len(ids), len(feature_names)))
+                   values=np.frombuffer(values).reshape(len(ids), len(feature_names)))
 
 
 def write_csv(path, header, rows) -> None:

@@ -8,10 +8,10 @@ importance weights (proportions summing to 1), the basis of "resolution"
 downstream.
 
 The sweep is embarrassingly parallel, with one task per subset: the task
-fits every k of the range on the subset's columns, so the column slice, the
-checks and the silhouette's pairwise distances are shared by all its k. Two
-choices make its output independent of execution order, worker count and
-dataset column order:
+fits every k of the range on the subset's columns, so the column slice and
+the silhouette's pairwise distances are shared by all its k. The checks run
+once per sweep, before any fit. Two choices make its output independent of
+execution order, worker count and dataset column order:
 
 * each (subset, k) run derives its k-means seed from a stable hash of the
   base seed, the subset's sorted feature names and k;
@@ -24,7 +24,6 @@ from __future__ import annotations
 import functools
 import hashlib
 import warnings
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from itertools import combinations
 
@@ -33,7 +32,7 @@ import numpy as np
 from .dataset import Dataset, minmax_columns, write_csv
 from .errors import ParameterError
 from .kmeans import kmeans_fit  # noqa: F401  (kept importable: perfbench/spans.py wraps it)
-from .kmeans import kmeans_fits, require_distinct
+from .kmeans import kmeans_fits_unchecked, require_distinct
 
 # a sweep of less work than this (rows x subsets x k values x restarts) runs
 # in-process even when workers are allowed. Timed as the first sweep of a
@@ -136,8 +135,18 @@ def task_seed(base_seed: int, names, k: int) -> int:
 
 
 def _score_subset(values, cols, seeds, ks, restarts) -> list[float]:
-    fits = kmeans_fits(values[:, cols], ks, seeds, restarts)
+    # unchecked: frsd_rank has checked the k range, the restarts and every
+    # feature pair, and a subset has no fewer distinct rows than its pairs
+    fits = kmeans_fits_unchecked(values[:, cols], ks, seeds, restarts)
     return [fit.mean_silhouette for fit in fits]
+
+
+def _process_pool(workers):
+    """A pool of ``workers`` processes. Its machinery (``multiprocessing``
+    and ``concurrent.futures.process``) is imported here, so only a sweep
+    that starts workers loads it."""
+    from concurrent.futures import ProcessPoolExecutor
+    return ProcessPoolExecutor(max_workers=workers)
 
 
 def frsd_rank(data: Dataset, k_min: int, k_max: int, seed: int, restarts: int = 10,
@@ -148,8 +157,9 @@ def frsd_rank(data: Dataset, k_min: int, k_max: int, seed: int, restarts: int = 
     the full (subset, k, si) score table, one row per subset per k in
     [k_min, k_max]. Output is identical for any ``max_workers``: a sweep of
     less work than ``_POOL_MIN_WORK`` runs in-process whatever its value, and
-    a k the data cannot support raises before any fit or worker starts, with
-    the first feature pair that has too few distinct rows.
+    a k the data cannot support (named with the first feature pair that has
+    too few distinct rows) or ``restarts`` below 1 raises before any fit or
+    worker starts.
     """
     if not 2 <= k_min <= k_max:
         raise ParameterError(f"need 2 <= k_min <= k_max, got [{k_min}, {k_max}]")
@@ -164,6 +174,8 @@ def frsd_rank(data: Dataset, k_min: int, k_max: int, seed: int, restarts: int = 
     for pair in combinations(range(data.n_features), 2):
         require_distinct(data.values[:, pair], ks, " in features "
                          + " and ".join(repr(data.feature_names[i]) for i in pair))
+    if restarts < 1:
+        raise ParameterError("restarts must be at least 1")
     # columns in name order: results cannot depend on column position
     cols = [tuple(sorted(subset, key=lambda i: data.feature_names[i])) for subset in subsets]
     names = [tuple(data.feature_names[i] for i in c) for c in cols]
@@ -173,7 +185,7 @@ def frsd_rank(data: Dataset, k_min: int, k_max: int, seed: int, restarts: int = 
     if workers > 1 and data.n_samples * len(cols) * len(ks) * restarts >= _POOL_MIN_WORK:
         # about 8 chunks per worker, so short sweeps still reach every worker
         chunksize = max(1, len(cols) // (8 * workers))
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        with _process_pool(workers) as pool:
             per_subset = list(pool.map(score, cols, seeds, chunksize=chunksize))
     else:
         per_subset = list(map(score, cols, seeds))

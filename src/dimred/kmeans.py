@@ -20,13 +20,21 @@ from .errors import MetricUndefinedError, ParameterError
 
 def _distance_kernels():
     """The kernels ``scipy.spatial.distance.cdist`` runs for "sqeuclidean" and
-    "euclidean", loaded without the rest of ``scipy.spatial`` and its KD-tree,
-    Qhull, sparse and linalg imports (README: Dependencies); else ``cdist``."""
-    package = importlib.util.find_spec("scipy.spatial").submodule_search_locations
-    spec = importlib.machinery.PathFinder.find_spec("scipy.spatial._distance_pybind", package)
-    if spec is not None:
-        module = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(module)
+    "euclidean": their compiled module, found by a path search through the
+    ``scipy`` and ``scipy.spatial`` directories and loaded alone, so no scipy
+    package ``__init__`` runs (README: Dependencies); else ``cdist``."""
+    locations = None
+    for name in ("scipy", "scipy.spatial", "scipy.spatial._distance_pybind"):
+        spec = importlib.machinery.PathFinder.find_spec(name, locations)
+        if spec is None:
+            break
+        locations = spec.submodule_search_locations
+    else:
+        try:
+            module = importlib.util.module_from_spec(spec)
+            spec.loader.exec_module(module)
+        except (ImportError, OSError):
+            module = None
         if hasattr(module, "cdist_sqeuclidean") and hasattr(module, "cdist_euclidean"):
             return module.cdist_sqeuclidean, module.cdist_euclidean
     from scipy.spatial.distance import cdist
@@ -330,7 +338,14 @@ def kmeans_fits(data, ks, seeds, restarts: int = 10, max_iter: int = 300,
     if restarts < 1:
         raise ParameterError("restarts must be at least 1")
     require_distinct(data, ks)
+    return kmeans_fits_unchecked(data, ks, seeds, restarts, max_iter, tol)
 
+
+def kmeans_fits_unchecked(data, ks, seeds, restarts: int = 10, max_iter: int = 300,
+                          tol: float = 1e-4) -> list[ClusteringResult]:
+    """``kmeans_fits`` without its checks, for callers that have made them:
+    ``data`` a finite float64 matrix, one seed per k, every k in
+    [2, distinct rows] and ``restarts`` at least 1."""
     best = [_best_of_restarts(data, k, seed, restarts, max_iter, tol)
             for k, seed in zip(ks, seeds)]
     silhouettes = _silhouettes(data, [labels for _, labels, _ in best])
@@ -351,9 +366,13 @@ def kmeans_fits(data, ks, seeds, restarts: int = 10, max_iter: int = 300,
 
 def require_distinct(data, ks, where: str = "") -> None:
     """Raise ``ParameterError`` for the first k in ``ks`` that exceeds the
-    number of distinct rows of ``data``: no k-means fit can fill k clusters
-    then. ``where`` is appended to the message."""
-    distinct = np.unique(data, axis=0).shape[0]
+    number of distinct rows of the nonempty finite matrix ``data``: no
+    k-means fit can fill k clusters then. ``where`` is appended to the
+    message. Sorted lexicographically, equal rows are adjacent, so the
+    distinct rows are the first and each that differs from the one before;
+    -0.0 equals 0.0, as in ``np.unique(data, axis=0)``."""
+    rows = data[np.lexsort(data.T)] if data.shape[1] else data
+    distinct = 1 + int(np.count_nonzero((rows[1:] != rows[:-1]).any(axis=1)))
     for k in ks:
         if distinct < k:
             raise ParameterError(f"fewer than k={k} distinct points{where}")

@@ -6,6 +6,7 @@ lines; a failing criterion shows up as an ordinary pytest failure.
 
 import json
 import math
+from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 import pytest
@@ -165,12 +166,11 @@ def test_criterion_8_end_to_end_determinism(tmp_path, monkeypatch):
     """Identical runs produce byte-identical outputs; workers don't matter."""
     pools = []
 
-    class CountingPool(frsd.ProcessPoolExecutor):
-        def __init__(self, *args, **kwargs):
-            pools.append(kwargs["max_workers"])
-            super().__init__(*args, **kwargs)
+    def counting_pool(workers):
+        pools.append(workers)
+        return ProcessPoolExecutor(max_workers=workers)
 
-    monkeypatch.setattr(frsd, "ProcessPoolExecutor", CountingPool)
+    monkeypatch.setattr(frsd, "_process_pool", counting_pool)
     monkeypatch.setattr(frsd, "_POOL_MIN_WORK", 0)  # these sweeps are too small for a pool
     csv_path = write_dataset_csv(make_blobs_with_noise(seed=21, n_samples=30),
                                  tmp_path / "data.csv")

@@ -306,18 +306,42 @@ class TestBlasThreads:
                 f"{name} differs between OPENBLAS_NUM_THREADS=1 and 2"
 
 
+def _loads_unused(module):
+    """A module a serial run does not use: scipy's packages (the k-means
+    code loads only its compiled distance kernels), the worker-pool
+    machinery, and ``numpy.ma``."""
+    return (module.split(".")[0] in ("scipy", "multiprocessing")
+            or module == "concurrent.futures.process"
+            or module == "numpy.ma" or module.startswith("numpy.ma."))
+
+
 class TestImportFootprint:
-    def test_no_unused_scipy_package_is_loaded(self):
-        # the k-means code needs only scipy's compiled distance kernels; a scipy
-        # that moves them turns this red while dimred runs on the public cdist
+    def _modules(self, code, *args):
+        """The modules loaded by a fresh interpreter that runs ``code`` and
+        then prints ``sys.modules`` as its last line."""
         src = os.path.dirname(os.path.dirname(os.path.abspath(dimred.__file__)))
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(
             filter(None, [src, os.environ.get("PYTHONPATH")])))
         proc = subprocess.run(
-            [sys.executable, "-c", "import sys, dimred, dimred.cli; print(*sys.modules)"],
+            [sys.executable, "-c", f"import sys; {code}; print(*sys.modules)", *args],
             env=env, capture_output=True, text=True, timeout=120)
         assert proc.returncode == 0, proc.stderr
-        unused = {"scipy.spatial", "scipy.sparse", "scipy.linalg", "scipy.special"}
-        modules = proc.stdout.split()
+        return proc.stdout.splitlines()[-1].split()
+
+    def test_no_unused_scipy_package_is_loaded(self):
+        # a scipy that moves the distance kernels turns this red while dimred
+        # runs on the public cdist
+        modules = self._modules("import dimred, dimred.cli")
         assert "dimred.kmeans" in modules
-        assert [m for m in modules if ".".join(m.split(".")[:2]) in unused] == []
+        assert [m for m in modules if _loads_unused(m)] == []
+
+    def test_serial_run_loads_no_unused_module(self, tmp_path):
+        csv_path = write_dataset_csv(make_blobs_with_noise(seed=3, n_samples=40),
+                                     tmp_path / "data.csv")
+        modules = self._modules(
+            "from dimred.cli import main; assert main(sys.argv[1:]) == 0",
+            "run", "--input", str(csv_path), "--out", str(tmp_path / "out"),
+            "--threads", "1", "--k-min", "2", "--k-max", "3", "--restarts", "2",
+            "--subset-scores")
+        assert "dimred.figures" in modules and (tmp_path / "out" / "report.json").exists()
+        assert [m for m in modules if _loads_unused(m)] == []

@@ -1,6 +1,8 @@
 """Ingestion and MinMax normalization."""
 
 import re
+import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,7 +12,7 @@ from hypothesis.extra.numpy import arrays
 
 from dimred import (ConstantColumnWarning, Dataset, IngestionError,
                     ParameterError, SchemaError, load_csv, minmax_normalize)
-from helpers import make_dataset
+from helpers import make_dataset, write_dataset_csv
 
 
 def write(tmp_path, text, name="data.csv"):
@@ -80,6 +82,23 @@ class TestLoadCsv:
         path = write(tmp_path, "id,a,b\nr1," + "1" * 200_000 + ",2.0\nr2,3.0,4.0\n")
         with pytest.raises(IngestionError, match=r"^" + re.escape(str(path)) + ": "):
             load_csv(path)
+
+    def test_parse_holds_each_value_in_8_bytes(self, tmp_path):
+        n, d = 20_000, 4
+        path = write_dataset_csv(make_dataset(np.random.default_rng(1).uniform(size=(n, d))),
+                                 tmp_path / "tall.csv")
+        tracemalloc.start()
+        try:
+            ds = load_csv(path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # the ids: their strings, and a pointer each in a list and in a tuple
+        ids = sum(sys.getsizeof(i) for i in ds.ids) + 2 * 8 * n
+        # values: the parse buffer (8 bytes a value, grown by about 1/16 at a
+        # time) and the Dataset's own copy, 2 * 8*n*d, and slack; a list of
+        # 32-byte Python floats takes 4 * 8*n*d on its own
+        assert peak < 3 * 8 * n * d + ids
 
 
 class TestDatasetInvariants:

@@ -1,5 +1,7 @@
 """Subset enumeration, silhouette decomposition and weight normalization."""
 
+from concurrent.futures import ProcessPoolExecutor
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -8,6 +10,7 @@ from hypothesis import strategies as st
 from dimred import (FeatureWeights, ParameterError, enumerate_subsets, frsd, frsd_rank,
                     kmeans_fit, kmeans_fits, minmax_normalize, write_subset_scores)
 from dimred.frsd import task_seed
+from dimred.kmeans import kmeans_fits_unchecked
 from helpers import make_blobs_with_noise, make_dataset, powerset_subsets
 
 
@@ -136,12 +139,11 @@ class TestFrsdRank:
         work = 30 * 26 * 2 * 2  # rows x subsets x k values x restarts
         pools = []
 
-        class CountingPool(frsd.ProcessPoolExecutor):
-            def __init__(self, *args, **kwargs):
-                pools.append(kwargs["max_workers"])
-                super().__init__(*args, **kwargs)
+        def counting_pool(workers):
+            pools.append(workers)
+            return ProcessPoolExecutor(max_workers=workers)
 
-        monkeypatch.setattr(frsd, "ProcessPoolExecutor", CountingPool)
+        monkeypatch.setattr(frsd, "_process_pool", counting_pool)
         monkeypatch.setattr(frsd, "_POOL_MIN_WORK", work + 1)
         serial = frsd_rank(data, 2, 3, seed=5, restarts=2, max_workers=2)
         assert pools == []
@@ -166,7 +168,7 @@ class TestFrsdRank:
             def map(self, fn, *iterables, chunksize=1):
                 return map(fn, *iterables)
 
-        monkeypatch.setattr(frsd, "ProcessPoolExecutor", InProcessPool)
+        monkeypatch.setattr(frsd, "_process_pool", InProcessPool)
         monkeypatch.setattr(frsd, "_POOL_MIN_WORK", 0)
         rng = np.random.default_rng(6)
         three = minmax_normalize(make_dataset(rng.uniform(size=(20, 3))))
@@ -186,7 +188,7 @@ class TestFrsdRank:
         def no_pool(*args, **kwargs):
             raise AssertionError("a pool was started")
 
-        monkeypatch.setattr(frsd, "ProcessPoolExecutor", no_pool)
+        monkeypatch.setattr(frsd, "_process_pool", no_pool)
         monkeypatch.setattr(frsd, "_POOL_MIN_WORK", 0)
         # features 2 and 3 are binary: 4 distinct rows, so k=5 is the first that fails
         with pytest.raises(ParameterError,
@@ -195,15 +197,25 @@ class TestFrsdRank:
         with pytest.raises(ParameterError, match="fewer than k=5 distinct points"):
             kmeans_fits(data.values[:, [1, 2]], [3, 4, 5, 6], [0] * 4)
 
+    def test_zero_restarts_rejected_before_any_pool(self, monkeypatch):
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a pool was started")
+
+        monkeypatch.setattr(frsd, "_process_pool", no_pool)
+        monkeypatch.setattr(frsd, "_POOL_MIN_WORK", 0)
+        data = minmax_normalize(make_blobs_with_noise(seed=10, n_samples=30))
+        with pytest.raises(ParameterError, match="restarts must be at least 1"):
+            frsd_rank(data, 2, 3, seed=0, restarts=0, max_workers=2)
+
     def test_one_batch_per_subset_with_a_seed_per_k(self, monkeypatch):
         data = minmax_normalize(make_dataset(np.random.default_rng(3).uniform(size=(24, 8))))
         calls = []
 
         def counting_fits(values, ks, seeds, *args):
             calls.append((values.shape[1], tuple(ks), tuple(seeds)))
-            return kmeans_fits(values, ks, seeds, *args)
+            return kmeans_fits_unchecked(values, ks, seeds, *args)
 
-        monkeypatch.setattr(frsd, "kmeans_fits", counting_fits)
+        monkeypatch.setattr(frsd, "kmeans_fits_unchecked", counting_fits)
         _, scores = frsd_rank(data, 2, 3, seed=4, restarts=1)
         subsets = enumerate_subsets(8)
         assert len(calls) == len(subsets) == 247

@@ -1,17 +1,19 @@
 """K-means fits and the silhouette index, checked against brute-force oracles."""
 
 import importlib.machinery
+import importlib.util
 import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 from scipy.spatial.distance import cdist
 
 from dimred import (MetricUndefinedError, ParameterError, kmeans, kmeans_fit, kmeans_fits,
                     silhouette)
-from dimred.kmeans import _BLOCK_BYTES
+from dimred.kmeans import _BLOCK_BYTES, require_distinct
 import helpers
 from helpers import brute_silhouette, exhaustive_best_inertia, per_restart_kmeans, pp_init
 
@@ -69,6 +71,21 @@ class TestKmeansFit:
             kmeans_fits(data, [2, 3], [0])
         with pytest.raises(ParameterError, match="at least one k"):
             kmeans_fits(data, [], [])
+
+    @given(st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_distinct_count_matches_np_unique(self, draw):
+        # rows drawn with repeats from a few, over values with -0.0 next to 0.0
+        d = draw.draw(st.integers(1, 5))
+        values = st.one_of(st.sampled_from([0.0, -0.0, 1.0]),
+                           st.floats(allow_nan=False, allow_infinity=False, width=64))
+        pool = draw.draw(arrays(np.float64, (draw.draw(st.integers(1, 6)), d), elements=values))
+        picks = draw.draw(st.lists(st.integers(0, len(pool) - 1), min_size=1, max_size=30))
+        data = pool[picks]
+        distinct = np.unique(data, axis=0).shape[0]  # the oracle
+        require_distinct(data, [distinct])
+        with pytest.raises(ParameterError, match=f"fewer than k={distinct + 1} distinct"):
+            require_distinct(data, [distinct + 1])
 
     @given(st.integers(0, 2**32))
     @settings(max_examples=20, deadline=None)
@@ -245,16 +262,21 @@ class TestLloydMemory:
         assert peak < 8 * n * g * (k + d + 6)
 
 
-@pytest.fixture(params=["loaded", "fallback"])
+@pytest.fixture(params=["loaded", "fallback", ImportError, OSError])
 def kernels(request, monkeypatch):
     """(sqeuclidean, euclidean) from the loader, and from its public-cdist
-    fallback, taken when the compiled module cannot be found."""
+    fallback, taken when the compiled module cannot be found or loading it
+    raises ``ImportError`` or ``OSError`` (say, a library it links is missing)."""
     with monkeypatch.context() as patch:
         if request.param == "fallback":
             patch.setattr(importlib.machinery.PathFinder, "find_spec",
                           lambda *args, **kwargs: None)
+        elif request.param != "loaded":
+            def fail(spec):
+                raise request.param(f"cannot load {spec.name}")
+            patch.setattr(importlib.util, "module_from_spec", fail)
         found = kmeans._distance_kernels()
-    assert (found[1] is cdist) == (request.param == "fallback")
+    assert (found[1] is cdist) == (request.param != "loaded")
     return found
 
 
