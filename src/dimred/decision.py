@@ -18,7 +18,7 @@ import numpy as np
 
 from .dataset import Dataset, minmax_normalize
 from .errors import ParameterError
-from .frsd import FeatureWeights, SubsetScore, frsd_rank
+from .frsd import FeatureWeights, frsd_rank
 from .kmeans import kmeans_fit  # noqa: F401  (kept importable: perfbench/spans.py wraps it)
 from .kmeans import ClusteringResult, kmeans_fits
 from .pca import PcaModel, pca_fit, pca_importance, pca_project
@@ -176,7 +176,7 @@ class Rankings:
     normalized: Dataset
     frsd_weights: FeatureWeights
     pca_weights: FeatureWeights
-    subset_scores: list[SubsetScore]
+    subset_scores: np.ndarray
     pca_model: PcaModel
     k_min: int
     k_max: int

@@ -15,17 +15,20 @@ execution order, worker count and dataset column order:
 
 * each (subset, k) run derives its k-means seed from a stable hash of the
   base seed, the subset's sorted feature names and k;
-* subset columns are always presented to k-means in feature-name order, and
-  aggregation walks the score table in a name-based canonical order.
+* the tasks run by size, then in feature-name order, each with its columns
+  in name order; the raw scores are summed in that order as the results
+  arrive, and normalized in name order.
 """
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import hashlib
 import warnings
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import chain, combinations
+from math import comb
 
 import numpy as np
 
@@ -40,15 +43,6 @@ from .kmeans import kmeans_fits_unchecked, require_distinct
 # 150x3 table (24 000; 0.055-0.059 s in-process against 0.064-0.096 s) and
 # were about even on 330x3 tables (53 000)
 _POOL_MIN_WORK = 50_000
-
-
-@dataclass(frozen=True)
-class SubsetScore:
-    """Mean silhouette of one k-means run on one feature subset."""
-
-    subset: tuple[int, ...]
-    k: int
-    si: float
 
 
 @dataclass(frozen=True, eq=False)
@@ -113,6 +107,12 @@ class FeatureWeights:
         return tuple(zip(self.names, scaled.tolist()))
 
 
+def _subsets(indices):
+    """The subsets of ``indices`` of size 2..len, lazily: by size, then in combination order."""
+    return chain.from_iterable(combinations(indices, size)
+                               for size in range(2, len(indices) + 1))
+
+
 def enumerate_subsets(n_features: int) -> list[tuple[int, ...]]:
     """All index subsets of size 2..n, ordered by size then lexicographically.
 
@@ -121,10 +121,15 @@ def enumerate_subsets(n_features: int) -> list[tuple[int, ...]]:
     """
     if n_features < 2:
         raise ParameterError("need at least 2 features to form subsets")
-    out: list[tuple[int, ...]] = []
-    for size in range(2, n_features + 1):
-        out.extend(combinations(range(n_features), size))
-    return out
+    return list(_subsets(range(n_features)))
+
+
+def _subset_row(subset, n_features: int) -> int:
+    """Position of the sorted ``subset`` in ``enumerate_subsets``: the subsets up to
+    its size, less its combination rank from the last (Knuth, TAOCP 4A, 7.2.1.3)."""
+    size = len(subset)
+    return (sum(comb(n_features, s) for s in range(2, size + 1)) - 1
+            - sum(comb(n_features - 1 - c, size - i) for i, c in enumerate(subset)))
 
 
 def task_seed(base_seed: int, names, k: int) -> int:
@@ -134,9 +139,10 @@ def task_seed(base_seed: int, names, k: int) -> int:
     return int.from_bytes(digest[:8], "big")
 
 
-def _score_subset(values, cols, seeds, ks, restarts) -> list[float]:
+def _score_subset(values, names, seed, ks, restarts, cols) -> list[float]:
     # unchecked: frsd_rank has checked the k range, the restarts and every
     # feature pair, and a subset has no fewer distinct rows than its pairs
+    seeds = [task_seed(seed, [names[i] for i in cols], k) for k in ks]
     fits = kmeans_fits_unchecked(values[:, cols], ks, seeds, restarts)
     return [fit.mean_silhouette for fit in fits]
 
@@ -150,67 +156,62 @@ def _process_pool(workers):
 
 
 def frsd_rank(data: Dataset, k_min: int, k_max: int, seed: int, restarts: int = 10,
-              max_workers: int = 1) -> tuple[FeatureWeights, list[SubsetScore]]:
+              max_workers: int = 1) -> tuple[FeatureWeights, np.ndarray]:
     """Rank features by decomposed silhouette scores.
 
     ``data`` is expected to be MinMax-normalized. Returns the weights plus
-    the full (subset, k, si) score table, one row per subset per k in
-    [k_min, k_max]. Output is identical for any ``max_workers``: a sweep of
-    less work than ``_POOL_MIN_WORK`` runs in-process whatever its value, and
-    a k the data cannot support (named with the first feature pair that has
-    too few distinct rows) or ``restarts`` below 1 raises before any fit or
-    worker starts.
+    the score table: a float64 array with row i for ``enumerate_subsets``'s
+    subset i and column j for k = k_min + j. Output is identical for any
+    ``max_workers``: a sweep of less work than ``_POOL_MIN_WORK`` runs
+    in-process whatever its value, and a k the data cannot support (named
+    with the first feature pair that has too few distinct rows) or
+    ``restarts`` below 1 raises before any fit or worker starts.
     """
     if not 2 <= k_min <= k_max:
         raise ParameterError(f"need 2 <= k_min <= k_max, got [{k_min}, {k_max}]")
     if k_max > data.n_samples:
         raise ParameterError(f"k_max={k_max} exceeds {data.n_samples} samples")
 
-    subsets = enumerate_subsets(data.n_features)
+    n = data.n_features
     ks = tuple(range(k_min, k_max + 1))
-    # a subset has no fewer distinct rows than a pair inside it, and pairs come
-    # first in `subsets`: the first infeasible pair is the sweep's first
-    # infeasible subset, found here before any fit runs or any worker starts
-    for pair in combinations(range(data.n_features), 2):
+    # a subset has no fewer distinct rows than a pair inside it, and pairs
+    # come first: the first infeasible pair is the sweep's first infeasible
+    # subset, found here before any fit runs or any worker starts
+    for pair in combinations(range(n), 2):
         require_distinct(data.values[:, pair], ks, " in features "
                          + " and ".join(repr(data.feature_names[i]) for i in pair))
     if restarts < 1:
         raise ParameterError("restarts must be at least 1")
-    # columns in name order: results cannot depend on column position
-    cols = [tuple(sorted(subset, key=lambda i: data.feature_names[i])) for subset in subsets]
-    names = [tuple(data.feature_names[i] for i in c) for c in cols]
-    seeds = [tuple(task_seed(seed, n, k) for k in ks) for n in names]
-    score = functools.partial(_score_subset, data.values, ks=ks, restarts=restarts)
-    workers = min(max_workers, len(cols))  # the pool starts every worker up front
-    if workers > 1 and data.n_samples * len(cols) * len(ks) * restarts >= _POOL_MIN_WORK:
+    # tasks by size, then in name order, each with its columns in name order:
+    # neither the fits nor the order of the sums depend on column position
+    by_name = sorted(range(n), key=data.feature_names.__getitem__)
+    scores = np.empty((2**n - n - 1, len(ks)))
+    raw = [0.0] * n
+    score = functools.partial(_score_subset, data.values, data.feature_names, seed, ks, restarts)
+    workers = min(max_workers, len(scores))  # the pool starts every worker up front
+    pooled = workers > 1 and data.n_samples * scores.size * restarts >= _POOL_MIN_WORK
+    with _process_pool(workers) if pooled else contextlib.nullcontext() as pool:
         # about 8 chunks per worker, so short sweeps still reach every worker
-        chunksize = max(1, len(cols) // (8 * workers))
-        with _process_pool(workers) as pool:
-            per_subset = list(pool.map(score, cols, seeds, chunksize=chunksize))
-    else:
-        per_subset = list(map(score, cols, seeds))
-
-    scores = [SubsetScore(subset=subset, k=k, si=si)
-              for subset, sis in zip(subsets, per_subset) for k, si in zip(ks, sis)]
-    # canonical name-keyed aggregation order, so sums are reproducible
-    # bit-for-bit regardless of column permutation
-    keyed = sorted((len(n), n, k, si) for n, sis in zip(names, per_subset)
-                   for k, si in zip(ks, sis))
-    raw = {name: 0.0 for name in data.feature_names}
-    for _, subset_names, _, si in keyed:
-        for name in subset_names:
-            raw[name] += si
-    weights = FeatureWeights.from_scores(
-        list(data.feature_names), [raw[n] for n in data.feature_names], source="FRSD"
-    )
+        results = (pool.map(score, _subsets(by_name),
+                            chunksize=max(1, len(scores) // (8 * workers)))
+                   if pooled else map(score, _subsets(by_name)))
+        for cols, sis in zip(_subsets(by_name), results):
+            scores[_subset_row(sorted(cols), n)] = sis
+            for si in sis:
+                for c in cols:
+                    raw[c] += si
+    # in name order too, so the total's sum and the ties are column-order free
+    weights = FeatureWeights.from_scores([data.feature_names[i] for i in by_name],
+                                         [raw[i] for i in by_name], source="FRSD")
     return weights, scores
 
 
-def write_subset_scores(scores, path) -> None:
-    """Dump the score table as CSV with columns subset, k, si.
+def write_subset_scores(scores, n_features: int, k_min: int, path) -> None:
+    """Dump the score table of ``frsd_rank`` as CSV with columns subset, k, si.
 
     Subsets are rendered as comma-joined 1-based feature positions, e.g.
     "1,3,7".
     """
-    write_csv(path, ["subset", "k", "si"],
-              [(",".join(str(i + 1) for i in s.subset), s.k, s.si) for s in scores])
+    rows = zip(_subsets(range(n_features)), scores)
+    write_csv(path, ["subset", "k", "si"], ((",".join(str(i + 1) for i in s), k, si)
+              for s, row in rows for k, si in enumerate(row.tolist(), k_min)))

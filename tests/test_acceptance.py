@@ -198,7 +198,7 @@ def test_criterion_8_end_to_end_determinism(tmp_path, monkeypatch):
     w2, s2 = frsd_rank(data, 2, 3, seed=9, restarts=2, max_workers=2)
     assert pools == [2, 2]
     assert w1.entries == w2.entries
-    assert s1 == s2
+    assert s1.tobytes() == s2.tobytes()
     note(f"8 (determinism): PASS - {len(compared)} output files byte-identical "
          f"across runs and thread counts")
 

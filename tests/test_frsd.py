@@ -1,14 +1,17 @@
 """Subset enumeration, silhouette decomposition and weight normalization."""
 
+import tracemalloc
 from concurrent.futures import ProcessPoolExecutor
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from dimred import (FeatureWeights, ParameterError, enumerate_subsets, frsd, frsd_rank,
-                    kmeans_fit, kmeans_fits, minmax_normalize, write_subset_scores)
+from dimred import (DecisionConfig, FeatureWeights, ParameterError, enumerate_subsets, frsd,
+                    frsd_rank, kmeans_fit, kmeans_fits, minmax_normalize, run_decision,
+                    write_subset_scores)
 from dimred.frsd import task_seed
 from dimred.kmeans import kmeans_fits_unchecked
 from helpers import make_blobs_with_noise, make_dataset, powerset_subsets
@@ -71,6 +74,13 @@ class TestFeatureWeights:
         assert view["c"] == pytest.approx(0.0)
 
 
+class TestSubsetRow:
+    def test_is_the_position_in_enumerate_subsets(self):
+        for n in range(2, 11):
+            for row, subset in enumerate(enumerate_subsets(n)):
+                assert frsd._subset_row(subset, n) == row
+
+
 class TestTaskSeed:
     def test_depends_on_names_not_positions(self):
         assert task_seed(7, ["x", "y"], 3) == task_seed(7, ["y", "x"], 3)
@@ -89,42 +99,58 @@ class TestFrsdRank:
         weights, scores = frsd_rank(data, 2, 3, seed=1, restarts=2)
         assert weights.weights[0] == 0.5
         assert weights.weights[1] == 0.5
-        assert len(scores) == 2  # one subset, two k values
+        assert scores.shape == (1, 2)  # one subset, two k values
 
     def test_score_table_cardinality(self):
         rng = np.random.default_rng(1)
         data = minmax_normalize(make_dataset(rng.uniform(size=(20, 4))))
         k_min, k_max = 2, 4
         weights, scores = frsd_rank(data, k_min, k_max, seed=3, restarts=2)
-        assert len(scores) == (2**4 - 4 - 1) * (k_max - k_min + 1)
-        subsets_seen = {(s.subset, s.k) for s in scores}
-        assert len(subsets_seen) == len(scores)
+        assert scores.shape == (2**4 - 4 - 1, k_max - k_min + 1)
+        assert scores.dtype == np.float64 and np.isfinite(scores).all()  # every run stored
 
     def test_reconstruction_from_score_table(self):
         rng = np.random.default_rng(2)
         data = minmax_normalize(make_dataset(rng.uniform(size=(18, 3))))
         weights, scores = frsd_rank(data, 2, 4, seed=9, restarts=2)
         raw = np.zeros(3)
-        for score in scores:
-            for feature in score.subset:
-                raw[feature] += score.si
+        for subset, row in zip(enumerate_subsets(3), scores):
+            for si in row:
+                for feature in subset:
+                    raw[feature] += si
         expected = raw / raw.sum()
         got = dict(weights.entries)
         for j, name in enumerate(data.feature_names):
             assert got[name] == pytest.approx(expected[j], abs=1e-12)
 
     def test_column_permutation_equivariance(self):
-        rng = np.random.default_rng(4)
-        values = rng.uniform(size=(18, 4))
-        names = ["alpha", "beta", "gamma", "delta"]
-        data = minmax_normalize(make_dataset(values, names))
-        perm = [2, 0, 3, 1]
-        permuted = minmax_normalize(
-            make_dataset(values[:, perm], [names[i] for i in perm]))
-        w1, _ = frsd_rank(data, 2, 3, seed=6, restarts=2)
-        w2, _ = frsd_rank(permuted, 2, 3, seed=6, restarts=2)
-        # identical weights per feature name, bit for bit
-        assert dict(w1.entries) == dict(w2.entries)
+        # identical ranked weights, bit for bit, in any column order: a grand
+        # total summed in column order differs in the last digit on 4 of these 30
+        names = ["alpha", "beta", "gamma", "delta", "epsilon", "zeta", "eta"]
+        for n in range(3, 8):
+            rng = np.random.default_rng(n)
+            values = rng.uniform(size=(18, n))
+            w1, _ = frsd_rank(minmax_normalize(make_dataset(values, names[:n])),
+                              2, 3, seed=6, restarts=1)
+            for _ in range(6):
+                perm = rng.permutation(n)
+                permuted = minmax_normalize(
+                    make_dataset(values[:, perm], [names[i] for i in perm]))
+                w2, _ = frsd_rank(permuted, 2, 3, seed=6, restarts=1)
+                assert w2.entries == w1.entries
+
+    def test_tied_weights_rank_in_name_order(self):
+        # two features always tie at 0.5; a resolution of 0.5 keeps the first
+        rng = np.random.default_rng(0)
+        values = np.column_stack([rng.choice([0.0, 0.5, 1.0], 40) + rng.normal(0, 0.05, 40),
+                                  rng.uniform(size=40)])
+        config = DecisionConfig(interpretability_oriented=0.9, integrity_oriented=0.1,
+                                target_resolution=0.5, k_min=2, k_max=3, seed=0, restarts=2)
+        forward = run_decision(make_dataset(values, ["a", "b"]), config)
+        reversed_ = run_decision(make_dataset(values[:, ::-1], ["b", "a"]), config)
+        assert forward.frsd_weights.entries == reversed_.frsd_weights.entries
+        assert forward.frsd_weights.names == ("a", "b")
+        assert forward.best_si_fs == reversed_.best_si_fs
 
     def test_worker_count_does_not_change_results(self, monkeypatch):
         monkeypatch.setattr(frsd, "_POOL_MIN_WORK", 0)  # a sweep this small runs in-process
@@ -132,7 +158,7 @@ class TestFrsdRank:
         serial_w, serial_s = frsd_rank(data, 2, 3, seed=5, restarts=2, max_workers=1)
         pooled_w, pooled_s = frsd_rank(data, 2, 3, seed=5, restarts=2, max_workers=2)
         assert serial_w.entries == pooled_w.entries
-        assert serial_s == pooled_s
+        assert serial_s.tobytes() == pooled_s.tobytes()
 
     def test_small_sweeps_run_in_process(self, monkeypatch):
         data = minmax_normalize(make_blobs_with_noise(seed=10, n_samples=30))
@@ -150,7 +176,8 @@ class TestFrsdRank:
         monkeypatch.setattr(frsd, "_POOL_MIN_WORK", work)
         pooled = frsd_rank(data, 2, 3, seed=5, restarts=2, max_workers=2)
         assert pools == [2]
-        assert serial[0].entries == pooled[0].entries and serial[1] == pooled[1]
+        assert serial[0].entries == pooled[0].entries
+        assert serial[1].tobytes() == pooled[1].tobytes()
 
     def test_never_more_workers_than_subsets(self, monkeypatch):
         pools = []
@@ -175,7 +202,8 @@ class TestFrsdRank:
         serial = frsd_rank(three, 2, 3, seed=2, restarts=2, max_workers=1)
         pooled = frsd_rank(three, 2, 3, seed=2, restarts=2, max_workers=16)
         assert pools == [4]  # 3 features form 4 subsets
-        assert serial[0].entries == pooled[0].entries and serial[1] == pooled[1]
+        assert serial[0].entries == pooled[0].entries
+        assert serial[1].tobytes() == pooled[1].tobytes()
         two = minmax_normalize(make_dataset(rng.uniform(size=(20, 2))))
         frsd_rank(two, 2, 3, seed=2, restarts=2, max_workers=2)
         assert pools == [4]  # a single subset runs in-process
@@ -224,11 +252,46 @@ class TestFrsdRank:
             assert width == len(subset) and ks == (2, 3)
             assert seeds == tuple(task_seed(4, names, k) for k in ks)
         # each score is the one a separate fit of its (subset, k) gives
-        for score in scores[::7]:
-            cols = sorted(score.subset, key=lambda i: data.feature_names[i])
-            seed = task_seed(4, [data.feature_names[i] for i in cols], score.k)
-            fit = kmeans_fit(data.values[:, cols], score.k, seed, restarts=1)
-            assert score.si == fit.mean_silhouette
+        for run in range(0, scores.size, 7):  # row-major: two k values a subset
+            subset, k = subsets[run // 2], 2 + run % 2
+            cols = sorted(subset, key=lambda i: data.feature_names[i])
+            seed = task_seed(4, [data.feature_names[i] for i in cols], k)
+            fit = kmeans_fit(data.values[:, cols], k, seed, restarts=1)
+            assert scores.flat[run] == fit.mean_silhouette
+
+    @settings(max_examples=50, deadline=None)
+    @given(st.lists(st.text(), min_size=2, max_size=6, unique=True))
+    @example(["", " ", "\t", "b", "B"])
+    @example(["\u00e9", "e\u0301", "z", "\U0001f600", ""])
+    def test_tasks_run_in_the_name_order_of_a_sorted_aggregation(self, names):
+        tasks = []
+
+        def recording_score(values, names, seed, ks, restarts, cols):
+            tasks.append(cols)
+            return [0.5] * len(ks)
+
+        data = make_dataset(np.random.default_rng(0).uniform(size=(8, len(names))), names)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(frsd, "_score_subset", recording_score)
+            frsd_rank(data, 2, 3, seed=0, restarts=1)
+        # reference: a sort of every run by (size, sorted subset names, k)
+        subsets = enumerate_subsets(len(names))
+        keyed = sorted((len(n), n, k) for n in
+                       (tuple(sorted(names[i] for i in s)) for s in subsets) for k in (2, 3))
+        assert [(len(c), tuple(names[i] for i in c), k) for c in tasks for k in (2, 3)] == keyed
+
+    def test_sweep_holds_a_few_bytes_a_run(self, monkeypatch):
+        fits = [SimpleNamespace(mean_silhouette=0.25)] * 8
+        monkeypatch.setattr(frsd, "kmeans_fits_unchecked", lambda *args: fits)
+        data = make_dataset(np.random.default_rng(0).uniform(size=(40, 12)))
+        tracemalloc.start()
+        try:
+            frsd_rank(data, 3, 10, seed=0, restarts=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the score array holds 8 bytes a run; the rest is a task at a time
+        assert peak / ((2**12 - 12 - 1) * 8) <= 32
 
     def test_informative_features_outrank_noise(self):
         data = minmax_normalize(make_blobs_with_noise(seed=42))
@@ -252,9 +315,9 @@ class TestFrsdRank:
         data = minmax_normalize(make_dataset(rng.uniform(size=(12, 3))))
         _, scores = frsd_rank(data, 2, 2, seed=1, restarts=1)
         path = tmp_path / "scores.csv"
-        write_subset_scores(scores, path)
+        write_subset_scores(scores, 3, 2, path)
         lines = path.read_text().strip().splitlines()
         assert lines[0] == "subset,k,si"
-        assert len(lines) == len(scores) + 1
+        assert len(lines) == scores.size + 1
         # subsets rendered as 1-based positions, quoted because of the comma
         assert lines[1].startswith('"1,2"')

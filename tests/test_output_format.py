@@ -13,16 +13,15 @@ from types import SimpleNamespace
 import numpy as np
 
 from dimred import (SELECTION, ClusteringResult, DecisionReport, FeatureWeights, RadarSeries,
-                    SubsetScore, cli, render_silhouette_plot, render_stacked_radar)
+                    cli, render_silhouette_plot, render_stacked_radar)
 from dimred.cli import main
 from dimred.validation import (RandomCase, SweepRow, write_cases_csv, write_scatter_csv,
                                write_sweep_csv)
 
 FRSD = FeatureWeights(entries=(("b", 0.5), ("a", 0.3), ("\u00e7", 0.2)), source="FRSD")
 PCA = FeatureWeights(entries=(("PC1", 0.75), ("PC2", 0.25)), source="PCA")
-SCORES = [SubsetScore(subset=(0, 1), k=3, si=0.25),
-          SubsetScore(subset=(0, 2), k=3, si=-0.125),
-          SubsetScore(subset=(0, 1, 2), k=4, si=1 / 3)]
+# the score table of 3 features at k 3..4: a row per subset, a column per k
+SCORES = np.array([[0.25, 0.5], [-0.125, 0.0], [0.75, 0.1], [1 / 3, 1e-05]])
 REPORT = DecisionReport(frsd_weights=FRSD, pca_weights=PCA, best_si_fs=0.6,
                         best_si_fe=0.4, interpretability_score=0.5, integrity_score=0.125,
                         chosen_method=SELECTION, n_selected=2, achieved_resolution=0.8,
@@ -40,7 +39,8 @@ SWEEP = [SweepRow(target=0.2, m_fs=2, achieved_fs=0.25, m_fe=1, achieved_fe=0.75
 
 
 def test_run_writes_report_weights_and_subset_scores(demo_csv, tmp_path, monkeypatch):
-    rankings = SimpleNamespace(frsd_weights=FRSD, pca_weights=PCA, subset_scores=SCORES)
+    rankings = SimpleNamespace(frsd_weights=FRSD, pca_weights=PCA, subset_scores=SCORES,
+                               k_min=3)
     monkeypatch.setattr(cli, "run_decision_detailed",
                         lambda *args, **kwargs: SimpleNamespace(report=REPORT,
                                                                 rankings=rankings))
@@ -61,8 +61,13 @@ def test_run_writes_report_weights_and_subset_scores(demo_csv, tmp_path, monkeyp
     assert (out / "subset_scores.csv").read_bytes() == (
         b"subset,k,si\r\n"
         b'"1,2",3,0.25\r\n'
+        b'"1,2",4,0.5\r\n'
         b'"1,3",3,-0.125\r\n'
-        b'"1,2,3",4,0.3333333333333333\r\n')
+        b'"1,3",4,0.0\r\n'
+        b'"2,3",3,0.75\r\n'
+        b'"2,3",4,0.1\r\n'
+        b'"1,2,3",3,0.3333333333333333\r\n'
+        b'"1,2,3",4,1e-05\r\n')
     assert (out / "report.json").read_bytes() == b"""{
   "frsd_weights": [
     [
