@@ -20,11 +20,11 @@ import sys
 import warnings
 
 from .dataset import Dataset, load_csv, minmax_columns, write_csv
-from .decision import (DecisionConfig, DecisionOutcome, Rankings, SELECTION, evaluate,
-                       rank, run_decision_detailed)
+from .decision import (DecisionConfig, DecisionOutcome, EXTRACTION, Rankings, SELECTION,
+                       evaluate, rank, run_decision_detailed, select_for_resolution)
 from .errors import DimredError, ParameterError
 from .figures import RadarSeries, cluster_letter, render_silhouette_plot, render_stacked_radar
-from .frsd import write_subset_scores
+from .frsd import worker_pool, write_subset_scores
 from .validation import (REFERENCE_EXTRACTION_WEIGHTS, REFERENCE_SELECTION_WEIGHTS,
                          count_misclassified, generate_cases, resolution_sweep,
                          write_cases_csv, write_scatter_csv, write_sweep_csv)
@@ -51,8 +51,8 @@ def add_common_flags(parser: argparse.ArgumentParser) -> None:
     cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
             else os.cpu_count() or 1)
     parser.add_argument("--threads", type=int, default=cpus,
-                        help="worker processes for the FRSD sweep "
-                             "(default: the CPUs this process may run on)")
+                        help="worker processes for the FRSD sweep and the decision "
+                             "branches (default: the CPUs this process may run on)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -228,12 +228,19 @@ def _load_input(args, config: DecisionConfig) -> Dataset:
     return data
 
 
-def _rank_input(args) -> Rankings:
-    """Check the sweep flags, load the input, and rank the table both ways."""
+def _rank_input(args, targets=()) -> Rankings:
+    """Check the sweep flags, load the input, rank the table both ways and fit
+    the branches that reach each target resolution, all on one pool."""
     config = _config(args)
     data = _load_input(args, config)
-    return _with_warnings_printed(rank, data, config.k_min, config.k_max, config.seed,
-                                  restarts=config.restarts, max_workers=args.threads)
+    with worker_pool(data, config.k_min, config.k_max, config.restarts, args.threads) as pool:
+        rankings = _with_warnings_printed(rank, data, config.k_min, config.k_max, config.seed,
+                                          restarts=config.restarts, pool=pool)
+        rankings.branches([(method, select_for_resolution(weights, target)[0])
+                           for target in targets
+                           for method, weights in ((SELECTION, rankings.frsd_weights),
+                                                   (EXTRACTION, rankings.pca_weights))], pool)
+    return rankings
 
 
 def cmd_run(args) -> int:
@@ -271,7 +278,7 @@ def cmd_rank(args) -> int:
 
 
 def cmd_scenarios(args) -> int:
-    rankings = _rank_input(args)
+    rankings = _rank_input(args, [target for _, _, target in SCENARIOS])
     _print_rankings(rankings)
 
     best_si = []

@@ -12,13 +12,14 @@ wins. Resolution is the cumulative importance weight retained.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field, fields
 
 import numpy as np
 
 from .dataset import Dataset, minmax_normalize
 from .errors import ParameterError
-from .frsd import FeatureWeights, frsd_rank
+from .frsd import FeatureWeights, frsd_rank, worker_pool
 from .kmeans import kmeans_fit  # noqa: F401  (kept importable: perfbench/spans.py wraps it)
 from .kmeans import ClusteringResult, kmeans_fits
 from .pca import PcaModel, pca_fit, pca_importance, pca_project
@@ -169,7 +170,7 @@ class Rankings:
     """Both rankings of one dataset: the costly, preference-free half of a
     decision, shared by every scenario evaluated on it.
 
-    ``branch`` memoises each (strategy, width) branch, so scenarios that
+    ``branches`` memoises each (strategy, width) branch, so scenarios that
     retain the same number of features or components fit it only once.
     """
 
@@ -184,22 +185,29 @@ class Rankings:
     restarts: int
     _branches: dict = field(default_factory=dict, init=False, repr=False)
 
-    def branch(self, method: str, m: int) -> Branch:
-        """The first ``m`` ranked features (SELECTION) or principal
-        components (EXTRACTION), clustered over the k range."""
-        key = (method, m)
-        if key not in self._branches:
+    def branches(self, keys, pool=None) -> list[Branch]:
+        """The branch of each (method, m) key: the first ``m`` ranked features
+        (SELECTION) or principal components (EXTRACTION), clustered over the k
+        range. The keys not fitted yet are fitted in one map over ``pool``
+        (``None``: in-process), each once; a fit is deterministic, so where
+        it runs does not change it."""
+        missing = [key for key in dict.fromkeys(keys) if key not in self._branches]
+        reduced = []
+        for method, m in missing:
             if method == SELECTION:
                 labels = self.frsd_weights.names[:m]
                 cols = [self.normalized.column_index(n) for n in labels]
-                values = self.normalized.values[:, cols]
+                reduced.append((self.normalized.values[:, cols], labels))
             else:
-                labels = tuple(f"PC{i + 1}" for i in range(m))
-                values = pca_project(self.pca_model, self.normalized.values, m)
-            fit = best_silhouette_over_k(values, self.k_min, self.k_max,
-                                         self.seed, self.restarts)
-            self._branches[key] = Branch(values, labels, fit)
-        return self._branches[key]
+                reduced.append((pca_project(self.pca_model, self.normalized.values, m),
+                                tuple(f"PC{i + 1}" for i in range(m))))
+        fit = functools.partial(best_silhouette_over_k, k_min=self.k_min, k_max=self.k_max,
+                                seed=self.seed, restarts=self.restarts)
+        values = [v for v, _ in reduced]
+        fits = map(fit, values) if pool is None else pool.map(fit, values)
+        for key, (v, labels), clustering in zip(missing, reduced, fits):
+            self._branches[key] = Branch(v, labels, clustering)
+        return [self._branches[key] for key in keys]
 
 
 @dataclass(frozen=True, eq=False)
@@ -213,13 +221,12 @@ class DecisionOutcome:
 
 
 def rank(data: Dataset, k_min: int, k_max: int, seed: int, restarts: int = 10,
-         max_workers: int = 1) -> Rankings:
+         pool=None) -> Rankings:
     """The costly half of a decision: normalize, then rank the features with
-    FRSD and the principal components with PCA."""
+    FRSD (on ``pool``'s workers) and the principal components with PCA."""
     normalized = minmax_normalize(data)
-    frsd_weights, subset_scores = frsd_rank(
-        normalized, k_min, k_max, seed, restarts=restarts, max_workers=max_workers,
-    )
+    frsd_weights, subset_scores = frsd_rank(normalized, k_min, k_max, seed,
+                                            restarts=restarts, pool=pool)
     model = pca_fit(normalized.values)
     return Rankings(
         normalized=normalized,
@@ -235,14 +242,13 @@ def rank(data: Dataset, k_min: int, k_max: int, seed: int, restarts: int = 10,
 
 
 def evaluate(rankings: Rankings, interpretability: float, integrity: float,
-             target_resolution: float) -> DecisionOutcome:
-    """The cheap, per-scenario half: reduce both ways to the target
-    resolution, cluster each over the k range, and decide."""
+             target_resolution: float, pool=None) -> DecisionOutcome:
+    """The cheap, per-scenario half: reduce both ways to the target resolution,
+    cluster each over the k range on ``pool``'s workers, and decide."""
     _check_preferences(interpretability, integrity)  # before any fit
     m_fs, achieved_fs = select_for_resolution(rankings.frsd_weights, target_resolution)
-    fs = rankings.branch(SELECTION, m_fs)
     m_fe, achieved_fe = select_for_resolution(rankings.pca_weights, target_resolution)
-    fe = rankings.branch(EXTRACTION, m_fe)
+    fs, fe = rankings.branches([(SELECTION, m_fs), (EXTRACTION, m_fe)], pool)
 
     si_fs, si_fe = fs.clustering.mean_silhouette, fe.clustering.mean_silhouette
     method, interpretability_score, integrity_score = decide(
@@ -267,11 +273,13 @@ def evaluate(rankings: Rankings, interpretability: float, integrity: float,
 
 def run_decision_detailed(data: Dataset, config: DecisionConfig,
                           max_workers: int = 1) -> DecisionOutcome:
-    """Full pipeline: rank, then evaluate the one scenario in ``config``."""
-    rankings = rank(data, config.k_min, config.k_max, config.seed,
-                    restarts=config.restarts, max_workers=max_workers)
-    return evaluate(rankings, config.interpretability_oriented,
-                    config.integrity_oriented, config.target_resolution)
+    """Full pipeline: rank, then evaluate the one scenario in ``config``,
+    both on one pool of up to ``max_workers`` processes (``worker_pool``)."""
+    with worker_pool(data, config.k_min, config.k_max, config.restarts, max_workers) as pool:
+        rankings = rank(data, config.k_min, config.k_max, config.seed,
+                        restarts=config.restarts, pool=pool)
+        return evaluate(rankings, config.interpretability_oriented,
+                        config.integrity_oriented, config.target_resolution, pool)
 
 
 def run_decision(data: Dataset, config: DecisionConfig,

@@ -9,9 +9,11 @@ downstream.
 
 The sweep is embarrassingly parallel, with one task per subset: the task
 fits every k of the range on the subset's columns, so the column slice and
-the silhouette's pairwise distances are shared by all its k. The checks run
-once per sweep, before any fit. Two choices make its output independent of
-execution order, worker count and dataset column order:
+the silhouette's pairwise distances are shared by all its k. The tasks run
+on the command's one pool (``worker_pool``), a bounded window of chunks at a
+time, or in-process. The checks run once per sweep, before any task. Two
+choices make its output independent of execution order, worker count and
+dataset column order:
 
 * each (subset, k) run derives its k-means seed from a stable hash of the
   base seed, the subset's sorted feature names and k;
@@ -26,8 +28,9 @@ import contextlib
 import functools
 import hashlib
 import warnings
+from collections import deque
 from dataclasses import dataclass
-from itertools import chain, combinations
+from itertools import chain, combinations, islice
 from math import comb
 
 import numpy as np
@@ -37,11 +40,11 @@ from .errors import ParameterError
 from .kmeans import kmeans_fit  # noqa: F401  (kept importable: perfbench/spans.py wraps it)
 from .kmeans import kmeans_fits_unchecked, require_distinct
 
-# a sweep of less work than this (rows x subsets x k values x restarts) runs
-# in-process even when workers are allowed. Timed as the first sweep of a
-# fresh process on 2 CPUs, k 3..6 and 10 restarts, 2 workers lost on every
-# 150x3 table (24 000; 0.055-0.059 s in-process against 0.064-0.096 s) and
-# were about even on 330x3 tables (53 000)
+# a command whose sweep has less work than this (rows x subsets x k values x
+# restarts) runs in-process, its branches too, even when workers are allowed.
+# Timed as the first sweep of a fresh process on 2 CPUs, k 3..6 and 10
+# restarts, 2 workers lost on every 150x3 table (24 000; 0.055-0.059 s
+# in-process against 0.064-0.096 s) and were about even on 330x3 tables (53 000)
 _POOL_MIN_WORK = 50_000
 
 
@@ -149,23 +152,55 @@ def _score_subset(values, names, seed, ks, restarts, cols) -> list[float]:
 
 def _process_pool(workers):
     """A pool of ``workers`` processes. Its machinery (``multiprocessing``
-    and ``concurrent.futures.process``) is imported here, so only a sweep
+    and ``concurrent.futures.process``) is imported here, so only a command
     that starts workers loads it."""
     from concurrent.futures import ProcessPoolExecutor
     return ProcessPoolExecutor(max_workers=workers)
 
 
+def worker_pool(data: Dataset, k_min: int, k_max: int, restarts: int, max_workers: int):
+    """The one pool, as a context manager, of a command that sweeps ``data``
+    over k in [k_min, k_max]: ``min(max_workers, subsets)`` processes, or
+    ``None`` (in-process) below ``_POOL_MIN_WORK``. Workers start at the first
+    task, so a sweep its checks reject starts none."""
+    n_subsets = 2**data.n_features - data.n_features - 1
+    workers = min(max_workers, n_subsets)  # the pool starts every worker up front
+    work = data.n_samples * n_subsets * (k_max - k_min + 1) * restarts
+    if workers > 1 and work >= _POOL_MIN_WORK:
+        return _process_pool(workers)
+    return contextlib.nullcontext()
+
+
+def _map_chunk(fn, chunk):
+    return [fn(item) for item in chunk]
+
+
+def _windowed_map(pool, fn, items, n_items: int):
+    """``map(fn, items)`` on ``pool``'s workers, in order: about 8 chunks per
+    worker, so short sweeps still reach every worker, and at most 2 per worker
+    in flight, so the parent holds a few chunks, not every one."""
+    workers = pool._max_workers  # a ProcessPoolExecutor's worker count
+    items, pending = iter(items), deque()
+    chunksize = max(1, n_items // (8 * workers))
+    for chunk in iter(lambda: list(islice(items, chunksize)), []):
+        pending.append(pool.submit(_map_chunk, fn, chunk))
+        if len(pending) == 2 * workers:
+            yield from pending.popleft().result()
+    while pending:
+        yield from pending.popleft().result()
+
+
 def frsd_rank(data: Dataset, k_min: int, k_max: int, seed: int, restarts: int = 10,
-              max_workers: int = 1) -> tuple[FeatureWeights, np.ndarray]:
+              pool=None) -> tuple[FeatureWeights, np.ndarray]:
     """Rank features by decomposed silhouette scores.
 
     ``data`` is expected to be MinMax-normalized. Returns the weights plus
     the score table: a float64 array with row i for ``enumerate_subsets``'s
-    subset i and column j for k = k_min + j. Output is identical for any
-    ``max_workers``: a sweep of less work than ``_POOL_MIN_WORK`` runs
-    in-process whatever its value, and a k the data cannot support (named
-    with the first feature pair that has too few distinct rows) or
-    ``restarts`` below 1 raises before any fit or worker starts.
+    subset i and column j for k = k_min + j. The sweep runs on ``pool``'s
+    workers (``None``: in-process), and its output is the same either way.
+    A k the data cannot support (named with the first feature pair that has
+    too few distinct rows) or ``restarts`` below 1 raises before any fit or
+    task is submitted.
     """
     if not 2 <= k_min <= k_max:
         raise ParameterError(f"need 2 <= k_min <= k_max, got [{k_min}, {k_max}]")
@@ -188,18 +223,13 @@ def frsd_rank(data: Dataset, k_min: int, k_max: int, seed: int, restarts: int = 
     scores = np.empty((2**n - n - 1, len(ks)))
     raw = [0.0] * n
     score = functools.partial(_score_subset, data.values, data.feature_names, seed, ks, restarts)
-    workers = min(max_workers, len(scores))  # the pool starts every worker up front
-    pooled = workers > 1 and data.n_samples * scores.size * restarts >= _POOL_MIN_WORK
-    with _process_pool(workers) if pooled else contextlib.nullcontext() as pool:
-        # about 8 chunks per worker, so short sweeps still reach every worker
-        results = (pool.map(score, _subsets(by_name),
-                            chunksize=max(1, len(scores) // (8 * workers)))
-                   if pooled else map(score, _subsets(by_name)))
-        for cols, sis in zip(_subsets(by_name), results):
-            scores[_subset_row(sorted(cols), n)] = sis
-            for si in sis:
-                for c in cols:
-                    raw[c] += si
+    results = (map(score, _subsets(by_name)) if pool is None
+               else _windowed_map(pool, score, _subsets(by_name), len(scores)))
+    for cols, sis in zip(_subsets(by_name), results):
+        scores[_subset_row(sorted(cols), n)] = sis
+        for si in sis:
+            for c in cols:
+                raw[c] += si
     # in name order too, so the total's sum and the ties are column-order free
     weights = FeatureWeights.from_scores([data.feature_names[i] for i in by_name],
                                          [raw[i] for i in by_name], source="FRSD")

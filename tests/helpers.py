@@ -220,3 +220,40 @@ def write_dataset_csv(ds, path):
         lines.append(row_id + "," + ",".join(repr(float(v)) for v in row))
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
     return path
+
+
+class InProcessPool:
+    """A stand-in for ``ProcessPoolExecutor`` that runs every task in this
+    process, so spies see its fits. It records the items of each ``map``
+    call and the most submitted tasks whose results were not yet taken."""
+
+    def __init__(self, max_workers):
+        self._max_workers = max_workers
+        self.mapped = []
+        self.submitted = self.taken = self.most_in_flight = 0
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        pass
+
+    def map(self, fn, *iterables, chunksize=1):
+        items = list(zip(*iterables))
+        self.mapped.append(items)
+        return [fn(*item) for item in items]
+
+    def submit(self, fn, *args):
+        value = fn(*args)
+        self.submitted += 1
+        self.most_in_flight = max(self.most_in_flight, self.submitted - self.taken)
+        return _Done(self, value)
+
+
+class _Done:
+    def __init__(self, pool, value):
+        self.pool, self.value = pool, value
+
+    def result(self):
+        self.pool.taken += 1
+        return self.value

@@ -194,8 +194,9 @@ def test_criterion_8_end_to_end_determinism(tmp_path, monkeypatch):
 
     # library-level check: the FRSD sweep is invariant to the worker count
     data = minmax_normalize(make_blobs_with_noise(seed=5, n_samples=24))
-    w1, s1 = frsd_rank(data, 2, 3, seed=9, restarts=2, max_workers=1)
-    w2, s2 = frsd_rank(data, 2, 3, seed=9, restarts=2, max_workers=2)
+    w1, s1 = frsd_rank(data, 2, 3, seed=9, restarts=2)
+    with frsd.worker_pool(data, 2, 3, 2, max_workers=2) as pool:
+        w2, s2 = frsd_rank(data, 2, 3, seed=9, restarts=2, pool=pool)
     assert pools == [2, 2]
     assert w1.entries == w2.entries
     assert s1.tobytes() == s2.tobytes()

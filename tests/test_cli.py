@@ -12,7 +12,7 @@ import dimred
 from dimred import cli
 from dimred.cli import main
 from dimred import (Dataset, DecisionConfig, DecisionReport, EXTRACTION, SELECTION,
-                    decision, evaluate, kmeans_fits, load_csv, rank, run_decision,
+                    decision, evaluate, frsd, kmeans_fits, load_csv, rank, run_decision,
                     select_for_resolution)
 from dimred.validation import resolution_sweep, write_sweep_csv
 from helpers import make_blobs_with_noise, make_dataset, write_dataset_csv
@@ -165,8 +165,7 @@ class TestRank:
         out = tmp_path / "rank_out"
         assert run_cli(["rank", "--input", str(demo_csv), "--out", str(out),
                         "--seed", "42"] + FAST) == 0
-        rankings = rank(load_csv(demo_csv), k_min=2, k_max=3, seed=42, restarts=2,
-                        max_workers=1)
+        rankings = rank(load_csv(demo_csv), k_min=2, k_max=3, seed=42, restarts=2)
         write_sweep_csv(resolution_sweep(rankings.frsd_weights, rankings.pca_weights),
                         tmp_path / "want.csv")
         assert (out / "sweep.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
@@ -194,7 +193,8 @@ class TestScenarios:
                 target_resolution=target, **SWEEP))
             assert got.to_json_dict() == want.to_json_dict(), case
 
-    def test_scenarios_fit_each_branch_width_once(self, blobs, monkeypatch):
+    def test_scenarios_fit_each_branch_width_once(self, blobs, tmp_path, fake_pools,
+                                                  monkeypatch):
         fit_calls = []
 
         def counting_fits(*args, **kwargs):
@@ -202,9 +202,10 @@ class TestScenarios:
             return kmeans_fits(*args, **kwargs)
 
         monkeypatch.setattr(decision, "kmeans_fits", counting_fits)
-        rankings = rank(blobs, **SWEEP)
-        for _, alpha, target in cli.SCENARIOS:
-            evaluate(rankings, alpha, 1.0 - alpha, target)
+        csv_path = write_dataset_csv(blobs, tmp_path / "blobs.csv")
+        assert run_cli(["scenarios", "--input", str(csv_path), "--threads", "2", "--k-min",
+                        "2", "--k-max", "4", "--seed", "5", "--restarts", "2"]) == 0
+        rankings = rank(load_csv(csv_path), **SWEEP)
         branches = {(method, select_for_resolution(weights, target)[0])
                     for _, _, target in cli.SCENARIOS
                     for method, weights in ((SELECTION, rankings.frsd_weights),
@@ -212,6 +213,8 @@ class TestScenarios:
         assert len(branches) < 2 * len(cli.SCENARIOS)  # scenarios do share branches
         n_k = SWEEP["k_max"] - SWEEP["k_min"] + 1
         assert len(fit_calls) == n_k * len(branches)
+        pool, = fake_pools  # every branch fitted in one map over the sweep's pool
+        assert [len(items) for items in pool.mapped] == [len(branches)]
 
     def test_writes_each_scenarios_silhouette(self, blobs, tmp_path, capsys):
         csv_path = write_dataset_csv(blobs, tmp_path / "blobs.csv")
@@ -276,6 +279,71 @@ class TestThreads:
             run_cli(["run", "--input", str(demo_csv), "--out", str(tmp_path / "o"),
                      "--threads", "0"])
         assert exc.value.code == 2
+
+
+class TestWorkerPool:
+    """One pool per command, shared by the FRSD sweep and the decision branches."""
+
+    COMMANDS = (["run", "--subset-scores"], ["rank"], ["scenarios"])
+
+    @staticmethod
+    def _argv(command, csv_path, out, threads, k_max="3"):
+        return command + ["--input", str(csv_path), "--out", str(out), "--threads", threads,
+                          "--k-min", "2", "--k-max", k_max, "--restarts", "2"]
+
+    def test_each_command_opens_one_pool(self, demo_csv, tmp_path, fake_pools, monkeypatch):
+        fit_calls = []
+
+        def counting_fits(*args, **kwargs):
+            fit_calls.append(args[0].shape)
+            return kmeans_fits(*args, **kwargs)
+
+        monkeypatch.setattr(decision, "kmeans_fits", counting_fits)
+        for command in self.COMMANDS:
+            del fake_pools[:], fit_calls[:]
+            assert run_cli(self._argv(command, demo_csv, tmp_path / "o", "2")) == 0
+            assert [pool._max_workers for pool in fake_pools] == [2], command
+            # every branch fit ran in the pool's map, and the sweep ran on it too
+            mapped = [values for items in fake_pools[0].mapped for values, in items]
+            assert [values.shape for values in mapped] == fit_calls, command
+            assert fake_pools[0].submitted > 0, command
+        for threads, work in (("1", 0), ("2", 30 * 11 * 2 * 2 + 1)):
+            monkeypatch.setattr(frsd, "_POOL_MIN_WORK", work)
+            for command in self.COMMANDS:
+                del fake_pools[:]
+                assert run_cli(self._argv(command, demo_csv, tmp_path / "o", threads)) == 0
+                assert fake_pools == [], (command, threads)
+
+    def test_pooled_branches_write_the_same_bytes(self, demo_csv, tmp_path, capsys,
+                                                  monkeypatch):
+        monkeypatch.setattr(frsd, "_POOL_MIN_WORK", 0)  # a table this small runs in-process
+        for command in (["run", "--subset-scores"], ["scenarios"]):
+            outputs = []
+            for threads in ("1", "2"):
+                out = tmp_path / f"{command[0]}{threads}"
+                assert run_cli(self._argv(command, demo_csv, out, threads, "4")) == 0
+                stdout = capsys.readouterr().out.replace(str(out), "OUT")
+                outputs.append((stdout, {p.name: p.read_bytes() for p in out.iterdir()}))
+            assert outputs[0] == outputs[1], command
+            assert any(name.endswith(".svg") for name in outputs[0][1]), command
+
+    def test_branch_error_in_a_worker_exits_1_with_one_line(self, tmp_path, capsys,
+                                                            monkeypatch):
+        monkeypatch.setattr(frsd, "_POOL_MIN_WORK", 0)
+        # every pair has many distinct rows, but the top-ranked feature has 3,
+        # so the one-feature selection branch cannot fit k=4
+        rng = np.random.default_rng(0)
+        levels = rng.integers(0, 3, 60).astype(float)
+        csv_path = write_dataset_csv(make_dataset(np.column_stack(
+            [levels, levels / 2 + rng.normal(0, 0.3, 60), rng.uniform(size=60)])),
+            tmp_path / "levels.csv")
+        errors = []
+        for threads in ("1", "2"):
+            code = run_cli(self._argv(["run", "--target-resolution", "0.3"], csv_path,
+                                      tmp_path / "o", threads, "4"))
+            assert code == 1
+            errors.append(capsys.readouterr().err)
+        assert errors[0] == errors[1] == "error: fewer than k=4 distinct points\n"
 
 
 class TestBlasThreads:

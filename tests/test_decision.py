@@ -214,7 +214,7 @@ class TestRunDecision:
             assert chosen.clustering.mean_silhouette == pytest.approx(
                 report.best_si_fe, abs=1e-12)
 
-    def test_one_fit_per_branch_and_k(self, monkeypatch):
+    def test_one_fit_per_branch_and_k(self, fake_pools, monkeypatch):
         fit_calls = []
 
         def counting_fits(*args, **kwargs):
@@ -225,8 +225,15 @@ class TestRunDecision:
         rng = np.random.default_rng(6)
         data = make_dataset(rng.uniform(size=(24, 3)))
         config = config_for(0.5, target=0.7, k_min=2, k_max=4, restarts=2, seed=3)
-        run_decision_detailed(data, config)
+        serial = run_decision_detailed(data, config)
         assert sorted(fit_calls) == [2, 2, 3, 3, 4, 4]
+        assert fake_pools == []
+        fit_calls.clear()
+        pooled = run_decision_detailed(data, config, max_workers=2)
+        assert sorted(fit_calls) == [2, 2, 3, 3, 4, 4]
+        pool, = fake_pools  # the sweep's pool, whose one map fitted both branches
+        assert pool.submitted > 0 and [len(items) for items in pool.mapped] == [2]
+        assert pooled.report.to_json_dict() == serial.report.to_json_dict()
 
     def test_report_json_roundtrip(self):
         rng = np.random.default_rng(5)

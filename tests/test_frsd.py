@@ -17,6 +17,12 @@ from dimred.kmeans import kmeans_fits_unchecked
 from helpers import make_blobs_with_noise, make_dataset, powerset_subsets
 
 
+def pooled_rank(data, k_min, k_max, seed, restarts, max_workers):
+    """``frsd_rank`` on the pool a command with ``max_workers`` opens for it."""
+    with frsd.worker_pool(data, k_min, k_max, restarts, max_workers) as pool:
+        return frsd_rank(data, k_min, k_max, seed, restarts=restarts, pool=pool)
+
+
 class TestEnumerateSubsets:
     def test_two_features(self):
         assert enumerate_subsets(2) == [(0, 1)]
@@ -155,8 +161,8 @@ class TestFrsdRank:
     def test_worker_count_does_not_change_results(self, monkeypatch):
         monkeypatch.setattr(frsd, "_POOL_MIN_WORK", 0)  # a sweep this small runs in-process
         data = minmax_normalize(make_blobs_with_noise(seed=10, n_samples=30))
-        serial_w, serial_s = frsd_rank(data, 2, 3, seed=5, restarts=2, max_workers=1)
-        pooled_w, pooled_s = frsd_rank(data, 2, 3, seed=5, restarts=2, max_workers=2)
+        serial_w, serial_s = pooled_rank(data, 2, 3, seed=5, restarts=2, max_workers=1)
+        pooled_w, pooled_s = pooled_rank(data, 2, 3, seed=5, restarts=2, max_workers=2)
         assert serial_w.entries == pooled_w.entries
         assert serial_s.tobytes() == pooled_s.tobytes()
 
@@ -171,69 +177,57 @@ class TestFrsdRank:
 
         monkeypatch.setattr(frsd, "_process_pool", counting_pool)
         monkeypatch.setattr(frsd, "_POOL_MIN_WORK", work + 1)
-        serial = frsd_rank(data, 2, 3, seed=5, restarts=2, max_workers=2)
+        serial = pooled_rank(data, 2, 3, seed=5, restarts=2, max_workers=2)
         assert pools == []
         monkeypatch.setattr(frsd, "_POOL_MIN_WORK", work)
-        pooled = frsd_rank(data, 2, 3, seed=5, restarts=2, max_workers=2)
+        pooled = pooled_rank(data, 2, 3, seed=5, restarts=2, max_workers=2)
         assert pools == [2]
         assert serial[0].entries == pooled[0].entries
         assert serial[1].tobytes() == pooled[1].tobytes()
 
-    def test_never_more_workers_than_subsets(self, monkeypatch):
-        pools = []
-
-        class InProcessPool:
-            def __init__(self, max_workers):
-                pools.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                pass
-
-            def map(self, fn, *iterables, chunksize=1):
-                return map(fn, *iterables)
-
-        monkeypatch.setattr(frsd, "_process_pool", InProcessPool)
-        monkeypatch.setattr(frsd, "_POOL_MIN_WORK", 0)
+    def test_never_more_workers_than_subsets(self, fake_pools):
         rng = np.random.default_rng(6)
         three = minmax_normalize(make_dataset(rng.uniform(size=(20, 3))))
-        serial = frsd_rank(three, 2, 3, seed=2, restarts=2, max_workers=1)
-        pooled = frsd_rank(three, 2, 3, seed=2, restarts=2, max_workers=16)
-        assert pools == [4]  # 3 features form 4 subsets
+        serial = pooled_rank(three, 2, 3, seed=2, restarts=2, max_workers=1)
+        pooled = pooled_rank(three, 2, 3, seed=2, restarts=2, max_workers=16)
+        assert [pool._max_workers for pool in fake_pools] == [4]  # 3 features form 4 subsets
         assert serial[0].entries == pooled[0].entries
         assert serial[1].tobytes() == pooled[1].tobytes()
         two = minmax_normalize(make_dataset(rng.uniform(size=(20, 2))))
-        frsd_rank(two, 2, 3, seed=2, restarts=2, max_workers=2)
-        assert pools == [4]  # a single subset runs in-process
+        pooled_rank(two, 2, 3, seed=2, restarts=2, max_workers=2)
+        assert len(fake_pools) == 1  # a single subset runs in-process
 
-    def test_infeasible_pair_rejected_before_any_pool(self, monkeypatch):
+    def test_infeasible_pair_rejected_before_any_pool(self, fake_pools):
         rng = np.random.default_rng(0)
         data = minmax_normalize(make_dataset(np.column_stack(
             [rng.uniform(size=40), rng.integers(0, 2, 40), rng.integers(0, 2, 40)])))
-
-        def no_pool(*args, **kwargs):
-            raise AssertionError("a pool was started")
-
-        monkeypatch.setattr(frsd, "_process_pool", no_pool)
-        monkeypatch.setattr(frsd, "_POOL_MIN_WORK", 0)
         # features 2 and 3 are binary: 4 distinct rows, so k=5 is the first that fails
         with pytest.raises(ParameterError,
                            match="fewer than k=5 distinct points in features 'f2' and 'f3'"):
-            frsd_rank(data, 3, 6, seed=0, restarts=2, max_workers=2)
+            pooled_rank(data, 3, 6, seed=0, restarts=2, max_workers=2)
+        assert len(fake_pools) == 1 and fake_pools[0].submitted == 0
         with pytest.raises(ParameterError, match="fewer than k=5 distinct points"):
             kmeans_fits(data.values[:, [1, 2]], [3, 4, 5, 6], [0] * 4)
 
-    def test_zero_restarts_rejected_before_any_pool(self, monkeypatch):
-        def no_pool(*args, **kwargs):
-            raise AssertionError("a pool was started")
-
-        monkeypatch.setattr(frsd, "_process_pool", no_pool)
-        monkeypatch.setattr(frsd, "_POOL_MIN_WORK", 0)
+    def test_zero_restarts_rejected_before_any_pool(self, fake_pools):
         data = minmax_normalize(make_blobs_with_noise(seed=10, n_samples=30))
         with pytest.raises(ParameterError, match="restarts must be at least 1"):
-            frsd_rank(data, 2, 3, seed=0, restarts=0, max_workers=2)
+            frsd_rank(data, 2, 3, seed=0, restarts=0, pool=frsd._process_pool(2))
+        assert fake_pools[0].submitted == 0
+
+    def test_pooled_sweep_keeps_a_bounded_window_of_chunks(self, fake_pools, monkeypatch):
+        # a fit per (subset, k) stubbed to a score of its seed, so every run differs
+        monkeypatch.setattr(frsd, "kmeans_fits_unchecked", lambda values, ks, seeds, restarts: [
+            SimpleNamespace(mean_silhouette=seed % 1000 / 1000) for seed in seeds])
+        data = make_dataset(np.random.default_rng(0).uniform(size=(40, 12)))
+        serial_w, serial_s = frsd_rank(data, 3, 4, seed=0, restarts=1)
+        pooled_w, pooled_s = pooled_rank(data, 3, 4, seed=0, restarts=1, max_workers=2)
+        pool, = fake_pools
+        assert pool.submitted == 17  # 4083 subsets in chunks of 4083 // 16
+        assert pool.most_in_flight == 4  # 2 chunks a worker
+        assert pool.taken == pool.submitted
+        assert pooled_s.tobytes() == serial_s.tobytes()
+        assert pooled_w.entries == serial_w.entries
 
     def test_one_batch_per_subset_with_a_seed_per_k(self, monkeypatch):
         data = minmax_normalize(make_dataset(np.random.default_rng(3).uniform(size=(24, 8))))
