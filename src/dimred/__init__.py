@@ -10,7 +10,7 @@ the strategy with the better preference-weighted silhouette.
 from .dataset import Dataset, load_csv, minmax_columns, minmax_normalize
 from .decision import (DecisionConfig, DecisionOutcome, DecisionReport,
                        EXTRACTION, Rankings, SELECTION, best_silhouette_over_k,
-                       decide, evaluate, rank, run_decision, run_decision_detailed,
+                       decide, evaluate, rank, run_decision_detailed,
                        select_for_resolution)
 from .errors import (ConstantColumnWarning, DimredError, IngestionError,
                      MetricUndefinedError, ParameterError, SchemaError)
@@ -63,7 +63,6 @@ __all__ = [
     "render_silhouette_plot",
     "render_stacked_radar",
     "resolution_sweep",
-    "run_decision",
     "run_decision_detailed",
     "select_for_resolution",
     "silhouette",

@@ -19,7 +19,7 @@ import numpy as np
 
 from .dataset import Dataset, minmax_normalize
 from .errors import ParameterError
-from .frsd import FeatureWeights, frsd_rank, worker_pool
+from .frsd import FeatureWeights, frsd_rank, pool_map, worker_pool
 from .kmeans import kmeans_fit  # noqa: F401  (kept importable: perfbench/spans.py wraps it)
 from .kmeans import ClusteringResult, kmeans_fits
 from .pca import PcaModel, pca_fit, pca_importance, pca_project
@@ -188,9 +188,9 @@ class Rankings:
     def branches(self, keys, pool=None) -> list[Branch]:
         """The branch of each (method, m) key: the first ``m`` ranked features
         (SELECTION) or principal components (EXTRACTION), clustered over the k
-        range. The keys not fitted yet are fitted in one map over ``pool``
-        (``None``: in-process), each once; a fit is deterministic, so where
-        it runs does not change it."""
+        range. The keys not fitted yet are fitted in one ``pool_map`` over
+        ``pool`` (``None``: in-process), each once; a fit is deterministic, so
+        where it runs does not change it."""
         missing = [key for key in dict.fromkeys(keys) if key not in self._branches]
         reduced = []
         for method, m in missing:
@@ -203,8 +203,7 @@ class Rankings:
                                 tuple(f"PC{i + 1}" for i in range(m))))
         fit = functools.partial(best_silhouette_over_k, k_min=self.k_min, k_max=self.k_max,
                                 seed=self.seed, restarts=self.restarts)
-        values = [v for v, _ in reduced]
-        fits = map(fit, values) if pool is None else pool.map(fit, values)
+        fits = pool_map(pool, fit, (v for v, _ in reduced), len(reduced))
         for key, (v, labels), clustering in zip(missing, reduced, fits):
             self._branches[key] = Branch(v, labels, clustering)
         return [self._branches[key] for key in keys]
@@ -281,8 +280,3 @@ def run_decision_detailed(data: Dataset, config: DecisionConfig,
         return evaluate(rankings, config.interpretability_oriented,
                         config.integrity_oriented, config.target_resolution, pool)
 
-
-def run_decision(data: Dataset, config: DecisionConfig,
-                 max_workers: int = 1) -> DecisionReport:
-    """Run the pipeline and return just the decision report."""
-    return run_decision_detailed(data, config, max_workers=max_workers).report

@@ -9,9 +9,10 @@ downstream.
 
 The sweep is embarrassingly parallel, with one task per subset: the task
 fits every k of the range on the subset's columns, so the column slice and
-the silhouette's pairwise distances are shared by all its k. The tasks run
-on the command's one pool (``worker_pool``), a bounded window of chunks at a
-time, or in-process. The checks run once per sweep, before any task. Two
+the silhouette's pairwise distances are shared by all its k. ``pool_map``
+runs the tasks (and the decision branches) on the command's one pool
+(``worker_pool``) in chunks of at most sqrt(subsets), a few at a time, or
+in-process. The checks run once per sweep, before any task. Two
 choices make its output independent of execution order, worker count and
 dataset column order:
 
@@ -31,7 +32,7 @@ import warnings
 from collections import deque
 from dataclasses import dataclass
 from itertools import chain, combinations, islice
-from math import comb
+from math import comb, isqrt
 
 import numpy as np
 
@@ -42,9 +43,9 @@ from .kmeans import kmeans_fits_unchecked, require_distinct
 
 # a command whose sweep has less work than this (rows x subsets x k values x
 # restarts) runs in-process, its branches too, even when workers are allowed.
-# Timed as the first sweep of a fresh process on 2 CPUs, k 3..6 and 10
-# restarts, 2 workers lost on every 150x3 table (24 000; 0.055-0.059 s
-# in-process against 0.064-0.096 s) and were about even on 330x3 tables (53 000)
+# One `run` in a fresh process on 2 CPUs, k 3..6, 10 restarts, median of 6 pairs:
+# 2 workers lost on a 150x3 table (24 000: 0.122 s in-process, 0.153 s pooled)
+# and were about even on a 346x3 table (55 360: 0.217 s against 0.211 s)
 _POOL_MIN_WORK = 50_000
 
 
@@ -175,13 +176,17 @@ def _map_chunk(fn, chunk):
     return [fn(item) for item in chunk]
 
 
-def _windowed_map(pool, fn, items, n_items: int):
-    """``map(fn, items)`` on ``pool``'s workers, in order: about 8 chunks per
-    worker, so short sweeps still reach every worker, and at most 2 per worker
-    in flight, so the parent holds a few chunks, not every one."""
+def pool_map(pool, fn, items, n_items: int):
+    """``map(fn, items)`` in order on ``pool``'s workers (``None``: in-process),
+    the package's one way to map fits. A chunk holds at most n_items / (8 x
+    workers) items, so short maps reach every worker, and at most sqrt(n_items);
+    with at most 2 chunks per worker in flight, the parent holds only a few."""
+    if pool is None:
+        yield from map(fn, items)
+        return
     workers = pool._max_workers  # a ProcessPoolExecutor's worker count
     items, pending = iter(items), deque()
-    chunksize = max(1, n_items // (8 * workers))
+    chunksize = max(1, min(n_items // (8 * workers), isqrt(n_items)))
     for chunk in iter(lambda: list(islice(items, chunksize)), []):
         pending.append(pool.submit(_map_chunk, fn, chunk))
         if len(pending) == 2 * workers:
@@ -223,8 +228,7 @@ def frsd_rank(data: Dataset, k_min: int, k_max: int, seed: int, restarts: int = 
     scores = np.empty((2**n - n - 1, len(ks)))
     raw = [0.0] * n
     score = functools.partial(_score_subset, data.values, data.feature_names, seed, ks, restarts)
-    results = (map(score, _subsets(by_name)) if pool is None
-               else _windowed_map(pool, score, _subsets(by_name), len(scores)))
+    results = pool_map(pool, score, _subsets(by_name), len(scores))
     for cols, sis in zip(_subsets(by_name), results):
         scores[_subset_row(sorted(cols), n)] = sis
         for si in sis:

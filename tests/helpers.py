@@ -224,13 +224,14 @@ def write_dataset_csv(ds, path):
 
 class InProcessPool:
     """A stand-in for ``ProcessPoolExecutor`` that runs every task in this
-    process, so spies see its fits. It records the items of each ``map``
-    call and the most submitted tasks whose results were not yet taken."""
+    process, so spies see its fits. It records the arguments of each
+    submitted task (``pool_map``'s bound function and chunk) and the most
+    submitted tasks whose results were not yet taken."""
 
     def __init__(self, max_workers):
         self._max_workers = max_workers
-        self.mapped = []
-        self.submitted = self.taken = self.most_in_flight = 0
+        self.tasks = []
+        self.taken = self.most_in_flight = 0
 
     def __enter__(self):
         return self
@@ -238,14 +239,17 @@ class InProcessPool:
     def __exit__(self, *exc):
         pass
 
-    def map(self, fn, *iterables, chunksize=1):
-        items = list(zip(*iterables))
-        self.mapped.append(items)
-        return [fn(*item) for item in items]
+    @property
+    def submitted(self):
+        return len(self.tasks)
+
+    def items(self, func):
+        """The items of the submitted chunks whose bound function wraps ``func``."""
+        return [item for fn, chunk in self.tasks if fn.func is func for item in chunk]
 
     def submit(self, fn, *args):
         value = fn(*args)
-        self.submitted += 1
+        self.tasks.append(args)
         self.most_in_flight = max(self.most_in_flight, self.submitted - self.taken)
         return _Done(self, value)
 

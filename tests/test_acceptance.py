@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from dimred import (DecisionConfig, SELECTION, decide, enumerate_subsets, frsd,
-                    frsd_rank, minmax_normalize, pca_fit, run_decision,
+                    frsd_rank, minmax_normalize, pca_fit, run_decision_detailed,
                     select_for_resolution, silhouette)
 from dimred.cli import main as cli_main
 from dimred.validation import (REFERENCE_EXTRACTION_WEIGHTS,
@@ -210,8 +210,9 @@ def test_criterion_9_lower_resolution_clusters_better():
         data = make_blobs_with_noise(seed=seed)
         common = dict(interpretability_oriented=0.9, integrity_oriented=0.1,
                       k_min=2, k_max=4, seed=3, restarts=3)
-        low = run_decision(data, DecisionConfig(target_resolution=0.5, **common))
-        high = run_decision(data, DecisionConfig(target_resolution=0.85, **common))
+        low = run_decision_detailed(data, DecisionConfig(target_resolution=0.5, **common))
+        high = run_decision_detailed(data, DecisionConfig(target_resolution=0.85, **common))
+        low, high = low.report, high.report
         assert low.n_selected < high.n_selected
         assert low.best_si_fs >= high.best_si_fs
         chosen_si_low = (low.best_si_fs if low.chosen_method == SELECTION

@@ -12,8 +12,8 @@ import dimred
 from dimred import cli
 from dimred.cli import main
 from dimred import (Dataset, DecisionConfig, DecisionReport, EXTRACTION, SELECTION,
-                    decision, evaluate, frsd, kmeans_fits, load_csv, rank, run_decision,
-                    select_for_resolution)
+                    decision, evaluate, frsd, kmeans_fits, load_csv, rank,
+                    run_decision_detailed, select_for_resolution)
 from dimred.validation import resolution_sweep, write_sweep_csv
 from helpers import make_blobs_with_noise, make_dataset, write_dataset_csv
 
@@ -188,9 +188,9 @@ class TestScenarios:
         rankings = rank(blobs, **SWEEP)
         for case, alpha, target in cli.SCENARIOS:
             got = evaluate(rankings, alpha, 1.0 - alpha, target).report
-            want = run_decision(blobs, DecisionConfig(
+            want = run_decision_detailed(blobs, DecisionConfig(
                 interpretability_oriented=alpha, integrity_oriented=1.0 - alpha,
-                target_resolution=target, **SWEEP))
+                target_resolution=target, **SWEEP)).report
             assert got.to_json_dict() == want.to_json_dict(), case
 
     def test_scenarios_fit_each_branch_width_once(self, blobs, tmp_path, fake_pools,
@@ -213,8 +213,8 @@ class TestScenarios:
         assert len(branches) < 2 * len(cli.SCENARIOS)  # scenarios do share branches
         n_k = SWEEP["k_max"] - SWEEP["k_min"] + 1
         assert len(fit_calls) == n_k * len(branches)
-        pool, = fake_pools  # every branch fitted in one map over the sweep's pool
-        assert [len(items) for items in pool.mapped] == [len(branches)]
+        pool, = fake_pools  # every branch fitted once, on the sweep's pool
+        assert len(pool.items(decision.best_silhouette_over_k)) == len(branches)
 
     def test_writes_each_scenarios_silhouette(self, blobs, tmp_path, capsys):
         csv_path = write_dataset_csv(blobs, tmp_path / "blobs.csv")
@@ -303,10 +303,10 @@ class TestWorkerPool:
             del fake_pools[:], fit_calls[:]
             assert run_cli(self._argv(command, demo_csv, tmp_path / "o", "2")) == 0
             assert [pool._max_workers for pool in fake_pools] == [2], command
-            # every branch fit ran in the pool's map, and the sweep ran on it too
-            mapped = [values for items in fake_pools[0].mapped for values, in items]
-            assert [values.shape for values in mapped] == fit_calls, command
-            assert fake_pools[0].submitted > 0, command
+            # every branch fit ran in the pool's chunks, and the sweep ran on it too
+            branches = fake_pools[0].items(decision.best_silhouette_over_k)
+            assert [values.shape for values in branches] == fit_calls, command
+            assert fake_pools[0].items(frsd._score_subset), command
         for threads, work in (("1", 0), ("2", 30 * 11 * 2 * 2 + 1)):
             monkeypatch.setattr(frsd, "_POOL_MIN_WORK", work)
             for command in self.COMMANDS:

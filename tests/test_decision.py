@@ -9,9 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dimred import (DecisionConfig, DecisionReport, EXTRACTION, ParameterError,
-                    SELECTION, best_silhouette_over_k, decide, decision, kmeans_fit,
-                    kmeans_fits, run_decision, run_decision_detailed,
-                    select_for_resolution)
+                    SELECTION, best_silhouette_over_k, decide, decision, frsd, kmeans_fit,
+                    kmeans_fits, run_decision_detailed, select_for_resolution)
 from dimred.validation import (REFERENCE_EXTRACTION_WEIGHTS,
                                REFERENCE_SELECTION_WEIGHTS)
 from helpers import make_dataset
@@ -183,7 +182,7 @@ class TestRunDecision:
         rng = np.random.default_rng(3)
         data = make_dataset(rng.uniform(size=(16, 2)))
         config = config_for(0.5, target=1.0, k_min=2, k_max=3, restarts=2, seed=5)
-        report = run_decision(data, config)
+        report = run_decision_detailed(data, config).report
         assert report.n_selected == 2
         assert report.achieved_resolution >= config.target_resolution - 1e-9
         assert report.interpretability_score == \
@@ -231,15 +230,16 @@ class TestRunDecision:
         fit_calls.clear()
         pooled = run_decision_detailed(data, config, max_workers=2)
         assert sorted(fit_calls) == [2, 2, 3, 3, 4, 4]
-        pool, = fake_pools  # the sweep's pool, whose one map fitted both branches
-        assert pool.submitted > 0 and [len(items) for items in pool.mapped] == [2]
+        pool, = fake_pools  # the sweep's pool, whose chunks fitted both branches
+        assert pool.items(frsd._score_subset)
+        assert len(pool.items(decision.best_silhouette_over_k)) == 2
         assert pooled.report.to_json_dict() == serial.report.to_json_dict()
 
     def test_report_json_roundtrip(self):
         rng = np.random.default_rng(5)
         data = make_dataset(rng.uniform(size=(14, 2)))
         config = config_for(0.3, target=0.9, k_min=2, k_max=2, restarts=1, seed=2)
-        report = run_decision(data, config)
+        report = run_decision_detailed(data, config).report
         doc = json.loads(json.dumps(report.to_json_dict()))
         parsed = DecisionReport.from_json_dict(doc)
         assert parsed.chosen_method == report.chosen_method

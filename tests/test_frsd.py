@@ -10,8 +10,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dimred import (DecisionConfig, FeatureWeights, ParameterError, enumerate_subsets, frsd,
-                    frsd_rank, kmeans_fit, kmeans_fits, minmax_normalize, run_decision,
-                    write_subset_scores)
+                    frsd_rank, kmeans_fit, kmeans_fits, minmax_normalize,
+                    run_decision_detailed, write_subset_scores)
 from dimred.frsd import task_seed
 from dimred.kmeans import kmeans_fits_unchecked
 from helpers import make_blobs_with_noise, make_dataset, powerset_subsets
@@ -152,8 +152,9 @@ class TestFrsdRank:
                                   rng.uniform(size=40)])
         config = DecisionConfig(interpretability_oriented=0.9, integrity_oriented=0.1,
                                 target_resolution=0.5, k_min=2, k_max=3, seed=0, restarts=2)
-        forward = run_decision(make_dataset(values, ["a", "b"]), config)
-        reversed_ = run_decision(make_dataset(values[:, ::-1], ["b", "a"]), config)
+        forward = run_decision_detailed(make_dataset(values, ["a", "b"]), config).report
+        reversed_ = run_decision_detailed(make_dataset(values[:, ::-1], ["b", "a"]),
+                                          config).report
         assert forward.frsd_weights.entries == reversed_.frsd_weights.entries
         assert forward.frsd_weights.names == ("a", "b")
         assert forward.best_si_fs == reversed_.best_si_fs
@@ -215,19 +216,32 @@ class TestFrsdRank:
             frsd_rank(data, 2, 3, seed=0, restarts=0, pool=frsd._process_pool(2))
         assert fake_pools[0].submitted == 0
 
-    def test_pooled_sweep_keeps_a_bounded_window_of_chunks(self, fake_pools, monkeypatch):
+    @staticmethod
+    def _stubbed_pooled_sweep(n_features, fake_pools, monkeypatch):
+        """The pool of a 40-row, ``n_features``-wide sweep on 2 workers whose fits
+        are stubbed, once its scores and weights match the in-process sweep's."""
         # a fit per (subset, k) stubbed to a score of its seed, so every run differs
         monkeypatch.setattr(frsd, "kmeans_fits_unchecked", lambda values, ks, seeds, restarts: [
             SimpleNamespace(mean_silhouette=seed % 1000 / 1000) for seed in seeds])
-        data = make_dataset(np.random.default_rng(0).uniform(size=(40, 12)))
+        data = make_dataset(np.random.default_rng(0).uniform(size=(40, n_features)))
         serial_w, serial_s = frsd_rank(data, 3, 4, seed=0, restarts=1)
         pooled_w, pooled_s = pooled_rank(data, 3, 4, seed=0, restarts=1, max_workers=2)
-        pool, = fake_pools
-        assert pool.submitted == 17  # 4083 subsets in chunks of 4083 // 16
-        assert pool.most_in_flight == 4  # 2 chunks a worker
-        assert pool.taken == pool.submitted
         assert pooled_s.tobytes() == serial_s.tobytes()
         assert pooled_w.entries == serial_w.entries
+        pool, = fake_pools
+        assert pool.taken == pool.submitted
+        return pool
+
+    def test_pooled_sweep_keeps_a_bounded_window_of_chunks(self, fake_pools, monkeypatch):
+        pool = self._stubbed_pooled_sweep(12, fake_pools, monkeypatch)
+        assert pool.submitted == 65  # 4083 subsets in chunks of isqrt(4083) = 63
+        assert pool.most_in_flight == 4  # 2 chunks a worker
+
+    def test_window_is_bounded_in_subsets(self, fake_pools, monkeypatch):
+        pool = self._stubbed_pooled_sweep(14, fake_pools, monkeypatch)
+        # 16 369 subsets in chunks of isqrt(16369) = 127, not 16369 // 16 = 1023
+        assert [len(chunk) for _, chunk in pool.tasks] == [127] * 128 + [113]
+        assert pool.most_in_flight <= 4  # so at most 4 * 127 subsets in flight
 
     def test_one_batch_per_subset_with_a_seed_per_k(self, monkeypatch):
         data = minmax_normalize(make_dataset(np.random.default_rng(3).uniform(size=(24, 8))))
