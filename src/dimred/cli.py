@@ -43,11 +43,12 @@ SCENARIOS = [
 
 def add_common_flags(parser: argparse.ArgumentParser) -> None:
     """The sweep flags shared by ``run``, ``rank`` and ``scenarios``."""
-    parser.add_argument("--k-min", type=int, default=3, help="smallest cluster count tried")
-    parser.add_argument("--k-max", type=int, default=10, help="largest cluster count tried")
-    parser.add_argument("--seed", type=int, default=42, help="base random seed")
-    parser.add_argument("--restarts", type=int, default=10,
-                        help="k-means restarts per fit")
+    parser.add_argument("--k-min", type=int, help="smallest cluster count tried")
+    parser.add_argument("--k-max", type=int, help="largest cluster count tried")
+    parser.add_argument("--seed", type=int, help="base random seed")
+    parser.add_argument("--restarts", type=int, help="k-means restarts per fit")
+    parser.set_defaults(**{name: getattr(DecisionConfig, name)  # its field defaults
+                           for name in ("k_min", "k_max", "seed", "restarts")})
     cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
             else os.cpu_count() or 1)
     parser.add_argument("--threads", type=int, default=cpus,

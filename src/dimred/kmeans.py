@@ -50,6 +50,9 @@ _sqeuclidean, _euclidean = _distance_kernels()
 # fits run all 10 restarts as one group, a 6000-row table at k=5 runs 4)
 _BLOCK_BYTES = 2**20
 
+_MAX_ITER = 300  # centroid moves a k-means restart makes at most
+_TOL = 1e-4  # a restart stops once its largest centroid move is below this
+
 
 @dataclass(frozen=True, eq=False)
 class ClusteringResult:
@@ -229,20 +232,19 @@ def _cluster_sums(data, flat, counts, tiled) -> np.ndarray:
     return np.add.reduceat(padded, np.arange(bins) + np.cumsum(counts) - counts)[:, None]
 
 
-def _lloyd_group(data, seeds, max_iter, tol) -> list[tuple[float, np.ndarray, np.ndarray]]:
+def _lloyd_group(data, seeds) -> list[tuple[float, np.ndarray, np.ndarray]]:
     """Lloyd iterations for a group of restarts, advanced together.
 
     ``seeds`` holds each restart's initial centroids, shape (g, k, d). Every
     restart takes the same steps, in the same floating-point order, as it
     would alone: assign each point to its nearest centroid, refill empty
     clusters, move the centroids to their cluster means, and stop once the
-    largest move is below ``tol`` or after ``max_iter`` moves; a last
+    largest move is below ``_TOL`` or after ``_MAX_ITER`` moves; a last
     assignment then gives its labels and inertia. A restart whose assignment
     repeats the previous one stops at once: its centroids are already the
     means of those labels, so every further move would be exactly 0 and
-    every further assignment the same one again, whatever ``tol`` and
-    ``max_iter`` are. Returns (inertia, labels, centroids) per restart, in
-    seed order.
+    every further assignment the same one again. Returns (inertia, labels,
+    centroids) per restart, in seed order.
     """
     n, dim = data.shape
     g, k, _ = seeds.shape
@@ -251,7 +253,7 @@ def _lloyd_group(data, seeds, max_iter, tol) -> list[tuple[float, np.ndarray, np
     # the bincount weights of the centroid sums, built once for the group
     tiled = np.repeat(data.T[:, None], g, axis=1) if dim > 1 else None
     live = np.arange(g)  # restarts still in the group
-    last = np.full(g, max_iter <= 0)  # the next assignment is the restart's last
+    last = np.zeros(g, dtype=bool)  # the next assignment is the restart's last
     previous = None  # the live restarts' labels at the previous assignment
     moves = 0
     out = [None] * g
@@ -287,30 +289,28 @@ def _lloyd_group(data, seeds, max_iter, tol) -> list[tuple[float, np.ndarray, np
         shift = np.sqrt(((new - centroids[live]) ** 2).sum(axis=2)).max(axis=1)
         centroids[live] = new
         moves += 1
-        last[live] = (shift < tol) | (moves == max_iter)
+        last[live] = (shift < _TOL) | (moves == _MAX_ITER)
 
 
-def kmeans_fit(data, k: int, seed: int, restarts: int = 10,
-               max_iter: int = 300, tol: float = 1e-4) -> ClusteringResult:
+def kmeans_fit(data, k: int, seed: int, restarts: int = 10) -> ClusteringResult:
     """Best-of-``restarts`` Lloyd k-means, deterministic for fixed arguments.
 
     Each restart r draws its own generator from (seed, r), seeds centroids
     with distance-weighted sampling, and iterates until the largest centroid
-    displacement falls below ``tol`` or ``max_iter`` is reached; it also
-    stops as soon as an assignment repeats, which changes no result, since
-    its centroids could not move again. All restarts are seeded together,
-    one distance call per centroid, and iterate together, in groups that
-    hold at most ``_BLOCK_BYTES`` of distances at once; the result is bit
-    for bit the one of running them one by one. The first restart with the
-    lowest inertia wins; silhouettes are computed once on its final
-    assignment. The returned result never contains an empty cluster. This
-    is ``kmeans_fits`` with one k.
+    displacement falls below ``_TOL`` (1e-4) or after ``_MAX_ITER`` (300)
+    moves; it also stops as soon as an assignment repeats, which changes no
+    result, since its centroids could not move again. All restarts are
+    seeded together, one distance call per centroid, and iterate together,
+    in groups that hold at most ``_BLOCK_BYTES`` of distances at once; the
+    result is bit for bit the one of running them one by one. The first
+    restart with the lowest inertia wins; silhouettes are computed once on
+    its final assignment. The returned result never contains an empty
+    cluster. This is ``kmeans_fits`` with one k.
     """
-    return kmeans_fits(data, [k], [seed], restarts, max_iter, tol)[0]
+    return kmeans_fits(data, [k], [seed], restarts)[0]
 
 
-def kmeans_fits(data, ks, seeds, restarts: int = 10, max_iter: int = 300,
-                tol: float = 1e-4) -> list[ClusteringResult]:
+def kmeans_fits(data, ks, seeds, restarts: int = 10) -> list[ClusteringResult]:
     """``kmeans_fit(data, k, seed, ...)`` for each pair of ``ks`` and
     ``seeds``, bit for bit, with the work that does not depend on k done once.
 
@@ -338,16 +338,14 @@ def kmeans_fits(data, ks, seeds, restarts: int = 10, max_iter: int = 300,
     if restarts < 1:
         raise ParameterError("restarts must be at least 1")
     require_distinct(data, ks)
-    return kmeans_fits_unchecked(data, ks, seeds, restarts, max_iter, tol)
+    return kmeans_fits_unchecked(data, ks, seeds, restarts)
 
 
-def kmeans_fits_unchecked(data, ks, seeds, restarts: int = 10, max_iter: int = 300,
-                          tol: float = 1e-4) -> list[ClusteringResult]:
+def kmeans_fits_unchecked(data, ks, seeds, restarts: int = 10) -> list[ClusteringResult]:
     """``kmeans_fits`` without its checks, for callers that have made them:
     ``data`` a finite float64 matrix, one seed per k, every k in
     [2, distinct rows] and ``restarts`` at least 1."""
-    best = [_best_of_restarts(data, k, seed, restarts, max_iter, tol)
-            for k, seed in zip(ks, seeds)]
+    best = [_best_of_restarts(data, k, seed, restarts) for k, seed in zip(ks, seeds)]
     silhouettes = _silhouettes(data, [labels for _, labels, _ in best])
     return [
         ClusteringResult(
@@ -378,15 +376,14 @@ def require_distinct(data, ks, where: str = "") -> None:
             raise ParameterError(f"fewer than k={k} distinct points{where}")
 
 
-def _best_of_restarts(data, k, seed, restarts, max_iter,
-                      tol) -> tuple[float, np.ndarray, np.ndarray]:
+def _best_of_restarts(data, k, seed, restarts) -> tuple[float, np.ndarray, np.ndarray]:
     """(inertia, labels, centroids) of the first restart with the lowest inertia."""
     seeds = _pp_seeds(data, k, [np.random.default_rng(np.random.SeedSequence([seed % (2**63), r]))
                                 for r in range(restarts)])
     group = max(1, _BLOCK_BYTES // (8 * data.shape[0] * k))
     best = None
     for lo in range(0, restarts, group):
-        fits = _lloyd_group(data, seeds[lo : lo + group], max_iter, tol)
+        fits = _lloyd_group(data, seeds[lo : lo + group])
         for inertia, labels, centroids in fits:
             if best is None or inertia < best[0]:
                 best = (inertia, labels, centroids)

@@ -15,6 +15,9 @@ import numpy as np
 from .errors import ParameterError
 from .frsd import FeatureWeights
 
+_JACOBI_TOL = 1e-10  # sweeps stop once the off-diagonal norm is below this
+_MAX_SWEEPS = 100  # and after this many at most
+
 
 @dataclass(frozen=True, eq=False)
 class PcaModel:
@@ -40,11 +43,11 @@ def _rotate(x, y, c, s):
     return c * x - s * y, s * x + c * y
 
 
-def jacobi_eigh(matrix, tol: float = 1e-10, max_sweeps: int = 100):
+def jacobi_eigh(matrix):
     """Eigenvalues and eigenvectors of a symmetric matrix by cyclic Jacobi.
 
-    Sweeps rotate away each off-diagonal pair (p, q) in turn until the
-    Frobenius norm of the off-diagonal part drops below ``tol``. Returns
+    At most ``_MAX_SWEEPS`` sweeps rotate away each off-diagonal pair in turn,
+    until the off-diagonal Frobenius norm is below ``_JACOBI_TOL``. Returns
     (eigenvalues, eigenvectors) with eigenvectors in columns, unsorted.
     """
     a = np.array(matrix, dtype=np.float64)
@@ -55,9 +58,9 @@ def jacobi_eigh(matrix, tol: float = 1e-10, max_sweeps: int = 100):
     d = a.shape[0]
     v = np.eye(d)
     upper = np.triu_indices(d, k=1)
-    for _ in range(max_sweeps):
+    for _ in range(_MAX_SWEEPS):
         off = np.sqrt(2.0 * (a[upper] ** 2).sum())
-        if off < tol:
+        if off < _JACOBI_TOL:
             break
         for p in range(d - 1):
             for q in range(p + 1, d):

@@ -184,7 +184,7 @@ class TestScenarios:
     def blobs(self):
         return make_blobs_with_noise(seed=21, n_samples=40, n_noise=2)
 
-    def test_evaluate_per_scenario_matches_run_decision(self, blobs):
+    def test_evaluate_per_scenario_matches_run_decision_detailed(self, blobs):
         rankings = rank(blobs, **SWEEP)
         for case, alpha, target in cli.SCENARIOS:
             got = evaluate(rankings, alpha, 1.0 - alpha, target).report
@@ -259,6 +259,16 @@ class TestValidate:
         assert exc.value.code == 2
         assert "--seed must be nonnegative" in capsys.readouterr().err
         assert not (tmp_path / "v").exists()
+
+
+class TestSweepFlags:
+    def test_defaults_are_decision_configs(self):
+        config = DecisionConfig(interpretability_oriented=0.5, integrity_oriented=0.5,
+                                target_resolution=0.85)
+        for command in ("run", "rank", "scenarios"):
+            args = cli.build_parser().parse_args([command, "--input", "x.csv"])
+            for name in ("k_min", "k_max", "seed", "restarts"):
+                assert getattr(args, name) == getattr(config, name), (command, name)
 
 
 class TestThreads:

@@ -160,12 +160,15 @@ class TestRestartsTogether:
 
     @pytest.mark.parametrize("max_iter", [1, 2, 3])
     @pytest.mark.parametrize("kind, d", [("grid", 2), ("blobs", 1), ("blobs", 5)])
-    def test_restarts_leave_at_different_iterations(self, kind, d, max_iter):
+    def test_restarts_leave_at_different_iterations(self, monkeypatch, kind, d, max_iter):
         # some restarts converge and leave while others run to max_iter; with
-        # tol=0 no move is small enough, so only a repeated assignment ends one early
+        # tol=0 no move is small enough, so only a repeated assignment ends one
+        # early, and with tol=inf every restart leaves after its first move
         data = _table(kind, 90, d, seed=max_iter)
-        for tol in (1e-4, 0.0):
-            fit = kmeans_fit(data, 4, seed=9, restarts=13, max_iter=max_iter, tol=tol)
+        monkeypatch.setattr(kmeans, "_MAX_ITER", max_iter)
+        for tol in (1e-4, 0.0, np.inf):
+            monkeypatch.setattr(kmeans, "_TOL", tol)
+            fit = kmeans_fit(data, 4, seed=9, restarts=13)
             _assert_same_fit(fit, per_restart_kmeans(data, 4, seed=9, restarts=13,
                                                      max_iter=max_iter, tol=tol))
 
@@ -181,7 +184,8 @@ class TestRestartsTogether:
             return cluster_sums(*args)
 
         monkeypatch.setattr(kmeans, "_cluster_sums", counting_sums)
-        fit = kmeans_fit(data, 3, seed=2, restarts=1, tol=0.0)
+        monkeypatch.setattr(kmeans, "_TOL", 0.0)
+        fit = kmeans_fit(data, 3, seed=2, restarts=1)
         assert 0 < len(updates) < 50
         _assert_same_fit(fit, per_restart_kmeans(data, 3, seed=2, restarts=1, tol=0.0))
 
@@ -253,7 +257,7 @@ class TestLloydMemory:
         seeds = kmeans._pp_seeds(data, k, [np.random.default_rng(r) for r in range(g)])
         tracemalloc.start()
         try:
-            kmeans._lloyd_group(data, seeds, 300, 1e-4)
+            kmeans._lloyd_group(data, seeds)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
