@@ -20,11 +20,11 @@ import sys
 import warnings
 
 from .dataset import Dataset, load_csv, minmax_columns, write_csv
-from .decision import (DecisionConfig, DecisionOutcome, EXTRACTION, Rankings, SELECTION,
-                       evaluate, rank, run_decision_detailed, select_for_resolution)
+from .decision import (DecisionConfig, DecisionOutcome, Rankings, SELECTION, evaluate,
+                       rank_and_fit, run_decision_detailed)
 from .errors import DimredError, ParameterError
 from .figures import RadarSeries, cluster_letter, render_silhouette_plot, render_stacked_radar
-from .frsd import worker_pool, write_subset_scores
+from .frsd import write_subset_scores
 from .validation import (REFERENCE_EXTRACTION_WEIGHTS, REFERENCE_SELECTION_WEIGHTS,
                          count_misclassified, generate_cases, resolution_sweep,
                          write_cases_csv, write_scatter_csv, write_sweep_csv)
@@ -151,6 +151,7 @@ def _with_warnings_printed(fn, *args, **kwargs):
 
 
 def _write_rankings(rankings: Rankings, args) -> None:
+    os.makedirs(args.out, exist_ok=True)
     frsd, pca = rankings.frsd_weights, rankings.pca_weights
     write_csv(os.path.join(args.out, "frsd_weights.csv"), ["name", "weight", "weight_minmax"],
               [(n, w, z) for (n, w), (_, z) in zip(frsd.entries, frsd.minmax_view())])
@@ -200,7 +201,8 @@ def _print_report(outcome: DecisionOutcome) -> None:
 
 def emit_figures(outcome: DecisionOutcome, out_dir: str, case: str) -> None:
     """Silhouette plot of the chosen clustering, plus one stacked radar per
-    cluster when at least 3 dimensions are retained."""
+    cluster when at least 3 dimensions are retained, in ``out_dir`` (created)."""
+    os.makedirs(out_dir, exist_ok=True)
     chosen = outcome.chosen
     render_silhouette_plot(chosen.clustering,
                            os.path.join(out_dir, f"silhouette_{case}.svg"))
@@ -218,10 +220,8 @@ def emit_figures(outcome: DecisionOutcome, out_dir: str, case: str) -> None:
 
 
 def _load_input(args, config: DecisionConfig) -> Dataset:
-    """Load ``--input``, create ``--out`` if given, print the FRSD sweep size."""
+    """Load ``--input`` and print the FRSD sweep size."""
     data = load_csv(args.input)
-    if args.out is not None:
-        os.makedirs(args.out, exist_ok=True)
     n_subsets = 2**data.n_features - data.n_features - 1
     n_k = config.k_max - config.k_min + 1
     print(f"FRSD sweep: {n_subsets * n_k} silhouette runs "
@@ -233,15 +233,8 @@ def _rank_input(args, targets=()) -> Rankings:
     """Check the sweep flags, load the input, rank the table both ways and fit
     the branches that reach each target resolution, all on one pool."""
     config = _config(args)
-    data = _load_input(args, config)
-    with worker_pool(data, config.k_min, config.k_max, config.restarts, args.threads) as pool:
-        rankings = _with_warnings_printed(rank, data, config.k_min, config.k_max, config.seed,
-                                          restarts=config.restarts, pool=pool)
-        rankings.branches([(method, select_for_resolution(weights, target)[0])
-                           for target in targets
-                           for method, weights in ((SELECTION, rankings.frsd_weights),
-                                                   (EXTRACTION, rankings.pca_weights))], pool)
-    return rankings
+    return _with_warnings_printed(rank_and_fit, _load_input(args, config), config, targets,
+                                  args.threads)
 
 
 def cmd_run(args) -> int:
@@ -252,11 +245,11 @@ def cmd_run(args) -> int:
     outcome = _with_warnings_printed(run_decision_detailed, data, config,
                                      max_workers=args.threads)
 
+    _write_rankings(outcome.rankings, args)
     report_path = os.path.join(args.out, "report.json")
     with open(report_path, "w", encoding="utf-8") as fh:
         json.dump(outcome.report.to_json_dict(), fh, indent=2)
         fh.write("\n")
-    _write_rankings(outcome.rankings, args)
     if not args.no_figures:
         emit_figures(outcome, args.out, args.case)
 

@@ -270,13 +270,25 @@ def evaluate(rankings: Rankings, interpretability: float, integrity: float,
     return DecisionOutcome(report=report, rankings=rankings, chosen=chosen)
 
 
-def run_decision_detailed(data: Dataset, config: DecisionConfig,
-                          max_workers: int = 1) -> DecisionOutcome:
-    """Full pipeline: rank, then evaluate the one scenario in ``config``,
-    both on one pool of up to ``max_workers`` processes (``worker_pool``)."""
+def rank_and_fit(data: Dataset, config: DecisionConfig, targets=(),
+                 max_workers: int = 1) -> Rankings:
+    """Rank ``data`` with ``config``'s sweep parameters and fit the selection and
+    extraction branches that reach each resolution in ``targets``, all on one
+    pool of up to ``max_workers`` processes (``worker_pool``)."""
     with worker_pool(data, config.k_min, config.k_max, config.restarts, max_workers) as pool:
         rankings = rank(data, config.k_min, config.k_max, config.seed,
                         restarts=config.restarts, pool=pool)
-        return evaluate(rankings, config.interpretability_oriented,
-                        config.integrity_oriented, config.target_resolution, pool)
+        rankings.branches([(method, select_for_resolution(weights, target)[0])
+                           for target in targets
+                           for method, weights in ((SELECTION, rankings.frsd_weights),
+                                                   (EXTRACTION, rankings.pca_weights))], pool)
+    return rankings
 
+
+def run_decision_detailed(data: Dataset, config: DecisionConfig,
+                          max_workers: int = 1) -> DecisionOutcome:
+    """Full pipeline: ``rank_and_fit`` at ``config``'s target resolution, then
+    ``evaluate`` the one scenario in ``config`` on the branches it fitted."""
+    rankings = rank_and_fit(data, config, [config.target_resolution], max_workers)
+    return evaluate(rankings, config.interpretability_oriented,
+                    config.integrity_oriented, config.target_resolution)

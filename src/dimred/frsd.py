@@ -12,7 +12,7 @@ fits every k of the range on the subset's columns, so the column slice and
 the silhouette's pairwise distances are shared by all its k. ``pool_map``
 runs the tasks (and the decision branches) on the command's one pool
 (``worker_pool``) in chunks of at most sqrt(subsets), a few at a time, or
-in-process. The checks run once per sweep, before any task. Two
+in-process. Each task re-runs the cheap checks of ``kmeans_fits``. Two
 choices make its output independent of execution order, worker count and
 dataset column order:
 
@@ -39,7 +39,7 @@ import numpy as np
 from .dataset import Dataset, minmax_columns, write_csv
 from .errors import ParameterError
 from .kmeans import kmeans_fit  # noqa: F401  (kept importable: perfbench/spans.py wraps it)
-from .kmeans import kmeans_fits_unchecked, require_distinct
+from .kmeans import kmeans_fits, require_distinct
 
 # a command whose sweep has less work than this (rows x subsets x k values x
 # restarts) runs in-process, its branches too, even when workers are allowed.
@@ -144,10 +144,8 @@ def task_seed(base_seed: int, names, k: int) -> int:
 
 
 def _score_subset(values, names, seed, ks, restarts, cols) -> list[float]:
-    # unchecked: frsd_rank has checked the k range, the restarts and every
-    # feature pair, and a subset has no fewer distinct rows than its pairs
     seeds = [task_seed(seed, [names[i] for i in cols], k) for k in ks]
-    fits = kmeans_fits_unchecked(values[:, cols], ks, seeds, restarts)
+    fits = kmeans_fits(values[:, cols], ks, seeds, restarts)
     return [fit.mean_silhouette for fit in fits]
 
 

@@ -314,11 +314,12 @@ def kmeans_fits(data, ks, seeds, restarts: int = 10) -> list[ClusteringResult]:
     """``kmeans_fit(data, k, seed, ...)`` for each pair of ``ks`` and
     ``seeds``, bit for bit, with the work that does not depend on k done once.
 
-    The checks and the distinct-point count (``require_distinct``) run once,
-    before any fit; the first k that exceeds the number of distinct rows
-    raises. The silhouettes of all the winning assignments are then computed
-    in one pass over row blocks of pairwise distances, so each block is
-    computed once and shared by every k.
+    The checks and the distinct-point count (``require_distinct``) run once
+    per call, before any fit (each FRSD sweep task re-runs them, as they are
+    cheap); the first k that exceeds the number of distinct rows raises. The
+    silhouettes of all the winning assignments are then computed in one pass
+    over row blocks of pairwise distances, so each block is computed once and
+    shared by every k.
     """
     data = np.asarray(data, dtype=np.float64)
     ks, seeds = list(ks), list(seeds)
@@ -338,13 +339,6 @@ def kmeans_fits(data, ks, seeds, restarts: int = 10) -> list[ClusteringResult]:
     if restarts < 1:
         raise ParameterError("restarts must be at least 1")
     require_distinct(data, ks)
-    return kmeans_fits_unchecked(data, ks, seeds, restarts)
-
-
-def kmeans_fits_unchecked(data, ks, seeds, restarts: int = 10) -> list[ClusteringResult]:
-    """``kmeans_fits`` without its checks, for callers that have made them:
-    ``data`` a finite float64 matrix, one seed per k, every k in
-    [2, distinct rows] and ``restarts`` at least 1."""
     best = [_best_of_restarts(data, k, seed, restarts) for k, seed in zip(ks, seeds)]
     silhouettes = _silhouettes(data, [labels for _, labels, _ in best])
     return [

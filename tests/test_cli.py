@@ -12,7 +12,7 @@ import dimred
 from dimred import cli
 from dimred.cli import main
 from dimred import (Dataset, DecisionConfig, DecisionReport, EXTRACTION, SELECTION,
-                    decision, evaluate, frsd, kmeans_fits, load_csv, rank,
+                    decide, decision, evaluate, frsd, kmeans_fits, load_csv, rank,
                     run_decision_detailed, select_for_resolution)
 from dimred.validation import resolution_sweep, write_sweep_csv
 from helpers import make_blobs_with_noise, make_dataset, write_dataset_csv
@@ -64,6 +64,26 @@ class TestRun:
         weight_sum = sum(w for _, w in report.frsd_weights.entries)
         assert weight_sum == pytest.approx(1.0, abs=1e-9)
 
+    def test_integrity_alone_sets_interpretability(self, demo_csv, tmp_path):
+        out = tmp_path / "out"
+        assert run_cli(["run", "--input", str(demo_csv), "--out", str(out),
+                        "--integrity", "0.7"] + FAST) == 0
+        report = DecisionReport.from_json_dict(json.loads((out / "report.json").read_text()))
+        assert (report.chosen_method, report.interpretability_score,
+                report.integrity_score) == decide(report.best_si_fs, report.best_si_fe,
+                                                  1.0 - 0.7, 0.7)
+
+    def test_constant_column_warns_on_stdout(self, tmp_path, capsys):
+        rng = np.random.default_rng(1)
+        path = write_dataset_csv(make_dataset(np.column_stack(
+            [rng.normal(size=120), np.full(120, 2.5), rng.uniform(size=120)]),
+            names=["a", "b", "c"]), tmp_path / "flat.csv")
+        code = run_cli(["run", "--input", str(path), "--out", str(tmp_path / "o")] + FAST)
+        captured = capsys.readouterr()
+        assert code == 0, captured.err
+        assert "warning: column 'b' is constant; normalized to 0.0\n" in captured.out
+        assert captured.err == ""
+
     def test_conflicting_orientation_exits_2(self, demo_csv, tmp_path, capsys):
         with pytest.raises(SystemExit) as exc:
             run_cli(["run", "--input", str(demo_csv), "--out", str(tmp_path / "o"),
@@ -90,14 +110,17 @@ class TestRun:
         binary = write_dataset_csv(make_dataset(np.column_stack(
             [rng.integers(0, 2, 40), rng.integers(0, 2, 40), rng.uniform(size=40)])),
             tmp_path / "binary.csv")
-        for csv_path, k_range, needle, threads in (
-                (binary, ["--k-min", "3", "--k-max", "6"], "distinct points", "1"),
-                (binary, ["--k-min", "3", "--k-max", "6"], "distinct points", "2"),
-                (demo_csv, ["--k-min", "2", "--k-max", "40"], "exceeds 30 samples", "1")):
-            code = run_cli(["run", "--input", str(csv_path), "--out", str(tmp_path / "o"),
+        for command, csv_path, k_range, needle, threads in (
+                ("run", binary, ["--k-min", "3", "--k-max", "6"], "distinct points", "1"),
+                ("run", binary, ["--k-min", "3", "--k-max", "6"], "distinct points", "2"),
+                ("run", demo_csv, ["--k-min", "2", "--k-max", "40"], "exceeds 30 samples", "1"),
+                ("rank", demo_csv, ["--k-min", "2", "--k-max", "40"], "exceeds 30 samples", "1"),
+                ("scenarios", binary, ["--k-min", "3", "--k-max", "6"], "distinct points", "2")):
+            code = run_cli([command, "--input", str(csv_path), "--out", str(tmp_path / "o"),
                             "--restarts", "2", "--threads", threads] + k_range)
             assert code == 1
             assert needle in capsys.readouterr().err
+            assert not (tmp_path / "o").exists(), command  # no output directory on exit 1
 
     def test_column_range_above_float64_max(self, tmp_path, capsys):
         # every value is finite, but the column's max - min overflows to inf
@@ -352,6 +375,7 @@ class TestWorkerPool:
             code = run_cli(self._argv(["run", "--target-resolution", "0.3"], csv_path,
                                       tmp_path / "o", threads, "4"))
             assert code == 1
+            assert not (tmp_path / "o").exists()
             errors.append(capsys.readouterr().err)
         assert errors[0] == errors[1] == "error: fewer than k=4 distinct points\n"
 

@@ -31,6 +31,12 @@ class TestLoadCsv:
         assert ds.ids == ("w1", "w2")
         np.testing.assert_allclose(ds.values, [[1.5, 2.0], [3.0, 4.5]])
 
+    def test_blank_line_is_skipped(self, tmp_path):
+        path = write(tmp_path, "id,a,b\nr1,1.0,2.0\n\nr2,3.0,4.0\n")
+        ds = load_csv(path)
+        assert ds.ids == ("r1", "r2")
+        np.testing.assert_array_equal(ds.values, [[1.0, 2.0], [3.0, 4.0]])
+
     def test_non_numeric_cell_names_row_and_column(self, tmp_path):
         path = write(tmp_path, "id,a,b\nr1,1.0,2.0\nr2,abc,3.0\n")
         with pytest.raises(IngestionError, match=r"line 3.*'a'.*'abc'"):

@@ -167,6 +167,12 @@ class TestBestSilhouetteOverK:
         assert fit.inertia == refit.inertia
         np.testing.assert_array_equal(fit.sample_silhouettes, refit.sample_silhouettes)
 
+    def test_k_range_rejected(self):
+        data = np.random.default_rng(6).uniform(size=(20, 2))
+        for k_min, k_max in ((1, 3), (4, 3)):
+            with pytest.raises(ParameterError, match="need 2 <= k_min <= k_max"):
+                best_silhouette_over_k(data, k_min, k_max, seed=0)
+
     def test_ties_go_to_the_smallest_k(self, monkeypatch):
         def equal_silhouettes(*args, **kwargs):
             return [dataclasses.replace(fit, mean_silhouette=0.5)

@@ -7,7 +7,7 @@ import pytest
 
 from dimred import (ParameterError, RadarSeries, kmeans_fit,
                     render_silhouette_plot, render_stacked_radar)
-from dimred.figures import PALETTE
+from dimred.figures import PALETTE, cluster_letter
 
 COORD_ATTR = re.compile(r'\b(?:x|y|x1|y1|x2|y2|cx|cy)="(-?[0-9.]+)"')
 POINTS_ATTR = re.compile(r'points="([^"]+)"')
@@ -175,3 +175,8 @@ class TestStackedRadar:
         path = tmp_path / "op.svg"
         render_stacked_radar(series, path)
         assert 'fill-opacity="0.35"' in path.read_text()
+
+
+class TestClusterLetter:
+    def test_letters_then_numbered_names(self):
+        assert [cluster_letter(i) for i in (0, 1, 25, 26, 27)] == ["A", "B", "Z", "C26", "C27"]

@@ -13,7 +13,6 @@ from dimred import (DecisionConfig, FeatureWeights, ParameterError, enumerate_su
                     frsd_rank, kmeans_fit, kmeans_fits, minmax_normalize,
                     run_decision_detailed, write_subset_scores)
 from dimred.frsd import task_seed
-from dimred.kmeans import kmeans_fits_unchecked
 from helpers import make_blobs_with_noise, make_dataset, powerset_subsets
 
 
@@ -221,7 +220,7 @@ class TestFrsdRank:
         """The pool of a 40-row, ``n_features``-wide sweep on 2 workers whose fits
         are stubbed, once its scores and weights match the in-process sweep's."""
         # a fit per (subset, k) stubbed to a score of its seed, so every run differs
-        monkeypatch.setattr(frsd, "kmeans_fits_unchecked", lambda values, ks, seeds, restarts: [
+        monkeypatch.setattr(frsd, "kmeans_fits", lambda values, ks, seeds, restarts: [
             SimpleNamespace(mean_silhouette=seed % 1000 / 1000) for seed in seeds])
         data = make_dataset(np.random.default_rng(0).uniform(size=(40, n_features)))
         serial_w, serial_s = frsd_rank(data, 3, 4, seed=0, restarts=1)
@@ -249,9 +248,9 @@ class TestFrsdRank:
 
         def counting_fits(values, ks, seeds, *args):
             calls.append((values.shape[1], tuple(ks), tuple(seeds)))
-            return kmeans_fits_unchecked(values, ks, seeds, *args)
+            return kmeans_fits(values, ks, seeds, *args)
 
-        monkeypatch.setattr(frsd, "kmeans_fits_unchecked", counting_fits)
+        monkeypatch.setattr(frsd, "kmeans_fits", counting_fits)
         _, scores = frsd_rank(data, 2, 3, seed=4, restarts=1)
         subsets = enumerate_subsets(8)
         assert len(calls) == len(subsets) == 247
@@ -290,7 +289,7 @@ class TestFrsdRank:
 
     def test_sweep_holds_a_few_bytes_a_run(self, monkeypatch):
         fits = [SimpleNamespace(mean_silhouette=0.25)] * 8
-        monkeypatch.setattr(frsd, "kmeans_fits_unchecked", lambda *args: fits)
+        monkeypatch.setattr(frsd, "kmeans_fits", lambda *args: fits)
         data = make_dataset(np.random.default_rng(0).uniform(size=(40, 12)))
         tracemalloc.start()
         try:

@@ -333,6 +333,10 @@ class TestSilhouette:
         with pytest.raises(ParameterError):
             silhouette(np.array([[0.0], [1.0]]), np.array([0, -1]))
 
+    def test_one_label_per_sample_required(self):
+        with pytest.raises(ParameterError, match="one entry per sample"):
+            silhouette(np.array([[0.0], [1.0], [2.0]]), np.array([0, 1]))
+
     def test_non_integer_labels_rejected(self):
         with pytest.raises(ParameterError, match="integer"):
             silhouette(np.array([[0.0], [1.0]]), np.array([0.0, 1.0]))

@@ -43,6 +43,13 @@ class TestJacobi:
         np.testing.assert_allclose(vectors @ np.diag(eigenvalues) @ vectors.T, m,
                                    atol=1e-9)
 
+    def test_tiny_pivot_takes_the_overflow_free_rotation(self):
+        # theta = (1 - 0) / 2e-160 = 5e159, whose square overflows float64
+        m = np.array([[0.0, 1e-160, 0.0], [1e-160, 1.0, 0.5], [0.0, 0.5, 2.0]])
+        eigenvalues, vectors = jacobi_eigh(m)
+        np.testing.assert_allclose(sorted(eigenvalues), np.linalg.eigvalsh(m), atol=1e-12)
+        np.testing.assert_allclose(vectors @ np.diag(eigenvalues) @ vectors.T, m, atol=1e-12)
+
     def test_rejects_asymmetric(self):
         with pytest.raises(ParameterError):
             jacobi_eigh(np.array([[1.0, 2.0], [0.0, 1.0]]))
