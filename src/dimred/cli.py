@@ -24,7 +24,7 @@ from .decision import (DecisionConfig, DecisionOutcome, Rankings, SELECTION, eva
                        rank_and_fit, run_decision_detailed)
 from .errors import DimredError, ParameterError
 from .figures import RadarSeries, cluster_letter, render_silhouette_plot, render_stacked_radar
-from .frsd import write_subset_scores
+from .frsd import check_k_range, write_subset_scores
 from .validation import (REFERENCE_EXTRACTION_WEIGHTS, REFERENCE_SELECTION_WEIGHTS,
                          count_misclassified, generate_cases, resolution_sweep,
                          write_cases_csv, write_scatter_csv, write_sweep_csv)
@@ -157,7 +157,7 @@ def _write_rankings(rankings: Rankings, args) -> None:
               [(n, w, z) for (n, w), (_, z) in zip(frsd.entries, frsd.minmax_view())])
     write_csv(os.path.join(args.out, "pca_weights.csv"), ["name", "weight"], pca.entries)
     if args.subset_scores:
-        write_subset_scores(rankings.subset_scores, len(frsd.entries), rankings.k_min,
+        write_subset_scores(rankings.subset_scores, rankings.columns, rankings.k_min,
                             os.path.join(args.out, "subset_scores.csv"))
 
 
@@ -220,8 +220,9 @@ def emit_figures(outcome: DecisionOutcome, out_dir: str, case: str) -> None:
 
 
 def _load_input(args, config: DecisionConfig) -> Dataset:
-    """Load ``--input`` and print the FRSD sweep size."""
+    """Load ``--input``, check the k range against its rows, print the sweep size."""
     data = load_csv(args.input)
+    check_k_range(config.k_min, config.k_max, data.n_samples)
     n_subsets = 2**data.n_features - data.n_features - 1
     n_k = config.k_max - config.k_min + 1
     print(f"FRSD sweep: {n_subsets * n_k} silhouette runs "

@@ -19,7 +19,7 @@ import numpy as np
 
 from .dataset import Dataset, minmax_normalize
 from .errors import ParameterError
-from .frsd import FeatureWeights, frsd_rank, pool_map, worker_pool
+from .frsd import FeatureWeights, check_k_range, frsd_rank, pool_map, worker_pool
 from .kmeans import kmeans_fit  # noqa: F401  (kept importable: perfbench/spans.py wraps it)
 from .kmeans import ClusteringResult, kmeans_fits
 from .pca import PcaModel, pca_fit, pca_importance, pca_project
@@ -55,8 +55,7 @@ class DecisionConfig:
         _check_preferences(self.interpretability_oriented, self.integrity_oriented)
         if not 0.0 < self.target_resolution <= 1.0:
             raise ParameterError("target_resolution must be in (0, 1]")
-        if not 2 <= self.k_min <= self.k_max:
-            raise ParameterError(f"need 2 <= k_min <= k_max, got [{self.k_min}, {self.k_max}]")
+        check_k_range(self.k_min, self.k_max)
         if self.restarts < 1:
             raise ParameterError("restarts must be at least 1")
 
@@ -128,8 +127,7 @@ def best_silhouette_over_k(data, k_min: int, k_max: int, seed: int,
 
     Every k is fitted with the same ``seed``, in one ``kmeans_fits`` batch.
     """
-    if not 2 <= k_min <= k_max:
-        raise ParameterError(f"need 2 <= k_min <= k_max, got [{k_min}, {k_max}]")
+    check_k_range(k_min, k_max)
     ks = range(k_min, k_max + 1)
     return max(kmeans_fits(data, ks, [seed] * len(ks), restarts),
                key=lambda fit: fit.mean_silhouette)
@@ -170,11 +168,14 @@ class Rankings:
     """Both rankings of one dataset: the costly, preference-free half of a
     decision, shared by every scenario evaluated on it.
 
-    ``branches`` memoises each (strategy, width) branch, so scenarios that
-    retain the same number of features or components fit it only once.
+    ``normalized`` is the MinMax-normalized table in feature-name order, and
+    ``columns[j]`` is the input position of its column j. ``branches``
+    memoises each (strategy, width) branch, so scenarios that retain the same
+    number of features or components fit it only once.
     """
 
     normalized: Dataset
+    columns: tuple[int, ...]
     frsd_weights: FeatureWeights
     pca_weights: FeatureWeights
     subset_scores: np.ndarray
@@ -221,14 +222,20 @@ class DecisionOutcome:
 
 def rank(data: Dataset, k_min: int, k_max: int, seed: int, restarts: int = 10,
          pool=None) -> Rankings:
-    """The costly half of a decision: normalize, then rank the features with
-    FRSD (on ``pool``'s workers) and the principal components with PCA."""
-    normalized = minmax_normalize(data)
+    """The costly half of a decision: normalize, put the columns in
+    feature-name order, then rank the features with FRSD (on ``pool``'s
+    workers) and the principal components with PCA. No result depends on the
+    input's column order."""
+    normalized = minmax_normalize(data)  # first, so its warnings keep the input order
+    columns = tuple(sorted(range(data.n_features), key=data.feature_names.__getitem__))
+    normalized = Dataset(normalized.ids, [data.feature_names[j] for j in columns],
+                         normalized.values[:, columns])
     frsd_weights, subset_scores = frsd_rank(normalized, k_min, k_max, seed,
                                             restarts=restarts, pool=pool)
     model = pca_fit(normalized.values)
     return Rankings(
         normalized=normalized,
+        columns=columns,
         frsd_weights=frsd_weights,
         pca_weights=pca_importance(model),
         subset_scores=subset_scores,

@@ -12,15 +12,11 @@ fits every k of the range on the subset's columns, so the column slice and
 the silhouette's pairwise distances are shared by all its k. ``pool_map``
 runs the tasks (and the decision branches) on the command's one pool
 (``worker_pool``) in chunks of at most sqrt(subsets), a few at a time, or
-in-process. Each task re-runs the cheap checks of ``kmeans_fits``. Two
-choices make its output independent of execution order, worker count and
-dataset column order:
-
-* each (subset, k) run derives its k-means seed from a stable hash of the
-  base seed, the subset's sorted feature names and k;
-* the tasks run by size, then in feature-name order, each with its columns
-  in name order; the raw scores are summed in that order as the results
-  arrive, and normalized in name order.
+in-process. Each task re-runs the cheap checks of ``kmeans_fits``. The
+output does not depend on execution order or worker count: each (subset, k)
+run derives its k-means seed from a stable hash of the base seed, the
+subset's sorted feature names and k, and the raw scores are summed in task
+order (by size, then in combination order) as the results arrive.
 """
 
 from __future__ import annotations
@@ -32,7 +28,7 @@ import warnings
 from collections import deque
 from dataclasses import dataclass
 from itertools import chain, combinations, islice
-from math import comb, isqrt
+from math import inf, isqrt
 
 import numpy as np
 
@@ -128,14 +124,6 @@ def enumerate_subsets(n_features: int) -> list[tuple[int, ...]]:
     return list(_subsets(range(n_features)))
 
 
-def _subset_row(subset, n_features: int) -> int:
-    """Position of the sorted ``subset`` in ``enumerate_subsets``: the subsets up to
-    its size, less its combination rank from the last (Knuth, TAOCP 4A, 7.2.1.3)."""
-    size = len(subset)
-    return (sum(comb(n_features, s) for s in range(2, size + 1)) - 1
-            - sum(comb(n_features - 1 - c, size - i) for i, c in enumerate(subset)))
-
-
 def task_seed(base_seed: int, names, k: int) -> int:
     """Stable per-task seed from (base seed, sorted subset names, k)."""
     key = f"{base_seed}|{'|'.join(sorted(names))}|{k}"
@@ -193,23 +181,28 @@ def pool_map(pool, fn, items, n_items: int):
         yield from pending.popleft().result()
 
 
+def check_k_range(k_min: int, k_max: int, n_samples: float = inf) -> None:
+    """Raise unless 2 <= k_min <= k_max <= ``n_samples``."""
+    if not 2 <= k_min <= k_max:
+        raise ParameterError(f"need 2 <= k_min <= k_max, got [{k_min}, {k_max}]")
+    if k_max > n_samples:
+        raise ParameterError(f"k_max={k_max} exceeds {n_samples} samples")
+
+
 def frsd_rank(data: Dataset, k_min: int, k_max: int, seed: int, restarts: int = 10,
               pool=None) -> tuple[FeatureWeights, np.ndarray]:
     """Rank features by decomposed silhouette scores.
 
-    ``data`` is expected to be MinMax-normalized. Returns the weights plus
-    the score table: a float64 array with row i for ``enumerate_subsets``'s
-    subset i and column j for k = k_min + j. The sweep runs on ``pool``'s
-    workers (``None``: in-process), and its output is the same either way.
-    A k the data cannot support (named with the first feature pair that has
-    too few distinct rows) or ``restarts`` below 1 raises before any fit or
-    task is submitted.
+    ``data`` is expected to be MinMax-normalized. Its features are ranked, ties
+    included, in the column order given, which ``decision.rank`` makes name
+    order. Returns the weights plus the score table: a float64 array with row
+    i for ``enumerate_subsets``'s subset i and column j for k = k_min + j. The
+    sweep runs on ``pool``'s workers (``None``: in-process), with the same
+    output either way. A bad k range, a k the data cannot support (named with
+    the first feature pair that has too few distinct rows) or ``restarts``
+    below 1 raises before any fit or task is submitted.
     """
-    if not 2 <= k_min <= k_max:
-        raise ParameterError(f"need 2 <= k_min <= k_max, got [{k_min}, {k_max}]")
-    if k_max > data.n_samples:
-        raise ParameterError(f"k_max={k_max} exceeds {data.n_samples} samples")
-
+    check_k_range(k_min, k_max, data.n_samples)
     n = data.n_features
     ks = tuple(range(k_min, k_max + 1))
     # a subset has no fewer distinct rows than a pair inside it, and pairs
@@ -220,30 +213,24 @@ def frsd_rank(data: Dataset, k_min: int, k_max: int, seed: int, restarts: int = 
                          + " and ".join(repr(data.feature_names[i]) for i in pair))
     if restarts < 1:
         raise ParameterError("restarts must be at least 1")
-    # tasks by size, then in name order, each with its columns in name order:
-    # neither the fits nor the order of the sums depend on column position
-    by_name = sorted(range(n), key=data.feature_names.__getitem__)
     scores = np.empty((2**n - n - 1, len(ks)))
     raw = [0.0] * n
     score = functools.partial(_score_subset, data.values, data.feature_names, seed, ks, restarts)
-    results = pool_map(pool, score, _subsets(by_name), len(scores))
-    for cols, sis in zip(_subsets(by_name), results):
-        scores[_subset_row(sorted(cols), n)] = sis
+    results = pool_map(pool, score, _subsets(range(n)), len(scores))
+    for row, (cols, sis) in enumerate(zip(_subsets(range(n)), results)):
+        scores[row] = sis
         for si in sis:
             for c in cols:
                 raw[c] += si
-    # in name order too, so the total's sum and the ties are column-order free
-    weights = FeatureWeights.from_scores([data.feature_names[i] for i in by_name],
-                                         [raw[i] for i in by_name], source="FRSD")
-    return weights, scores
+    return FeatureWeights.from_scores(data.feature_names, raw, source="FRSD"), scores
 
 
-def write_subset_scores(scores, n_features: int, k_min: int, path) -> None:
+def write_subset_scores(scores, columns, k_min: int, path) -> None:
     """Dump the score table of ``frsd_rank`` as CSV with columns subset, k, si.
 
-    Subsets are rendered as comma-joined 1-based feature positions, e.g.
-    "1,3,7".
+    ``columns[j]`` is the input position of the ranked table's column j; a
+    subset is written as its ascending 1-based input positions, e.g. "1,3,7".
     """
-    rows = zip(_subsets(range(n_features)), scores)
-    write_csv(path, ["subset", "k", "si"], ((",".join(str(i + 1) for i in s), k, si)
+    rows = zip(_subsets(columns), scores)
+    write_csv(path, ["subset", "k", "si"], ((",".join(str(c + 1) for c in sorted(s)), k, si)
               for s, row in rows for k, si in enumerate(row.tolist(), k_min)))

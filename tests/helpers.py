@@ -7,8 +7,11 @@ the implementations it checks.
 
 from __future__ import annotations
 
+import csv
+import io
 import math
-from itertools import product
+from itertools import islice, product
+from pathlib import Path
 
 import numpy as np
 from scipy.spatial.distance import cdist
@@ -212,6 +215,19 @@ def make_dataset(values, names=None):
         names = [f"f{i + 1}" for i in range(values.shape[1])]
     ids = [f"r{i}" for i in range(values.shape[0])]
     return Dataset(ids=ids, feature_names=names, values=values)
+
+
+def outputs_by_name(out_dir, names):
+    """The files in ``out_dir`` as bytes, but ``subset_scores.csv`` as its rows
+    of (sorted feature names, k, si), each subset's 1-based positions read as
+    positions in ``names``."""
+    files = {path.name: path.read_bytes() for path in Path(out_dir).iterdir()}
+    if "subset_scores.csv" in files:
+        rows = csv.reader(io.StringIO(files["subset_scores.csv"].decode("utf-8")))
+        files["subset_scores.csv"] = [
+            (sorted(names[int(i) - 1] for i in subset.split(",")), k, si)
+            for subset, k, si in islice(rows, 1, None)]
+    return files
 
 
 def write_dataset_csv(ds, path):

@@ -1,12 +1,19 @@
 """CLI subcommands, flag handling and output files."""
 
+import contextlib
+import io
 import json
+import math
 import os
 import subprocess
 import sys
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import dimred
 from dimred import cli
@@ -15,7 +22,7 @@ from dimred import (Dataset, DecisionConfig, DecisionReport, EXTRACTION, SELECTI
                     decide, decision, evaluate, frsd, kmeans_fits, load_csv, rank,
                     run_decision_detailed, select_for_resolution)
 from dimred.validation import resolution_sweep, write_sweep_csv
-from helpers import make_blobs_with_noise, make_dataset, write_dataset_csv
+from helpers import make_blobs_with_noise, make_dataset, outputs_by_name, write_dataset_csv
 
 FAST = ["--k-min", "2", "--k-max", "3", "--restarts", "2", "--threads", "1"]
 
@@ -119,8 +126,11 @@ class TestRun:
             code = run_cli([command, "--input", str(csv_path), "--out", str(tmp_path / "o"),
                             "--restarts", "2", "--threads", threads] + k_range)
             assert code == 1
-            assert needle in capsys.readouterr().err
+            captured = capsys.readouterr()
+            assert needle in captured.err
             assert not (tmp_path / "o").exists(), command  # no output directory on exit 1
+            # the k range is checked against the rows before the sweep size is announced
+            assert ("FRSD sweep:" in captured.out) == (needle == "distinct points"), command
 
     def test_column_range_above_float64_max(self, tmp_path, capsys):
         # every value is finite, but the column's max - min overflows to inf
@@ -169,6 +179,52 @@ class TestRun:
         code = run_cli(["run", "--input", str(bad), "--out", str(tmp_path / "o")] + FAST)
         assert code == 1
         assert "oops" in capsys.readouterr().err
+
+
+class TestAnyLoadableTable:
+    """Tables that ``load_csv`` accepts, drawn from values that strain the
+    arithmetic (subnormals, +-1e308, 1 and the float after it) and from
+    binary, ternary and continuous columns."""
+
+    EXTREMES = [5e-324, 2.5e-320, -1e-310, 1e308, -1e308, 1.0, math.nextafter(1.0, 2.0)]
+    POOLS = [st.sampled_from(EXTREMES), st.sampled_from([0.0, 1.0]),
+             st.sampled_from([0.0, 1.0, 2.0]), st.floats(-1e3, 1e3)]
+    POOLS.append(st.one_of(POOLS))
+
+    @staticmethod
+    def _run(data, names, out):
+        """``dimred run`` on the table of ``names`` and columns ``data``:
+        (exit code, stderr)."""
+        path = out.with_suffix(".csv")
+        write_dataset_csv(make_dataset(np.column_stack(data), names), path)
+        stderr = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(stderr):
+            code = main(["run", "--input", str(path), "--out", str(out), "--subset-scores"]
+                        + FAST)
+        return code, stderr.getvalue()
+
+    @settings(max_examples=60, deadline=None, database=None)
+    @given(st.data())
+    def test_exits_cleanly_and_ignores_column_order(self, data):
+        n_features, n_rows = data.draw(st.integers(2, 4)), data.draw(st.integers(4, 29))
+        columns = [data.draw(st.lists(data.draw(st.sampled_from(self.POOLS)),
+                                      min_size=n_rows, max_size=n_rows))
+                   for _ in range(n_features)]
+        names = data.draw(st.permutations([f"c{j}" for j in range(n_features)]))
+        perm = data.draw(st.permutations(range(n_features)))
+        with tempfile.TemporaryDirectory() as tmp:
+            out = Path(tmp) / "out"
+            code, err = self._run(columns, names, out)
+            if code == 1:  # a documented data error: one line, no output directory
+                assert err.startswith("error: ") and err.count("\n") == 1, err
+                assert not out.exists()
+                return
+            assert code == 0, err
+            permuted = Path(tmp) / "permuted"
+            assert self._run([columns[j] for j in perm], [names[j] for j in perm],
+                             permuted) == (0, "")
+            assert outputs_by_name(permuted, [names[j] for j in perm]) == \
+                outputs_by_name(out, names)
 
 
 class TestRank:

@@ -1,5 +1,6 @@
 """Subset enumeration, silhouette decomposition and weight normalization."""
 
+import json
 import tracemalloc
 from concurrent.futures import ProcessPoolExecutor
 from types import SimpleNamespace
@@ -9,11 +10,12 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from dimred import (DecisionConfig, FeatureWeights, ParameterError, enumerate_subsets, frsd,
-                    frsd_rank, kmeans_fit, kmeans_fits, minmax_normalize,
+from dimred import (DecisionConfig, FeatureWeights, ParameterError, cli, enumerate_subsets,
+                    frsd, frsd_rank, kmeans_fit, kmeans_fits, minmax_normalize, rank,
                     run_decision_detailed, write_subset_scores)
 from dimred.frsd import task_seed
-from helpers import make_blobs_with_noise, make_dataset, powerset_subsets
+from helpers import (make_blobs_with_noise, make_dataset, outputs_by_name, powerset_subsets,
+                     write_dataset_csv)
 
 
 def pooled_rank(data, k_min, k_max, seed, restarts, max_workers):
@@ -79,13 +81,6 @@ class TestFeatureWeights:
         assert view["c"] == pytest.approx(0.0)
 
 
-class TestSubsetRow:
-    def test_is_the_position_in_enumerate_subsets(self):
-        for n in range(2, 11):
-            for row, subset in enumerate(enumerate_subsets(n)):
-                assert frsd._subset_row(subset, n) == row
-
-
 class TestTaskSeed:
     def test_depends_on_names_not_positions(self):
         assert task_seed(7, ["x", "y"], 3) == task_seed(7, ["y", "x"], 3)
@@ -128,21 +123,28 @@ class TestFrsdRank:
         for j, name in enumerate(data.feature_names):
             assert got[name] == pytest.approx(expected[j], abs=1e-12)
 
-    def test_column_permutation_equivariance(self):
-        # identical ranked weights, bit for bit, in any column order: a grand
-        # total summed in column order differs in the last digit on 4 of these 30
+    def test_column_permutation_equivariance(self, tmp_path):
+        # every file `run` writes, byte for byte, in any column order; the score
+        # table numbers subsets by input position, so it is compared by name
         names = ["alpha", "beta", "gamma", "delta", "epsilon", "zeta", "eta"]
+        methods = set()
         for n in range(3, 8):
             rng = np.random.default_rng(n)
-            values = rng.uniform(size=(18, n))
-            w1, _ = frsd_rank(minmax_normalize(make_dataset(values, names[:n])),
-                              2, 3, seed=6, restarts=1)
-            for _ in range(6):
-                perm = rng.permutation(n)
-                permuted = minmax_normalize(
-                    make_dataset(values[:, perm], [names[i] for i in perm]))
-                w2, _ = frsd_rank(permuted, 2, 3, seed=6, restarts=1)
-                assert w2.entries == w1.entries
+            values = rng.uniform(size=(24, n))
+            outputs = []
+            for trial in range(7):  # the table as drawn, then 6 permutations
+                perm = rng.permutation(n) if trial else np.arange(n)
+                data = make_dataset(values[:, perm], [names[i] for i in perm])
+                csv_path, out = tmp_path / "in.csv", tmp_path / f"out{n}_{trial}"
+                write_dataset_csv(data, csv_path)
+                assert cli.main(["run", "--input", str(csv_path), "--out", str(out),
+                                 "--subset-scores", "--interpretability", "0.9" if n % 2 else "0.1",
+                                 "--k-min", "2", "--k-max", "3", "--restarts", "1",
+                                 "--threads", "1"]) == 0
+                outputs.append(outputs_by_name(out, data.feature_names))
+            assert all(output == outputs[0] for output in outputs[1:]), n
+            methods.add(json.loads(outputs[0]["report.json"])["chosen_method"])
+        assert methods == {"SELECTION", "EXTRACTION"}  # both branches' figures compared
 
     def test_tied_weights_rank_in_name_order(self):
         # two features always tie at 0.5; a resolution of 0.5 keeps the first
@@ -261,9 +263,8 @@ class TestFrsdRank:
         # each score is the one a separate fit of its (subset, k) gives
         for run in range(0, scores.size, 7):  # row-major: two k values a subset
             subset, k = subsets[run // 2], 2 + run % 2
-            cols = sorted(subset, key=lambda i: data.feature_names[i])
-            seed = task_seed(4, [data.feature_names[i] for i in cols], k)
-            fit = kmeans_fit(data.values[:, cols], k, seed, restarts=1)
+            seed = task_seed(4, [data.feature_names[i] for i in subset], k)
+            fit = kmeans_fit(data.values[:, subset], k, seed, restarts=1)
             assert scores.flat[run] == fit.mean_silhouette
 
     @settings(max_examples=50, deadline=None)
@@ -274,18 +275,18 @@ class TestFrsdRank:
         tasks = []
 
         def recording_score(values, names, seed, ks, restarts, cols):
-            tasks.append(cols)
+            tasks.append(tuple(names[i] for i in cols))
             return [0.5] * len(ks)
 
         data = make_dataset(np.random.default_rng(0).uniform(size=(8, len(names))), names)
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(frsd, "_score_subset", recording_score)
-            frsd_rank(data, 2, 3, seed=0, restarts=1)
+            rank(data, 2, 3, seed=0, restarts=1)
         # reference: a sort of every run by (size, sorted subset names, k)
         subsets = enumerate_subsets(len(names))
         keyed = sorted((len(n), n, k) for n in
                        (tuple(sorted(names[i] for i in s)) for s in subsets) for k in (2, 3))
-        assert [(len(c), tuple(names[i] for i in c), k) for c in tasks for k in (2, 3)] == keyed
+        assert [(len(c), c, k) for c in tasks for k in (2, 3)] == keyed
 
     def test_sweep_holds_a_few_bytes_a_run(self, monkeypatch):
         fits = [SimpleNamespace(mean_silhouette=0.25)] * 8
@@ -322,9 +323,14 @@ class TestFrsdRank:
         data = minmax_normalize(make_dataset(rng.uniform(size=(12, 3))))
         _, scores = frsd_rank(data, 2, 2, seed=1, restarts=1)
         path = tmp_path / "scores.csv"
-        write_subset_scores(scores, 3, 2, path)
+        write_subset_scores(scores, (0, 1, 2), 2, path)
         lines = path.read_text().strip().splitlines()
         assert lines[0] == "subset,k,si"
         assert len(lines) == scores.size + 1
         # subsets rendered as 1-based positions, quoted because of the comma
         assert lines[1].startswith('"1,2"')
+        # a ranked table whose columns are input columns 3, 1 and 2: each row
+        # keeps its place and names its subset by ascending input positions
+        write_subset_scores(scores, (2, 0, 1), 2, path)
+        assert [line.split('",')[0] for line in path.read_text().splitlines()[1:]] == [
+            '"1,3', '"2,3', '"1,2', '"1,2,3']

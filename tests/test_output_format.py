@@ -40,7 +40,7 @@ SWEEP = [SweepRow(target=0.2, m_fs=2, achieved_fs=0.25, m_fe=1, achieved_fe=0.75
 
 def test_run_writes_report_weights_and_subset_scores(demo_csv, tmp_path, monkeypatch):
     rankings = SimpleNamespace(frsd_weights=FRSD, pca_weights=PCA, subset_scores=SCORES,
-                               k_min=3)
+                               columns=(0, 1, 2), k_min=3)
     monkeypatch.setattr(cli, "run_decision_detailed",
                         lambda *args, **kwargs: SimpleNamespace(report=REPORT,
                                                                 rankings=rankings))
