@@ -20,8 +20,8 @@ import sys
 import warnings
 
 from .dataset import Dataset, load_csv, minmax_columns, write_csv
-from .decision import (DecisionConfig, DecisionOutcome, Rankings, SELECTION, evaluate,
-                       rank_and_fit, run_decision_detailed)
+from .decision import (DecisionConfig, DecisionOutcome, Rankings, SELECTION, evaluate, rank,
+                       run_decision_detailed)
 from .errors import DimredError, ParameterError
 from .figures import RadarSeries, cluster_letter, render_silhouette_plot, render_stacked_radar
 from .frsd import check_k_range, write_subset_scores
@@ -71,7 +71,8 @@ def build_parser() -> argparse.ArgumentParser:
                      help="preference for keeping feature names, in [0, 1]")
     run.add_argument("--integrity", type=float, default=None,
                      help="preference for information retention, in [0, 1]")
-    run.add_argument("--target-resolution", type=float, default=0.85,
+    run.add_argument("--target-resolution", type=float,
+                     default=DecisionConfig.target_resolution,
                      help="minimum cumulative importance to retain, in (0, 1]")
     run.add_argument("--case", default="run", help="label used in figure file names")
     run.add_argument("--subset-scores", action="store_true",
@@ -106,10 +107,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _resolve_orientation(args) -> tuple[float, float]:
+def _resolve_orientation(args) -> dict:
+    """The preference flags given, each completed by its complement, as
+    ``DecisionConfig`` fields; none given leaves its defaults."""
     interp, integ = args.interpretability, args.integrity
     if interp is None and integ is None:
-        return 0.5, 0.5
+        return {}
     if interp is None:
         interp = 1.0 - integ
     elif integ is None:
@@ -118,25 +121,18 @@ def _resolve_orientation(args) -> tuple[float, float]:
         args.parser.error(
             f"--interpretability and --integrity must sum to 1 (got {interp + integ})"
         )
-    return interp, integ
+    return {"interpretability_oriented": interp, "integrity_oriented": integ}
 
 
-def _config(args, interpretability: float = 0.5, integrity: float = 0.5,
-            target_resolution: float = 1.0) -> DecisionConfig:
-    """Validate the sweep flags (and, for ``run``, the preference flags) in
-    one place; what DecisionConfig rejects is a flag error (exit 2)."""
+def _config(args, **decision) -> DecisionConfig:
+    """Validate the sweep flags (and, for ``run``, the ``decision`` fields
+    from its preference and resolution flags) in one place; what
+    DecisionConfig rejects is a flag error (exit 2)."""
     if args.threads < 1:
         args.parser.error("--threads must be at least 1")
     try:
-        return DecisionConfig(
-            interpretability_oriented=interpretability,
-            integrity_oriented=integrity,
-            target_resolution=target_resolution,
-            k_min=args.k_min,
-            k_max=args.k_max,
-            seed=args.seed,
-            restarts=args.restarts,
-        )
+        return DecisionConfig(k_min=args.k_min, k_max=args.k_max, seed=args.seed,
+                              restarts=args.restarts, **decision)
     except ParameterError as exc:
         args.parser.error(str(exc))
 
@@ -234,12 +230,14 @@ def _rank_input(args, targets=()) -> Rankings:
     """Check the sweep flags, load the input, rank the table both ways and fit
     the branches that reach each target resolution, all on one pool."""
     config = _config(args)
-    return _with_warnings_printed(rank_and_fit, _load_input(args, config), config, targets,
-                                  args.threads)
+    return _with_warnings_printed(rank, _load_input(args, config), config.k_min,
+                                  config.k_max, config.seed, config.restarts, args.threads,
+                                  targets)
 
 
 def cmd_run(args) -> int:
-    config = _config(args, *_resolve_orientation(args), args.target_resolution)
+    config = _config(args, target_resolution=args.target_resolution,
+                     **_resolve_orientation(args))
     if any(sep and sep in args.case for sep in (os.sep, os.altsep)):
         args.parser.error("--case must not contain a path separator")
     data = _load_input(args, config)

@@ -6,8 +6,10 @@ must sum to 1. Each strategy is scored as preference x best achievable mean
 silhouette after reducing to the target resolution, and the larger score
 wins. Resolution is the cumulative importance weight retained.
 
-``rank`` does the costly, preference-free part once (normalize, FRSD, PCA);
-``evaluate`` does the cheap part per scenario (reduce, cluster, decide).
+``rank`` does the costly, preference-free part once (normalize, FRSD, PCA,
+and the branches of the target resolutions it is given), on the one worker
+pool it opens; ``evaluate`` does the cheap part per scenario (reduce,
+cluster, decide).
 """
 
 from __future__ import annotations
@@ -43,9 +45,9 @@ def _check_preferences(interpretability: float, integrity: float) -> None:
 class DecisionConfig:
     """User preferences and sweep parameters for one decision run."""
 
-    interpretability_oriented: float
-    integrity_oriented: float
-    target_resolution: float
+    interpretability_oriented: float = 0.5
+    integrity_oriented: float = 0.5
+    target_resolution: float = 0.85
     k_min: int = 3
     k_max: int = 10
     seed: int = 42
@@ -155,12 +157,14 @@ class Branch:
     """One reduction of the data and its best clustering over the k range.
 
     ``axis_labels`` are the retained feature names (selection) or PC labels
-    (extraction); ``clustering`` is the fit with the best mean silhouette.
+    (extraction); ``clustering`` is the fit with the best mean silhouette, and
+    ``resolution`` the cumulative weight of the retained axes.
     """
 
     reduced_values: np.ndarray
     axis_labels: tuple[str, ...]
     clustering: ClusteringResult
+    resolution: float
 
 
 @dataclass(frozen=True, eq=False)
@@ -186,28 +190,27 @@ class Rankings:
     restarts: int
     _branches: dict = field(default_factory=dict, init=False, repr=False)
 
-    def branches(self, keys, pool=None) -> list[Branch]:
-        """The branch of each (method, m) key: the first ``m`` ranked features
-        (SELECTION) or principal components (EXTRACTION), clustered over the k
-        range. The keys not fitted yet are fitted in one ``pool_map`` over
-        ``pool`` (``None``: in-process), each once; a fit is deterministic, so
-        where it runs does not change it."""
+    def branches(self, targets, pool=None) -> list[tuple[Branch, Branch]]:
+        """The (selection, extraction) branch pair of each target resolution:
+        the fewest ranked features (FRSD), and principal components (PCA), that
+        reach it, clustered over the k range. The widths not fitted yet are
+        fitted in one ``pool_map`` over ``pool`` (``None``: in-process), each
+        once; a fit is deterministic, so where it runs does not change it."""
+        keys = [(weights, *select_for_resolution(weights, target))
+                for target in targets for weights in (self.frsd_weights, self.pca_weights)]
         missing = [key for key in dict.fromkeys(keys) if key not in self._branches]
-        reduced = []
-        for method, m in missing:
-            if method == SELECTION:
-                labels = self.frsd_weights.names[:m]
-                cols = [self.normalized.column_index(n) for n in labels]
-                reduced.append((self.normalized.values[:, cols], labels))
-            else:
-                reduced.append((pca_project(self.pca_model, self.normalized.values, m),
-                                tuple(f"PC{i + 1}" for i in range(m))))
+        values = self.normalized.values
+        reduced = [values[:, [self.normalized.column_index(n) for n in weights.names[:m]]]
+                   if weights is self.frsd_weights else pca_project(self.pca_model, values, m)
+                   for weights, m, _ in missing]
         fit = functools.partial(best_silhouette_over_k, k_min=self.k_min, k_max=self.k_max,
                                 seed=self.seed, restarts=self.restarts)
-        fits = pool_map(pool, fit, (v for v, _ in reduced), len(reduced))
-        for key, (v, labels), clustering in zip(missing, reduced, fits):
-            self._branches[key] = Branch(v, labels, clustering)
-        return [self._branches[key] for key in keys]
+        fits = pool_map(pool, fit, reduced, len(reduced))
+        for (weights, m, achieved), v, clustering in zip(missing, reduced, fits):
+            self._branches[weights, m, achieved] = Branch(v, weights.names[:m], clustering,
+                                                          achieved)
+        pairs = iter(self._branches[key] for key in keys)
+        return list(zip(pairs, pairs))
 
 
 @dataclass(frozen=True, eq=False)
@@ -221,46 +224,42 @@ class DecisionOutcome:
 
 
 def rank(data: Dataset, k_min: int, k_max: int, seed: int, restarts: int = 10,
-         pool=None) -> Rankings:
+         max_workers: int = 1, targets=()) -> Rankings:
     """The costly half of a decision: normalize, put the columns in
-    feature-name order, then rank the features with FRSD (on ``pool``'s
-    workers) and the principal components with PCA. No result depends on the
-    input's column order."""
+    feature-name order, rank the features with FRSD and the principal
+    components with PCA, then fit the selection and extraction branches that
+    reach each resolution in ``targets``. The sweep and the branches run on one
+    pool of up to ``max_workers`` processes (``worker_pool``). No result
+    depends on the input's column order or on the worker count."""
     normalized = minmax_normalize(data)  # first, so its warnings keep the input order
     columns = tuple(sorted(range(data.n_features), key=data.feature_names.__getitem__))
     normalized = Dataset(normalized.ids, [data.feature_names[j] for j in columns],
                          normalized.values[:, columns])
-    frsd_weights, subset_scores = frsd_rank(normalized, k_min, k_max, seed,
-                                            restarts=restarts, pool=pool)
-    model = pca_fit(normalized.values)
-    return Rankings(
-        normalized=normalized,
-        columns=columns,
-        frsd_weights=frsd_weights,
-        pca_weights=pca_importance(model),
-        subset_scores=subset_scores,
-        pca_model=model,
-        k_min=k_min,
-        k_max=k_max,
-        seed=seed,
-        restarts=restarts,
-    )
+    with worker_pool(normalized, k_min, k_max, restarts, max_workers) as pool:
+        frsd_weights, subset_scores = frsd_rank(normalized, k_min, k_max, seed,
+                                                restarts=restarts, pool=pool)
+        model = pca_fit(normalized.values)
+        rankings = Rankings(normalized=normalized, columns=columns, frsd_weights=frsd_weights,
+                            pca_weights=pca_importance(model), subset_scores=subset_scores,
+                            pca_model=model, k_min=k_min, k_max=k_max, seed=seed,
+                            restarts=restarts)
+        rankings.branches(targets, pool)
+    return rankings
 
 
 def evaluate(rankings: Rankings, interpretability: float, integrity: float,
-             target_resolution: float, pool=None) -> DecisionOutcome:
+             target_resolution: float) -> DecisionOutcome:
     """The cheap, per-scenario half: reduce both ways to the target resolution,
-    cluster each over the k range on ``pool``'s workers, and decide."""
+    cluster each over the k range, and decide. Only the branches that ``rank``
+    did not fit are fitted, in-process."""
     _check_preferences(interpretability, integrity)  # before any fit
-    m_fs, achieved_fs = select_for_resolution(rankings.frsd_weights, target_resolution)
-    m_fe, achieved_fe = select_for_resolution(rankings.pca_weights, target_resolution)
-    fs, fe = rankings.branches([(SELECTION, m_fs), (EXTRACTION, m_fe)], pool)
+    (fs, fe), = rankings.branches([target_resolution])
 
     si_fs, si_fe = fs.clustering.mean_silhouette, fe.clustering.mean_silhouette
     method, interpretability_score, integrity_score = decide(
         si_fs, si_fe, interpretability, integrity
     )
-    chosen, achieved = (fs, achieved_fs) if method == SELECTION else (fe, achieved_fe)
+    chosen = fs if method == SELECTION else fe
 
     report = DecisionReport(
         frsd_weights=rankings.frsd_weights,
@@ -271,31 +270,18 @@ def evaluate(rankings: Rankings, interpretability: float, integrity: float,
         integrity_score=integrity_score,
         chosen_method=method,
         n_selected=len(chosen.axis_labels),
-        achieved_resolution=achieved,
+        achieved_resolution=chosen.resolution,
         best_k=chosen.clustering.k,
     )
     return DecisionOutcome(report=report, rankings=rankings, chosen=chosen)
 
 
-def rank_and_fit(data: Dataset, config: DecisionConfig, targets=(),
-                 max_workers: int = 1) -> Rankings:
-    """Rank ``data`` with ``config``'s sweep parameters and fit the selection and
-    extraction branches that reach each resolution in ``targets``, all on one
-    pool of up to ``max_workers`` processes (``worker_pool``)."""
-    with worker_pool(data, config.k_min, config.k_max, config.restarts, max_workers) as pool:
-        rankings = rank(data, config.k_min, config.k_max, config.seed,
-                        restarts=config.restarts, pool=pool)
-        rankings.branches([(method, select_for_resolution(weights, target)[0])
-                           for target in targets
-                           for method, weights in ((SELECTION, rankings.frsd_weights),
-                                                   (EXTRACTION, rankings.pca_weights))], pool)
-    return rankings
-
-
 def run_decision_detailed(data: Dataset, config: DecisionConfig,
                           max_workers: int = 1) -> DecisionOutcome:
-    """Full pipeline: ``rank_and_fit`` at ``config``'s target resolution, then
-    ``evaluate`` the one scenario in ``config`` on the branches it fitted."""
-    rankings = rank_and_fit(data, config, [config.target_resolution], max_workers)
+    """Full pipeline: ``rank`` with ``config``'s sweep parameters and target
+    resolution, then ``evaluate`` the one scenario in ``config`` on the
+    branches it fitted."""
+    rankings = rank(data, config.k_min, config.k_max, config.seed, config.restarts,
+                    max_workers, [config.target_resolution])
     return evaluate(rankings, config.interpretability_oriented,
                     config.integrity_oriented, config.target_resolution)

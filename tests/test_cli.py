@@ -306,6 +306,23 @@ class TestScenarios:
         assert captured.count("chosen method:") == len(cli.SCENARIOS)
         assert "lower-resolution-clusters-better trend:" in captured
 
+    def test_each_scenarios_figures_are_the_ones_run_writes(self, blobs, tmp_path):
+        csv_path = write_dataset_csv(blobs, tmp_path / "blobs.csv")
+        flags = ["--input", str(csv_path), "--k-min", "2", "--k-max", "4", "--seed", "5",
+                 "--restarts", "2", "--threads", "1"]
+        figs = tmp_path / "figs"
+        assert run_cli(["scenarios", "--out", str(figs)] + flags) == 0
+        radars = 0
+        for case, alpha, target in cli.SCENARIOS:
+            out = tmp_path / case
+            assert run_cli(["run", "--out", str(out), "--case", case, "--interpretability",
+                            str(alpha), "--target-resolution", str(target)] + flags) == 0
+            written = {p.name: p.read_bytes() for p in out.glob("*.svg")}
+            assert f"silhouette_{case}.svg" in written, case
+            assert written == {p.name: p.read_bytes() for p in figs.glob(f"*_{case}*.svg")}, case
+            radars += sum(name.startswith("radar_") for name in written)
+        assert radars  # radar charts compared too, not only silhouette plots
+
 
 class TestValidate:
     def test_zero_misclassified(self, tmp_path, capsys):
@@ -342,11 +359,12 @@ class TestValidate:
 
 class TestSweepFlags:
     def test_defaults_are_decision_configs(self):
-        config = DecisionConfig(interpretability_oriented=0.5, integrity_oriented=0.5,
-                                target_resolution=0.85)
+        config = DecisionConfig()
         for command in ("run", "rank", "scenarios"):
             args = cli.build_parser().parse_args([command, "--input", "x.csv"])
-            for name in ("k_min", "k_max", "seed", "restarts"):
+            names = ("k_min", "k_max", "seed", "restarts") + (
+                ("target_resolution",) if command == "run" else ())
+            for name in names:
                 assert getattr(args, name) == getattr(config, name), (command, name)
 
 

@@ -78,6 +78,17 @@ class TestLoadCsv:
         with pytest.raises(IngestionError, match=r"data\.csv: no data rows$"):
             load_csv(path)
 
+    def test_empty_file(self, tmp_path):
+        path = write(tmp_path, "")
+        with pytest.raises(IngestionError, match=r"data\.csv: file is empty$"):
+            load_csv(path)
+
+    def test_header_with_one_feature(self, tmp_path):
+        path = write(tmp_path, "id,a\nr1,1.0\n")
+        with pytest.raises(SchemaError, match=r"data\.csv: header must name an id column "
+                                              r"and at least 2 features$"):
+            load_csv(path)
+
     def test_bytes_that_are_not_utf8(self, tmp_path):
         path = tmp_path / "latin1.csv"
         path.write_bytes(b"id,caf\xe9,b\nr1,1.0,2.0\nr2,3.0,4.0\n")  # 0xe9 is latin-1 'e acute'
@@ -119,6 +130,18 @@ class TestDatasetInvariants:
     def test_rejects_non_finite(self):
         with pytest.raises(ParameterError):
             make_dataset([[1.0, np.inf], [2.0, 3.0]])
+
+    @pytest.mark.parametrize("ids, names, values, error, message", [
+        (["r1", "r2"], ["a", "b"], [1.0, 2.0], ParameterError, "values must be a 2-D matrix"),
+        (["r1"], ["a", "b"], [[1.0, 2.0], [3.0, 4.0]], ParameterError, "1 ids for 2 rows"),
+        (["r1", "r2"], ["a", "b", "c"], [[1.0, 2.0], [3.0, 4.0]], ParameterError,
+         "3 names for 2 columns"),
+        (["r1", "r2"], ["a", "a"], [[1.0, 2.0], [3.0, 4.0]], SchemaError,
+         "feature names are not unique"),
+    ])
+    def test_rejects_inconsistent_parts(self, ids, names, values, error, message):
+        with pytest.raises(error, match=f"^{message}$"):
+            Dataset(ids, names, values)
 
     def test_values_are_immutable(self):
         ds = make_dataset([[1.0, 2.0], [3.0, 4.0]])

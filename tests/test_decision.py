@@ -9,8 +9,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dimred import (DecisionConfig, DecisionReport, EXTRACTION, ParameterError,
-                    SELECTION, best_silhouette_over_k, decide, decision, frsd, kmeans_fit,
-                    kmeans_fits, run_decision_detailed, select_for_resolution)
+                    SELECTION, best_silhouette_over_k, decide, decision, enumerate_subsets,
+                    frsd, kmeans_fit, kmeans_fits, run_decision_detailed,
+                    select_for_resolution)
 from dimred.validation import (REFERENCE_EXTRACTION_WEIGHTS,
                                REFERENCE_SELECTION_WEIGHTS)
 from helpers import make_dataset
@@ -36,6 +37,17 @@ class TestDecisionConfig:
         with pytest.raises(ParameterError, match="equal 1"):
             DecisionConfig(interpretability_oriented=0.6, integrity_oriented=0.6,
                            target_resolution=0.85)
+
+    @pytest.mark.parametrize("interpretability, integrity, field", [
+        (-0.5, 1.5, "interpretability_oriented"),
+        (1.5, -0.5, "interpretability_oriented"),
+        (0.5, 1.5, "integrity_oriented"),
+        (0.5, -0.5, "integrity_oriented"),
+    ])
+    def test_preference_range(self, interpretability, integrity, field):
+        with pytest.raises(ParameterError, match=rf"^{field} must be in \[0, 1\]$"):
+            DecisionConfig(interpretability_oriented=interpretability,
+                           integrity_oriented=integrity)
 
     def test_target_resolution_range(self):
         with pytest.raises(ParameterError):
@@ -253,6 +265,17 @@ class TestRunDecision:
         assert parsed.frsd_weights.entries == report.frsd_weights.entries
         assert parsed.achieved_resolution == report.achieved_resolution
 
+    def test_unknown_method_rejected(self):
+        with pytest.raises(ParameterError, match="^unknown method 'CLUSTERING'$"):
+            DecisionReport(
+                frsd_weights=REFERENCE_SELECTION_WEIGHTS,
+                pca_weights=REFERENCE_EXTRACTION_WEIGHTS,
+                best_si_fs=0.5, best_si_fe=0.5,
+                interpretability_score=0.25, integrity_score=0.25,
+                chosen_method="CLUSTERING", n_selected=4,
+                achieved_resolution=0.9, best_k=3,
+            )
+
     def test_inconsistent_report_rejected(self):
         with pytest.raises(ParameterError, match="contradicts"):
             DecisionReport(
@@ -263,6 +286,75 @@ class TestRunDecision:
                 chosen_method=SELECTION, n_selected=4,
                 achieved_resolution=0.9, best_k=3,
             )
+
+
+class TestRank:
+    """``rank`` opens the one pool, on ``worker_pool``'s rule, and fits the
+    sweep and the branches of its target resolutions on it."""
+
+    DATA = make_dataset(np.random.default_rng(9).uniform(size=(24, 3)))
+    WORK = 24 * 4 * 2 * 2  # rows x subsets x k values x restarts of the sweep below
+
+    @staticmethod
+    def _rank(max_workers, targets):
+        return decision.rank(TestRank.DATA, 2, 3, seed=4, restarts=2,
+                             max_workers=max_workers, targets=targets)
+
+    @pytest.fixture
+    def fit_calls(self, monkeypatch):
+        calls = []
+
+        def counting_fits(*args, **kwargs):
+            calls.append(args[0].shape)
+            return kmeans_fits(*args, **kwargs)
+
+        monkeypatch.setattr(decision, "kmeans_fits", counting_fits)
+        return calls
+
+    def test_one_pool_runs_the_sweep_and_each_width_once(self, fake_pools, fit_calls,
+                                                         monkeypatch):
+        monkeypatch.setattr(frsd, "_POOL_MIN_WORK", self.WORK)  # at the threshold: pooled
+        targets = (0.5, 0.85, 0.5)
+        rankings = self._rank(2, targets)
+        pool, = fake_pools
+        assert pool._max_workers == 2
+        assert pool.items(frsd._score_subset) == enumerate_subsets(3)
+        branches = list({id(b): b for pair in rankings.branches(targets) for b in pair}.values())
+        assert [id(v) for v in pool.items(decision.best_silhouette_over_k)] == \
+            [id(b.reduced_values) for b in branches]
+        assert fit_calls == [b.reduced_values.shape for b in branches]
+        for target, pair in zip(targets, rankings.branches(targets)):
+            for branch, weights in zip(pair, (rankings.frsd_weights, rankings.pca_weights)):
+                m, achieved = select_for_resolution(weights, target)
+                assert (branch.axis_labels, branch.resolution) == (weights.names[:m], achieved)
+        del fit_calls[:]
+        for target in targets:
+            outcome = decision.evaluate(rankings, 0.5, 0.5, target)
+            assert outcome.report.achieved_resolution == outcome.chosen.resolution
+        assert fit_calls == []
+
+    def test_no_pool_below_the_threshold_or_on_one_worker(self, fake_pools, fit_calls,
+                                                          monkeypatch):
+        for max_workers, min_work in ((2, self.WORK + 1), (1, 0)):
+            monkeypatch.setattr(frsd, "_POOL_MIN_WORK", min_work)
+            del fit_calls[:]
+            rankings = self._rank(max_workers, (0.85,))
+            assert fake_pools == [], max_workers
+            assert len(fit_calls) == 2, max_workers  # both branches, in-process
+            decision.evaluate(rankings, 0.5, 0.5, 0.85)
+            assert len(fit_calls) == 2, max_workers
+
+    def test_evaluate_fits_another_targets_branches_in_process_once(self, fake_pools,
+                                                                    fit_calls):
+        rankings = self._rank(2, (1.0,))
+        pool, = fake_pools
+        submitted = pool.submitted
+        del fit_calls[:]
+        decision.evaluate(rankings, 0.9, 0.1, 0.2)
+        assert fit_calls == [(24, 1), (24, 1)]  # the top feature and PC1
+        assert (fake_pools, pool.submitted) == ([pool], submitted)
+        decision.evaluate(rankings, 0.1, 0.9, 0.2)  # the same widths: no fit
+        assert len(fit_calls) == 2
 
 
 class TestEvaluate:

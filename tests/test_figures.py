@@ -140,6 +140,8 @@ class TestStackedRadar:
             render_stacked_radar(series, tmp_path / "no.svg")
 
     def test_rows_must_fit_axes_and_bounds(self):
+        with pytest.raises(ParameterError, match="^rows must be a 2-D matrix$"):
+            RadarSeries(axis_labels=["a", "b", "c"], rows=np.ones(3), cluster_id=0)
         with pytest.raises(ParameterError):
             RadarSeries(axis_labels=["a", "b", "c"], rows=np.ones((1, 2)),
                         cluster_id=0)

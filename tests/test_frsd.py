@@ -74,6 +74,19 @@ class TestFeatureWeights:
         with pytest.raises(ParameterError, match="descending"):
             FeatureWeights(entries=(("a", 0.4), ("b", 0.6)), source="FRSD")
 
+    @pytest.mark.parametrize("entries, source, message", [
+        ((("a", 1.0),), "LDA", "unknown weight source 'LDA'"),
+        ((), "FRSD", "weights are empty"),
+        ((("a", 0.5), ("a", 0.5)), "PCA", "duplicate names in weights"),
+    ])
+    def test_constructor_rejects(self, entries, source, message):
+        with pytest.raises(ParameterError, match=f"^{message}$"):
+            FeatureWeights(entries=entries, source=source)
+
+    def test_from_scores_needs_one_score_per_name(self):
+        with pytest.raises(ParameterError, match="^one score per name required$"):
+            FeatureWeights.from_scores(["a", "b"], [1.0, 2.0, 3.0], source="FRSD")
+
     def test_minmax_view(self):
         w = FeatureWeights.from_scores(["a", "b", "c"], [4.0, 3.0, 1.0], source="FRSD")
         view = dict(w.minmax_view())

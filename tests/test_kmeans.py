@@ -21,6 +21,17 @@ TWO_BLOBS_1D = np.array([[0.0], [0.1], [0.2], [10.0], [10.1], [10.2]])
 
 
 class TestKmeansFit:
+    @pytest.mark.parametrize("data, restarts, message", [
+        (np.arange(4.0), 1, "data must be a nonempty 2-D matrix"),
+        (np.empty((0, 2)), 1, "data must be a nonempty 2-D matrix"),
+        (np.array([[0.0, 0.0], [1.0, np.nan], [2.0, 1.0]]), 1,
+         "data contains non-finite entries"),
+        (np.arange(6.0).reshape(3, 2), 0, "restarts must be at least 1"),
+    ])
+    def test_kmeans_fits_rejects_bad_input(self, data, restarts, message):
+        with pytest.raises(ParameterError, match=f"^{message}$"):
+            kmeans_fits(data, [2], [0], restarts)
+
     def test_exact_fit_k_equals_n(self):
         data = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
         fit = kmeans_fit(data, 4, seed=0, restarts=5)

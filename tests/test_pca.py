@@ -54,8 +54,20 @@ class TestJacobi:
         with pytest.raises(ParameterError):
             jacobi_eigh(np.array([[1.0, 2.0], [0.0, 1.0]]))
 
+    def test_rejects_non_square(self):
+        with pytest.raises(ParameterError, match="^matrix must be square$"):
+            jacobi_eigh(np.ones((2, 3)))
+
 
 class TestPcaFit:
+    @pytest.mark.parametrize("data, message", [
+        (np.arange(4.0), "data must be a 2-D matrix"),
+        (np.array([[0.0, 1.0], [np.inf, 2.0], [1.0, 0.0]]), "data contains non-finite entries"),
+    ])
+    def test_rejects_bad_input(self, data, message):
+        with pytest.raises(ParameterError, match=f"^{message}$"):
+            pca_fit(data)
+
     def test_rank1_data(self):
         model = pca_fit(RANK1)
         np.testing.assert_allclose(model.explained_variance_ratio, [1.0, 0.0],
