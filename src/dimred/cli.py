@@ -67,10 +67,10 @@ def build_parser() -> argparse.ArgumentParser:
     run = sub.add_parser("run", help="full pipeline: report, weights, figures")
     run.add_argument("--input", required=True, help="input CSV (id column + numeric features)")
     run.add_argument("--out", default="dimred_out", help="output directory")
-    run.add_argument("--interpretability", type=float, default=None,
-                     help="preference for keeping feature names, in [0, 1]")
-    run.add_argument("--integrity", type=float, default=None,
-                     help="preference for information retention, in [0, 1]")
+    run.add_argument("--interpretability", type=float,
+                     default=DecisionConfig.interpretability_oriented,
+                     help="preference for keeping feature names, in [0, 1]; the "
+                          "preference for information retention is its complement")
     run.add_argument("--target-resolution", type=float,
                      default=DecisionConfig.target_resolution,
                      help="minimum cumulative importance to retain, in (0, 1]")
@@ -105,23 +105,6 @@ def build_parser() -> argparse.ArgumentParser:
     validate.set_defaults(func=cmd_validate, parser=validate)
 
     return parser
-
-
-def _resolve_orientation(args) -> dict:
-    """The preference flags given, each completed by its complement, as
-    ``DecisionConfig`` fields; none given leaves its defaults."""
-    interp, integ = args.interpretability, args.integrity
-    if interp is None and integ is None:
-        return {}
-    if interp is None:
-        interp = 1.0 - integ
-    elif integ is None:
-        integ = 1.0 - interp
-    elif abs(interp + integ - 1.0) > 1e-9:
-        args.parser.error(
-            f"--interpretability and --integrity must sum to 1 (got {interp + integ})"
-        )
-    return {"interpretability_oriented": interp, "integrity_oriented": integ}
 
 
 def _config(args, **decision) -> DecisionConfig:
@@ -236,8 +219,8 @@ def _rank_input(args, targets=()) -> Rankings:
 
 
 def cmd_run(args) -> int:
-    config = _config(args, target_resolution=args.target_resolution,
-                     **_resolve_orientation(args))
+    config = _config(args, interpretability_oriented=args.interpretability,
+                     target_resolution=args.target_resolution)
     if any(sep and sep in args.case for sep in (os.sep, os.altsep)):
         args.parser.error("--case must not contain a path separator")
     data = _load_input(args, config)
@@ -276,7 +259,7 @@ def cmd_scenarios(args) -> int:
 
     best_si = []
     for case, alpha, target in SCENARIOS:
-        outcome = evaluate(rankings, alpha, 1.0 - alpha, target)
+        outcome = evaluate(rankings, alpha, target)
         print(f"\n== {case}: interpretability={alpha}, target={target:.0%}")
         _print_report(outcome)
         if args.out is not None:

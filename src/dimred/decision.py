@@ -1,10 +1,11 @@
 """Choosing between feature selection and feature extraction.
 
-The user states how much they value interpretability (keeping feature
-names) versus integrity (keeping information content); the two preferences
-must sum to 1. Each strategy is scored as preference x best achievable mean
-silhouette after reducing to the target resolution, and the larger score
-wins. Resolution is the cumulative importance weight retained.
+The user states one preference in [0, 1], how much they value
+interpretability (keeping feature names); the integrity preference (keeping
+information content) is its complement, 1 - interpretability. Each strategy
+is scored as preference x best achievable mean silhouette after reducing to
+the target resolution, and the larger score wins. Resolution is the
+cumulative importance weight retained.
 
 ``rank`` does the costly, preference-free part once (normalize, FRSD, PCA,
 and the branches of the target resolutions it is given), on the one worker
@@ -30,23 +31,17 @@ SELECTION = "SELECTION"
 EXTRACTION = "EXTRACTION"
 
 
-def _check_preferences(interpretability: float, integrity: float) -> None:
+def _check_preference(interpretability: float) -> None:
     if not 0.0 <= interpretability <= 1.0:
         raise ParameterError("interpretability_oriented must be in [0, 1]")
-    if not 0.0 <= integrity <= 1.0:
-        raise ParameterError("integrity_oriented must be in [0, 1]")
-    if abs(interpretability + integrity - 1.0) > 1e-9:
-        raise ParameterError(
-            "interpretability_oriented + integrity_oriented must equal 1"
-        )
 
 
 @dataclass(frozen=True)
 class DecisionConfig:
-    """User preferences and sweep parameters for one decision run."""
+    """User preference and sweep parameters for one decision run; the
+    integrity preference is ``1 - interpretability_oriented``."""
 
     interpretability_oriented: float = 0.5
-    integrity_oriented: float = 0.5
     target_resolution: float = 0.85
     k_min: int = 3
     k_max: int = 10
@@ -54,7 +49,7 @@ class DecisionConfig:
     restarts: int = 10
 
     def __post_init__(self):
-        _check_preferences(self.interpretability_oriented, self.integrity_oriented)
+        _check_preference(self.interpretability_oriented)
         if not 0.0 < self.target_resolution <= 1.0:
             raise ParameterError("target_resolution must be in (0, 1]")
         check_k_range(self.k_min, self.k_max)
@@ -135,19 +130,19 @@ def best_silhouette_over_k(data, k_min: int, k_max: int, seed: int,
                key=lambda fit: fit.mean_silhouette)
 
 
-def decide(best_si_fs: float, best_si_fe: float, interpretability: float,
-           integrity: float) -> tuple[str, float, float]:
+def decide(best_si_fs: float, best_si_fe: float,
+           interpretability: float) -> tuple[str, float, float]:
     """Score both strategies and pick the larger; ties go to SELECTION.
 
-    ``interpretability`` and ``integrity`` are the two preferences, each in
-    [0, 1] and summing to 1.
+    ``interpretability`` is the preference in [0, 1]; the integrity
+    preference is ``1 - interpretability``.
     """
-    _check_preferences(interpretability, integrity)
+    _check_preference(interpretability)
     for name, si in (("best_si_fs", best_si_fs), ("best_si_fe", best_si_fe)):
         if not -1.0 <= si <= 1.0:
             raise ParameterError(f"{name}={si} outside [-1, 1]")
     interpretability_score = interpretability * best_si_fs
-    integrity_score = integrity * best_si_fe
+    integrity_score = (1.0 - interpretability) * best_si_fe
     method = SELECTION if interpretability_score >= integrity_score else EXTRACTION
     return method, interpretability_score, integrity_score
 
@@ -247,18 +242,16 @@ def rank(data: Dataset, k_min: int, k_max: int, seed: int, restarts: int = 10,
     return rankings
 
 
-def evaluate(rankings: Rankings, interpretability: float, integrity: float,
+def evaluate(rankings: Rankings, interpretability: float,
              target_resolution: float) -> DecisionOutcome:
     """The cheap, per-scenario half: reduce both ways to the target resolution,
     cluster each over the k range, and decide. Only the branches that ``rank``
     did not fit are fitted, in-process."""
-    _check_preferences(interpretability, integrity)  # before any fit
+    _check_preference(interpretability)  # before any fit
     (fs, fe), = rankings.branches([target_resolution])
 
     si_fs, si_fe = fs.clustering.mean_silhouette, fe.clustering.mean_silhouette
-    method, interpretability_score, integrity_score = decide(
-        si_fs, si_fe, interpretability, integrity
-    )
+    method, interpretability_score, integrity_score = decide(si_fs, si_fe, interpretability)
     chosen = fs if method == SELECTION else fe
 
     report = DecisionReport(
@@ -283,5 +276,4 @@ def run_decision_detailed(data: Dataset, config: DecisionConfig,
     branches it fitted."""
     rankings = rank(data, config.k_min, config.k_max, config.seed, config.restarts,
                     max_workers, [config.target_resolution])
-    return evaluate(rankings, config.interpretability_oriented,
-                    config.integrity_oriented, config.target_resolution)
+    return evaluate(rankings, config.interpretability_oriented, config.target_resolution)

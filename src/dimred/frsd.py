@@ -199,8 +199,9 @@ def frsd_rank(data: Dataset, k_min: int, k_max: int, seed: int, restarts: int = 
     i for ``enumerate_subsets``'s subset i and column j for k = k_min + j. The
     sweep runs on ``pool``'s workers (``None``: in-process), with the same
     output either way. A bad k range, a k the data cannot support (named with
-    the first feature pair that has too few distinct rows) or ``restarts``
-    below 1 raises before any fit or task is submitted.
+    the first feature pair that has too few distinct rows), ``restarts``
+    below 1 or a score table too large to allocate (too many features)
+    raises ``ParameterError`` before any fit or task is submitted.
     """
     check_k_range(k_min, k_max, data.n_samples)
     n = data.n_features
@@ -213,10 +214,15 @@ def frsd_rank(data: Dataset, k_min: int, k_max: int, seed: int, restarts: int = 
                          + " and ".join(repr(data.feature_names[i]) for i in pair))
     if restarts < 1:
         raise ParameterError("restarts must be at least 1")
-    scores = np.empty((2**n - n - 1, len(ks)))
+    n_subsets = 2**n - n - 1
+    try:
+        scores = np.empty((n_subsets, len(ks)))
+    except (MemoryError, ValueError):
+        raise ParameterError(f"{n} features give {n_subsets} subsets x {len(ks)} k values: "
+                             "too many to score") from None
     raw = [0.0] * n
     score = functools.partial(_score_subset, data.values, data.feature_names, seed, ks, restarts)
-    results = pool_map(pool, score, _subsets(range(n)), len(scores))
+    results = pool_map(pool, score, _subsets(range(n)), n_subsets)
     for row, (cols, sis) in enumerate(zip(_subsets(range(n)), results)):
         scores[row] = sis
         for si in sis:

@@ -73,7 +73,7 @@ def generate_cases(n: int, seed: int) -> list[RandomCase]:
         si_fs = float(rng.uniform())
         si_fe = float(rng.uniform())
         alpha = float(rng.uniform())
-        method, s_interp, s_integ = decide(si_fs, si_fe, alpha, 1.0 - alpha)
+        method, s_interp, s_integ = decide(si_fs, si_fe, alpha)
         cases.append(RandomCase(
             si_fs=si_fs,
             si_fe=si_fe,

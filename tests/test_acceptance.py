@@ -45,7 +45,7 @@ def test_criterion_1_decision_arithmetic():
     """All ten published scores and all five chosen methods reproduced."""
     deviations = []
     for si_fs, si_fe, alpha, method, pub_interp, pub_integ in PUBLISHED_SCENARIOS:
-        got_method, interp, integ = decide(si_fs, si_fe, alpha, 1.0 - alpha)
+        got_method, interp, integ = decide(si_fs, si_fe, alpha)
         assert got_method == method
         # published values are 4-decimal truncations (e.g. 0.9 * 0.4393 =
         # 0.39537 is quoted as 0.3953), so displayed-value equality is the
@@ -208,8 +208,7 @@ def test_criterion_9_lower_resolution_clusters_better():
     """Lower target resolution yields a better silhouette on the generator."""
     for seed in (0, 1, 2):
         data = make_blobs_with_noise(seed=seed)
-        common = dict(interpretability_oriented=0.9, integrity_oriented=0.1,
-                      k_min=2, k_max=4, seed=3, restarts=3)
+        common = dict(interpretability_oriented=0.9, k_min=2, k_max=4, seed=3, restarts=3)
         low = run_decision_detailed(data, DecisionConfig(target_resolution=0.5, **common))
         high = run_decision_detailed(data, DecisionConfig(target_resolution=0.85, **common))
         low, high = low.report, high.report

@@ -71,14 +71,14 @@ class TestRun:
         weight_sum = sum(w for _, w in report.frsd_weights.entries)
         assert weight_sum == pytest.approx(1.0, abs=1e-9)
 
-    def test_integrity_alone_sets_interpretability(self, demo_csv, tmp_path):
+    def test_integrity_score_uses_the_complement(self, demo_csv, tmp_path):
         out = tmp_path / "out"
         assert run_cli(["run", "--input", str(demo_csv), "--out", str(out),
-                        "--integrity", "0.7"] + FAST) == 0
+                        "--interpretability", "0.3"] + FAST) == 0
         report = DecisionReport.from_json_dict(json.loads((out / "report.json").read_text()))
+        assert report.integrity_score == (1.0 - 0.3) * report.best_si_fe
         assert (report.chosen_method, report.interpretability_score,
-                report.integrity_score) == decide(report.best_si_fs, report.best_si_fe,
-                                                  1.0 - 0.7, 0.7)
+                report.integrity_score) == decide(report.best_si_fs, report.best_si_fe, 0.3)
 
     def test_constant_column_warns_on_stdout(self, tmp_path, capsys):
         rng = np.random.default_rng(1)
@@ -91,12 +91,13 @@ class TestRun:
         assert "warning: column 'b' is constant; normalized to 0.0\n" in captured.out
         assert captured.err == ""
 
-    def test_conflicting_orientation_exits_2(self, demo_csv, tmp_path, capsys):
+    def test_integrity_flag_is_unknown(self, demo_csv, tmp_path, capsys):
         with pytest.raises(SystemExit) as exc:
             run_cli(["run", "--input", str(demo_csv), "--out", str(tmp_path / "o"),
-                     "--interpretability", "0.6", "--integrity", "0.6"] + FAST)
+                     "--integrity", "0.3"] + FAST)
         assert exc.value.code == 2
-        assert "sum to 1" in capsys.readouterr().err
+        assert "unrecognized arguments: --integrity 0.3" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
     def test_bad_k_range_exits_2(self, demo_csv, tmp_path):
         with pytest.raises(SystemExit) as exc:
@@ -131,6 +132,18 @@ class TestRun:
             assert not (tmp_path / "o").exists(), command  # no output directory on exit 1
             # the k range is checked against the rows before the sweep size is announced
             assert ("FRSD sweep:" in captured.out) == (needle == "distinct points"), command
+
+    def test_too_wide_table_exits_1_with_one_line(self, tmp_path, capsys):
+        path = write_dataset_csv(make_dataset(
+            np.random.default_rng(0).uniform(size=(75, 70))), tmp_path / "wide.csv")
+        for threads in ("1", "2"):
+            code = run_cli(["rank", "--input", str(path), "--out", str(tmp_path / "o"),
+                            "--k-min", "2", "--k-max", "2", "--restarts", "1",
+                            "--threads", threads])
+            err = capsys.readouterr().err
+            assert code == 1, threads
+            assert err.startswith("error: 70 features give ") and err.count("\n") == 1, err
+            assert not (tmp_path / "o").exists(), threads
 
     def test_column_range_above_float64_max(self, tmp_path, capsys):
         # every value is finite, but the column's max - min overflows to inf
@@ -266,10 +279,9 @@ class TestScenarios:
     def test_evaluate_per_scenario_matches_run_decision_detailed(self, blobs):
         rankings = rank(blobs, **SWEEP)
         for case, alpha, target in cli.SCENARIOS:
-            got = evaluate(rankings, alpha, 1.0 - alpha, target).report
+            got = evaluate(rankings, alpha, target).report
             want = run_decision_detailed(blobs, DecisionConfig(
-                interpretability_oriented=alpha, integrity_oriented=1.0 - alpha,
-                target_resolution=target, **SWEEP)).report
+                interpretability_oriented=alpha, target_resolution=target, **SWEEP)).report
             assert got.to_json_dict() == want.to_json_dict(), case
 
     def test_scenarios_fit_each_branch_width_once(self, blobs, tmp_path, fake_pools,

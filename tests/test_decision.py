@@ -20,7 +20,6 @@ from helpers import make_dataset
 def config_for(alpha, target=0.85, **kwargs):
     return DecisionConfig(
         interpretability_oriented=alpha,
-        integrity_oriented=1.0 - alpha,
         target_resolution=target,
         **kwargs,
     )
@@ -33,21 +32,11 @@ def trunc4(x):
 
 
 class TestDecisionConfig:
-    def test_orientation_must_sum_to_one(self):
-        with pytest.raises(ParameterError, match="equal 1"):
-            DecisionConfig(interpretability_oriented=0.6, integrity_oriented=0.6,
-                           target_resolution=0.85)
-
-    @pytest.mark.parametrize("interpretability, integrity, field", [
-        (-0.5, 1.5, "interpretability_oriented"),
-        (1.5, -0.5, "interpretability_oriented"),
-        (0.5, 1.5, "integrity_oriented"),
-        (0.5, -0.5, "integrity_oriented"),
-    ])
-    def test_preference_range(self, interpretability, integrity, field):
-        with pytest.raises(ParameterError, match=rf"^{field} must be in \[0, 1\]$"):
-            DecisionConfig(interpretability_oriented=interpretability,
-                           integrity_oriented=integrity)
+    @pytest.mark.parametrize("interpretability", [-0.5, 1.5, float("nan")])
+    def test_preference_range(self, interpretability):
+        with pytest.raises(ParameterError,
+                           match=r"^interpretability_oriented must be in \[0, 1\]$"):
+            DecisionConfig(interpretability_oriented=interpretability)
 
     def test_target_resolution_range(self):
         with pytest.raises(ParameterError):
@@ -115,7 +104,7 @@ class TestDecide:
         ],
     )
     def test_published_scenarios(self, si_fs, si_fe, alpha, method, interp, integ):
-        got_method, got_interp, got_integ = decide(si_fs, si_fe, alpha, 1.0 - alpha)
+        got_method, got_interp, got_integ = decide(si_fs, si_fe, alpha)
         assert got_method == method
         # quoted scores are 4-decimal truncations (0.9 * 0.4393 = 0.39537 is
         # quoted as 0.3953, not 0.3954), so compare displayed values
@@ -123,13 +112,13 @@ class TestDecide:
         assert trunc4(got_integ) == integ
 
     def test_tie_goes_to_selection(self):
-        method, interp, integ = decide(0.4, 0.4, 0.5, 0.5)
+        method, interp, integ = decide(0.4, 0.4, 0.5)
         assert interp == integ
         assert method == SELECTION
 
     def test_si_range_checked(self):
         with pytest.raises(ParameterError):
-            decide(1.5, 0.0, 0.5, 0.5)
+            decide(1.5, 0.0, 0.5)
 
     @given(st.integers(0, 100), st.integers(0, 100), st.integers(0, 100),
            st.sampled_from([0.25, 0.5, 2.0, 4.0]))
@@ -138,8 +127,8 @@ class TestDecide:
         si_fs, si_fe, alpha = fs / 100.0, fe / 100.0, a / 100.0
         if max(si_fs, si_fe) * c > 1.0:
             c = 0.25  # keep scaled values inside [-1, 1]
-        base, _, _ = decide(si_fs, si_fe, alpha, 1.0 - alpha)
-        scaled, _, _ = decide(si_fs * c, si_fe * c, alpha, 1.0 - alpha)
+        base, _, _ = decide(si_fs, si_fe, alpha)
+        scaled, _, _ = decide(si_fs * c, si_fe * c, alpha)
         assert base == scaled
 
     @given(st.floats(0.0, 1.0), st.floats(0.0, 1.0),
@@ -147,8 +136,8 @@ class TestDecide:
     @settings(max_examples=100)
     def test_monotone_in_interpretability(self, si_fs, si_fe, a1, a2):
         lo, hi = sorted((a1, a2))
-        method_lo, _, _ = decide(si_fs, si_fe, lo, 1.0 - lo)
-        method_hi, _, _ = decide(si_fs, si_fe, hi, 1.0 - hi)
+        method_lo, _, _ = decide(si_fs, si_fe, lo)
+        method_hi, _, _ = decide(si_fs, si_fe, hi)
         if method_lo == SELECTION:
             assert method_hi == SELECTION
 
@@ -206,7 +195,7 @@ class TestRunDecision:
         assert report.interpretability_score == \
             config.interpretability_oriented * report.best_si_fs
         assert report.integrity_score == \
-            config.integrity_oriented * report.best_si_fe
+            (1.0 - config.interpretability_oriented) * report.best_si_fe
         expected = SELECTION if report.interpretability_score >= report.integrity_score \
             else EXTRACTION
         assert report.chosen_method == expected
@@ -329,7 +318,7 @@ class TestRank:
                 assert (branch.axis_labels, branch.resolution) == (weights.names[:m], achieved)
         del fit_calls[:]
         for target in targets:
-            outcome = decision.evaluate(rankings, 0.5, 0.5, target)
+            outcome = decision.evaluate(rankings, 0.5, target)
             assert outcome.report.achieved_resolution == outcome.chosen.resolution
         assert fit_calls == []
 
@@ -341,7 +330,7 @@ class TestRank:
             rankings = self._rank(max_workers, (0.85,))
             assert fake_pools == [], max_workers
             assert len(fit_calls) == 2, max_workers  # both branches, in-process
-            decision.evaluate(rankings, 0.5, 0.5, 0.85)
+            decision.evaluate(rankings, 0.5, 0.85)
             assert len(fit_calls) == 2, max_workers
 
     def test_evaluate_fits_another_targets_branches_in_process_once(self, fake_pools,
@@ -350,10 +339,10 @@ class TestRank:
         pool, = fake_pools
         submitted = pool.submitted
         del fit_calls[:]
-        decision.evaluate(rankings, 0.9, 0.1, 0.2)
+        decision.evaluate(rankings, 0.9, 0.2)
         assert fit_calls == [(24, 1), (24, 1)]  # the top feature and PC1
         assert (fake_pools, pool.submitted) == ([pool], submitted)
-        decision.evaluate(rankings, 0.1, 0.9, 0.2)  # the same widths: no fit
+        decision.evaluate(rankings, 0.1, 0.2)  # the same widths: no fit
         assert len(fit_calls) == 2
 
 
@@ -363,5 +352,5 @@ class TestEvaluate:
         rankings = decision.rank(data, 2, 3, seed=1, restarts=1)
         monkeypatch.setattr(decision, "kmeans_fits",
                             lambda *args, **kwargs: pytest.fail("fitted"))
-        with pytest.raises(ParameterError, match="equal 1"):
-            decision.evaluate(rankings, 0.6, 0.6, 0.85)
+        with pytest.raises(ParameterError, match="must be in"):
+            decision.evaluate(rankings, 1.5, 0.85)

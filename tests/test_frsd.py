@@ -164,8 +164,7 @@ class TestFrsdRank:
         rng = np.random.default_rng(0)
         values = np.column_stack([rng.choice([0.0, 0.5, 1.0], 40) + rng.normal(0, 0.05, 40),
                                   rng.uniform(size=40)])
-        config = DecisionConfig(interpretability_oriented=0.9, integrity_oriented=0.1,
-                                target_resolution=0.5, k_min=2, k_max=3, seed=0, restarts=2)
+        config = DecisionConfig(interpretability_oriented=0.9, target_resolution=0.5, k_min=2, k_max=3, seed=0, restarts=2)
         forward = run_decision_detailed(make_dataset(values, ["a", "b"]), config).report
         reversed_ = run_decision_detailed(make_dataset(values[:, ::-1], ["b", "a"]),
                                           config).report
@@ -223,6 +222,14 @@ class TestFrsdRank:
         assert len(fake_pools) == 1 and fake_pools[0].submitted == 0
         with pytest.raises(ParameterError, match="fewer than k=5 distinct points"):
             kmeans_fits(data.values[:, [1, 2]], [3, 4, 5, 6], [0] * 4)
+
+    def test_too_wide_table_rejected_before_any_pool(self, fake_pools):
+        # 2^70 - 71 subsets: the score table exceeds numpy's largest dimension
+        data = minmax_normalize(make_dataset(np.random.default_rng(0).uniform(size=(75, 70))))
+        with pytest.raises(ParameterError, match=rf"^70 features give {2**70 - 71} subsets "
+                                                 r"x 1 k values: too many to score$"):
+            pooled_rank(data, 2, 2, seed=0, restarts=1, max_workers=2)
+        assert len(fake_pools) == 1 and fake_pools[0].submitted == 0
 
     def test_zero_restarts_rejected_before_any_pool(self, fake_pools):
         data = minmax_normalize(make_blobs_with_noise(seed=10, n_samples=30))

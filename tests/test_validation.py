@@ -34,7 +34,7 @@ class TestGenerateCases:
         # alpha = 1 zeroes the integrity score, so any positive si_fs wins
         from dimred import decide
         for si_fs in (0.01, 0.4, 1.0):
-            method, _, _ = decide(si_fs, 0.9, 1.0, 0.0)
+            method, _, _ = decide(si_fs, 0.9, 1.0)
             assert method == "SELECTION"
 
     def test_recorded_scores_do_not_vouch_for_the_choice(self):
