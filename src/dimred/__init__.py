@@ -15,7 +15,7 @@ from .decision import (DecisionConfig, DecisionOutcome, DecisionReport,
 from .errors import (ConstantColumnWarning, DimredError, IngestionError,
                      MetricUndefinedError, ParameterError, SchemaError)
 from .figures import RadarSeries, render_silhouette_plot, render_stacked_radar
-from .frsd import FeatureWeights, enumerate_subsets, frsd_rank, write_subset_scores
+from .frsd import FeatureWeights, frsd_rank, write_subset_scores
 from .kmeans import ClusteringResult, kmeans_fit, kmeans_fits, silhouette
 from .pca import PcaModel, jacobi_eigh, pca_fit, pca_importance, pca_project
 from .validation import (RandomCase, SweepRow, generate_cases,
@@ -46,7 +46,6 @@ __all__ = [
     "best_silhouette_over_k",
     "count_misclassified",
     "decide",
-    "enumerate_subsets",
     "evaluate",
     "frsd_rank",
     "generate_cases",

@@ -18,6 +18,7 @@ import json
 import os
 import sys
 import warnings
+from dataclasses import fields
 
 from .dataset import Dataset, load_csv, minmax_columns, write_csv
 from .decision import (DecisionConfig, DecisionOutcome, Rankings, SELECTION, evaluate, rank,
@@ -68,7 +69,7 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--input", required=True, help="input CSV (id column + numeric features)")
     run.add_argument("--out", default="dimred_out", help="output directory")
     run.add_argument("--interpretability", type=float,
-                     default=DecisionConfig.interpretability_oriented,
+                     default=DecisionConfig.interpretability,
                      help="preference for keeping feature names, in [0, 1]; the "
                           "preference for information retention is its complement")
     run.add_argument("--target-resolution", type=float,
@@ -107,17 +108,21 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _config(args, **decision) -> DecisionConfig:
-    """Validate the sweep flags (and, for ``run``, the ``decision`` fields
-    from its preference and resolution flags) in one place; what
-    DecisionConfig rejects is a flag error (exit 2)."""
+def _config(args) -> DecisionConfig:
+    """Validate the flags that set ``DecisionConfig`` fields, each the
+    ``dest`` of its flag, in one place: the sweep flags, and ``run``'s
+    preference and resolution. What DecisionConfig rejects is a flag error
+    (exit 2), reported under the flag's name."""
     if args.threads < 1:
         args.parser.error("--threads must be at least 1")
+    names = [f.name for f in fields(DecisionConfig)]
     try:
-        return DecisionConfig(k_min=args.k_min, k_max=args.k_max, seed=args.seed,
-                              restarts=args.restarts, **decision)
+        return DecisionConfig(**{n: v for n, v in vars(args).items() if n in names})
     except ParameterError as exc:
-        args.parser.error(str(exc))
+        message = str(exc)
+        for name in names:
+            message = message.replace(name, "--" + name.replace("_", "-"))
+        args.parser.error(message)
 
 
 def _with_warnings_printed(fn, *args, **kwargs):
@@ -219,8 +224,7 @@ def _rank_input(args, targets=()) -> Rankings:
 
 
 def cmd_run(args) -> int:
-    config = _config(args, interpretability_oriented=args.interpretability,
-                     target_resolution=args.target_resolution)
+    config = _config(args)
     if any(sep and sep in args.case for sep in (os.sep, os.altsep)):
         args.parser.error("--case must not contain a path separator")
     data = _load_input(args, config)

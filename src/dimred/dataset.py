@@ -70,12 +70,6 @@ class Dataset:
     def n_features(self) -> int:
         return self.values.shape[1]
 
-    def column_index(self, name: str) -> int:
-        try:
-            return self.feature_names.index(name)
-        except ValueError:
-            raise ParameterError(f"unknown feature {name!r}") from None
-
 
 def load_csv(path) -> Dataset:
     """Read a CSV file into a :class:`Dataset`.

@@ -33,15 +33,15 @@ EXTRACTION = "EXTRACTION"
 
 def _check_preference(interpretability: float) -> None:
     if not 0.0 <= interpretability <= 1.0:
-        raise ParameterError("interpretability_oriented must be in [0, 1]")
+        raise ParameterError("interpretability must be in [0, 1]")
 
 
 @dataclass(frozen=True)
 class DecisionConfig:
     """User preference and sweep parameters for one decision run; the
-    integrity preference is ``1 - interpretability_oriented``."""
+    integrity preference is ``1 - interpretability``."""
 
-    interpretability_oriented: float = 0.5
+    interpretability: float = 0.5
     target_resolution: float = 0.85
     k_min: int = 3
     k_max: int = 10
@@ -49,7 +49,7 @@ class DecisionConfig:
     restarts: int = 10
 
     def __post_init__(self):
-        _check_preference(self.interpretability_oriented)
+        _check_preference(self.interpretability)
         if not 0.0 < self.target_resolution <= 1.0:
             raise ParameterError("target_resolution must be in (0, 1]")
         check_k_range(self.k_min, self.k_max)
@@ -195,7 +195,7 @@ class Rankings:
                 for target in targets for weights in (self.frsd_weights, self.pca_weights)]
         missing = [key for key in dict.fromkeys(keys) if key not in self._branches]
         values = self.normalized.values
-        reduced = [values[:, [self.normalized.column_index(n) for n in weights.names[:m]]]
+        reduced = [values[:, [self.normalized.feature_names.index(n) for n in weights.names[:m]]]
                    if weights is self.frsd_weights else pca_project(self.pca_model, values, m)
                    for weights, m, _ in missing]
         fit = functools.partial(best_silhouette_over_k, k_min=self.k_min, k_max=self.k_max,
@@ -276,4 +276,4 @@ def run_decision_detailed(data: Dataset, config: DecisionConfig,
     branches it fitted."""
     rankings = rank(data, config.k_min, config.k_max, config.seed, config.restarts,
                     max_workers, [config.target_resolution])
-    return evaluate(rankings, config.interpretability_oriented, config.target_resolution)
+    return evaluate(rankings, config.interpretability, config.target_resolution)

@@ -107,21 +107,11 @@ class FeatureWeights:
         return tuple(zip(self.names, scaled.tolist()))
 
 
-def _subsets(indices):
-    """The subsets of ``indices`` of size 2..len, lazily: by size, then in combination order."""
+def subsets(indices):
+    """The 2^n - n - 1 subsets of the n ``indices`` of size 2..n, lazily: by
+    size, then in combination order."""
     return chain.from_iterable(combinations(indices, size)
                                for size in range(2, len(indices) + 1))
-
-
-def enumerate_subsets(n_features: int) -> list[tuple[int, ...]]:
-    """All index subsets of size 2..n, ordered by size then lexicographically.
-
-    The count is 2^n - n - 1 (the power set minus the empty set and the
-    singletons).
-    """
-    if n_features < 2:
-        raise ParameterError("need at least 2 features to form subsets")
-    return list(_subsets(range(n_features)))
 
 
 def task_seed(base_seed: int, names, k: int) -> int:
@@ -196,34 +186,35 @@ def frsd_rank(data: Dataset, k_min: int, k_max: int, seed: int, restarts: int = 
     ``data`` is expected to be MinMax-normalized. Its features are ranked, ties
     included, in the column order given, which ``decision.rank`` makes name
     order. Returns the weights plus the score table: a float64 array with row
-    i for ``enumerate_subsets``'s subset i and column j for k = k_min + j. The
-    sweep runs on ``pool``'s workers (``None``: in-process), with the same
-    output either way. A bad k range, a k the data cannot support (named with
-    the first feature pair that has too few distinct rows), ``restarts``
-    below 1 or a score table too large to allocate (too many features)
-    raises ``ParameterError`` before any fit or task is submitted.
+    i for subset i of ``subsets(range(n_features))`` and column j for
+    k = k_min + j. The sweep runs on ``pool``'s workers (``None``: in-process),
+    with the same output either way. A bad k range, ``restarts`` below 1, a
+    score table too large to allocate (too many features) or a k the data
+    cannot support (named with the first feature pair that has too few
+    distinct rows) raises ``ParameterError``, in that order, before any fit or
+    task is submitted.
     """
     check_k_range(k_min, k_max, data.n_samples)
-    n = data.n_features
-    ks = tuple(range(k_min, k_max + 1))
-    # a subset has no fewer distinct rows than a pair inside it, and pairs
-    # come first: the first infeasible pair is the sweep's first infeasible
-    # subset, found here before any fit runs or any worker starts
-    for pair in combinations(range(n), 2):
-        require_distinct(data.values[:, pair], ks, " in features "
-                         + " and ".join(repr(data.feature_names[i]) for i in pair))
     if restarts < 1:
         raise ParameterError("restarts must be at least 1")
+    n = data.n_features
+    ks = tuple(range(k_min, k_max + 1))
     n_subsets = 2**n - n - 1
     try:
         scores = np.empty((n_subsets, len(ks)))
     except (MemoryError, ValueError):
         raise ParameterError(f"{n} features give {n_subsets} subsets x {len(ks)} k values: "
                              "too many to score") from None
+    # a subset has no fewer distinct rows than a pair inside it, and pairs
+    # come first: the first infeasible pair is the sweep's first infeasible
+    # subset, found here before any fit runs or any worker starts
+    for pair in combinations(range(n), 2):
+        require_distinct(data.values[:, pair], ks, " in features "
+                         + " and ".join(repr(data.feature_names[i]) for i in pair))
     raw = [0.0] * n
     score = functools.partial(_score_subset, data.values, data.feature_names, seed, ks, restarts)
-    results = pool_map(pool, score, _subsets(range(n)), n_subsets)
-    for row, (cols, sis) in enumerate(zip(_subsets(range(n)), results)):
+    results = pool_map(pool, score, subsets(range(n)), n_subsets)
+    for row, (cols, sis) in enumerate(zip(subsets(range(n)), results)):
         scores[row] = sis
         for si in sis:
             for c in cols:
@@ -237,6 +228,6 @@ def write_subset_scores(scores, columns, k_min: int, path) -> None:
     ``columns[j]`` is the input position of the ranked table's column j; a
     subset is written as its ascending 1-based input positions, e.g. "1,3,7".
     """
-    rows = zip(_subsets(columns), scores)
+    rows = zip(subsets(columns), scores)
     write_csv(path, ["subset", "k", "si"], ((",".join(str(c + 1) for c in sorted(s)), k, si)
               for s, row in rows for k, si in enumerate(row.tolist(), k_min)))

@@ -11,9 +11,8 @@ from concurrent.futures import ProcessPoolExecutor
 import numpy as np
 import pytest
 
-from dimred import (DecisionConfig, SELECTION, decide, enumerate_subsets, frsd,
-                    frsd_rank, minmax_normalize, pca_fit, run_decision_detailed,
-                    select_for_resolution, silhouette)
+from dimred import (DecisionConfig, SELECTION, decide, frsd, frsd_rank, minmax_normalize,
+                    pca_fit, run_decision_detailed, select_for_resolution, silhouette)
 from dimred.cli import main as cli_main
 from dimred.validation import (REFERENCE_EXTRACTION_WEIGHTS,
                                REFERENCE_SELECTION_WEIGHTS, count_misclassified,
@@ -77,10 +76,10 @@ def test_criterion_2_resolution_arithmetic():
 def test_criterion_3_subset_enumeration():
     """Counts equal 2^n - n - 1 against an independent power-set oracle."""
     for n in range(2, 11):
-        subsets = enumerate_subsets(n)
+        subsets = list(frsd.subsets(range(n)))
         assert len(subsets) == 2**n - n - 1
         assert set(subsets) == powerset_subsets(n)
-    assert len(enumerate_subsets(8)) == 247
+    assert len(list(frsd.subsets(range(8)))) == 247
     note("3 (subset enumeration): PASS - n=2..10 match the power-set oracle "
          "(247 at n=8)")
 
@@ -208,7 +207,7 @@ def test_criterion_9_lower_resolution_clusters_better():
     """Lower target resolution yields a better silhouette on the generator."""
     for seed in (0, 1, 2):
         data = make_blobs_with_noise(seed=seed)
-        common = dict(interpretability_oriented=0.9, k_min=2, k_max=4, seed=3, restarts=3)
+        common = dict(interpretability=0.9, k_min=2, k_max=4, seed=3, restarts=3)
         low = run_decision_detailed(data, DecisionConfig(target_resolution=0.5, **common))
         high = run_decision_detailed(data, DecisionConfig(target_resolution=0.85, **common))
         low, high = low.report, high.report

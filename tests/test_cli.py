@@ -99,19 +99,26 @@ class TestRun:
         assert "unrecognized arguments: --integrity 0.3" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
-    def test_bad_k_range_exits_2(self, demo_csv, tmp_path):
-        with pytest.raises(SystemExit) as exc:
-            run_cli(["run", "--input", str(demo_csv), "--out", str(tmp_path / "o"),
-                     "--k-min", "5", "--k-max", "3"])
-        assert exc.value.code == 2
-        # the other flags DecisionConfig rejects are flag errors too, in every command
-        for argv in (["rank", "--k-min", "5", "--k-max", "3"],
-                     ["scenarios", "--k-min", "5", "--k-max", "3"],
-                     ["run", "--restarts", "0"],
-                     ["run", "--target-resolution", "1.5"]):
+    def test_bad_k_range_exits_2(self, demo_csv, tmp_path, capsys):
+        k_range = "need 2 <= --k-min <= --k-max, got [5, 3]"
+        # the other flags DecisionConfig rejects are flag errors too, in every
+        # command, and each message names the flag
+        for argv, message in ((["run", "--k-min", "5", "--k-max", "3"], k_range),
+                              (["rank", "--k-min", "5", "--k-max", "3"], k_range),
+                              (["scenarios", "--k-min", "5", "--k-max", "3"], k_range),
+                              (["run", "--restarts", "0"], "--restarts must be at least 1"),
+                              (["scenarios", "--restarts", "0"], "--restarts must be at least 1"),
+                              (["run", "--target-resolution", "1.5"],
+                               "--target-resolution must be in (0, 1]"),
+                              (["run", "--target-resolution", "0"],
+                               "--target-resolution must be in (0, 1]"),
+                              (["run", "--interpretability", "1.5"],
+                               "--interpretability must be in [0, 1]")):
             with pytest.raises(SystemExit) as exc:
                 run_cli(argv + ["--input", str(demo_csv), "--out", str(tmp_path / "o")])
             assert exc.value.code == 2, argv
+            assert capsys.readouterr().err.endswith(f" error: {message}\n"), argv
+            assert not (tmp_path / "o").exists(), argv
 
     def test_data_dependent_parameter_errors_exit_1(self, demo_csv, tmp_path, capsys):
         rng = np.random.default_rng(0)
@@ -281,7 +288,7 @@ class TestScenarios:
         for case, alpha, target in cli.SCENARIOS:
             got = evaluate(rankings, alpha, target).report
             want = run_decision_detailed(blobs, DecisionConfig(
-                interpretability_oriented=alpha, target_resolution=target, **SWEEP)).report
+                interpretability=alpha, target_resolution=target, **SWEEP)).report
             assert got.to_json_dict() == want.to_json_dict(), case
 
     def test_scenarios_fit_each_branch_width_once(self, blobs, tmp_path, fake_pools,
@@ -375,7 +382,7 @@ class TestSweepFlags:
         for command in ("run", "rank", "scenarios"):
             args = cli.build_parser().parse_args([command, "--input", "x.csv"])
             names = ("k_min", "k_max", "seed", "restarts") + (
-                ("target_resolution",) if command == "run" else ())
+                ("interpretability", "target_resolution") if command == "run" else ())
             for name in names:
                 assert getattr(args, name) == getattr(config, name), (command, name)
 

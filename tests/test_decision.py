@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,8 +10,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dimred import (DecisionConfig, DecisionReport, EXTRACTION, ParameterError,
-                    SELECTION, best_silhouette_over_k, decide, decision, enumerate_subsets,
-                    frsd, kmeans_fit, kmeans_fits, run_decision_detailed,
+                    SELECTION, best_silhouette_over_k, decide, decision, frsd,
+                    kmeans_fit, kmeans_fits, run_decision_detailed,
                     select_for_resolution)
 from dimred.validation import (REFERENCE_EXTRACTION_WEIGHTS,
                                REFERENCE_SELECTION_WEIGHTS)
@@ -19,7 +20,7 @@ from helpers import make_dataset
 
 def config_for(alpha, target=0.85, **kwargs):
     return DecisionConfig(
-        interpretability_oriented=alpha,
+        interpretability=alpha,
         target_resolution=target,
         **kwargs,
     )
@@ -35,8 +36,8 @@ class TestDecisionConfig:
     @pytest.mark.parametrize("interpretability", [-0.5, 1.5, float("nan")])
     def test_preference_range(self, interpretability):
         with pytest.raises(ParameterError,
-                           match=r"^interpretability_oriented must be in \[0, 1\]$"):
-            DecisionConfig(interpretability_oriented=interpretability)
+                           match=r"^interpretability must be in \[0, 1\]$"):
+            DecisionConfig(interpretability=interpretability)
 
     def test_target_resolution_range(self):
         with pytest.raises(ParameterError):
@@ -193,9 +194,9 @@ class TestRunDecision:
         assert report.n_selected == 2
         assert report.achieved_resolution >= config.target_resolution - 1e-9
         assert report.interpretability_score == \
-            config.interpretability_oriented * report.best_si_fs
+            config.interpretability * report.best_si_fs
         assert report.integrity_score == \
-            (1.0 - config.interpretability_oriented) * report.best_si_fe
+            (1.0 - config.interpretability) * report.best_si_fe
         expected = SELECTION if report.interpretability_score >= report.integrity_score \
             else EXTRACTION
         assert report.chosen_method == expected
@@ -307,7 +308,7 @@ class TestRank:
         rankings = self._rank(2, targets)
         pool, = fake_pools
         assert pool._max_workers == 2
-        assert pool.items(frsd._score_subset) == enumerate_subsets(3)
+        assert pool.items(frsd._score_subset) == list(frsd.subsets(range(3)))
         branches = list({id(b): b for pair in rankings.branches(targets) for b in pair}.values())
         assert [id(v) for v in pool.items(decision.best_silhouette_over_k)] == \
             [id(b.reduced_values) for b in branches]
@@ -344,6 +345,22 @@ class TestRank:
         assert (fake_pools, pool.submitted) == ([pool], submitted)
         decision.evaluate(rankings, 0.1, 0.2)  # the same widths: no fit
         assert len(fit_calls) == 2
+
+
+class TestRowScaling:
+    def test_memory_grows_a_few_hundred_bytes_a_row(self):
+        def peak(n_rows):
+            data = make_dataset(np.random.default_rng(n_rows).uniform(size=(n_rows, 3)))
+            tracemalloc.start()
+            try:
+                decision.rank(data, 3, 3, 42, 2, max_workers=1, targets=(0.85,))
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        # about 150 B a row from 2000 to 4000 rows; a dense n x n silhouette
+        # matrix would add about 48 KB a row
+        assert (peak(4000) - peak(2000)) / 2000 < 512
 
 
 class TestEvaluate:

@@ -10,9 +10,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from dimred import (DecisionConfig, FeatureWeights, ParameterError, cli, enumerate_subsets,
-                    frsd, frsd_rank, kmeans_fit, kmeans_fits, minmax_normalize, rank,
-                    run_decision_detailed, write_subset_scores)
+from dimred import (DecisionConfig, FeatureWeights, ParameterError, cli, frsd, frsd_rank,
+                    kmeans_fit, kmeans_fits, minmax_normalize, rank, run_decision_detailed,
+                    write_subset_scores)
 from dimred.frsd import task_seed
 from helpers import (make_blobs_with_noise, make_dataset, outputs_by_name, powerset_subsets,
                      write_dataset_csv)
@@ -26,27 +26,23 @@ def pooled_rank(data, k_min, k_max, seed, restarts, max_workers):
 
 class TestEnumerateSubsets:
     def test_two_features(self):
-        assert enumerate_subsets(2) == [(0, 1)]
+        assert list(frsd.subsets(range(2))) == [(0, 1)]
 
     def test_three_features(self):
-        assert enumerate_subsets(3) == [(0, 1), (0, 2), (1, 2), (0, 1, 2)]
+        assert list(frsd.subsets(range(3))) == [(0, 1), (0, 2), (1, 2), (0, 1, 2)]
 
     def test_eight_features_count(self):
-        assert len(enumerate_subsets(8)) == 247  # 2^8 - 8 - 1
-
-    def test_rejects_below_two(self):
-        with pytest.raises(ParameterError):
-            enumerate_subsets(1)
+        assert len(list(frsd.subsets(range(8)))) == 247  # 2^8 - 8 - 1
 
     @given(st.integers(2, 10))
     def test_matches_powerset_oracle(self, n):
-        subsets = enumerate_subsets(n)
+        subsets = list(frsd.subsets(range(n)))
         assert len(subsets) == 2**n - n - 1
         assert set(subsets) == powerset_subsets(n)
         assert len(set(subsets)) == len(subsets)
 
     def test_ordered_by_size_then_lexicographic(self):
-        subsets = enumerate_subsets(4)
+        subsets = list(frsd.subsets(range(4)))
         keys = [(len(s), s) for s in subsets]
         assert keys == sorted(keys)
 
@@ -127,7 +123,7 @@ class TestFrsdRank:
         data = minmax_normalize(make_dataset(rng.uniform(size=(18, 3))))
         weights, scores = frsd_rank(data, 2, 4, seed=9, restarts=2)
         raw = np.zeros(3)
-        for subset, row in zip(enumerate_subsets(3), scores):
+        for subset, row in zip(frsd.subsets(range(3)), scores):
             for si in row:
                 for feature in subset:
                     raw[feature] += si
@@ -164,7 +160,8 @@ class TestFrsdRank:
         rng = np.random.default_rng(0)
         values = np.column_stack([rng.choice([0.0, 0.5, 1.0], 40) + rng.normal(0, 0.05, 40),
                                   rng.uniform(size=40)])
-        config = DecisionConfig(interpretability_oriented=0.9, target_resolution=0.5, k_min=2, k_max=3, seed=0, restarts=2)
+        config = DecisionConfig(interpretability=0.9, target_resolution=0.5, k_min=2, k_max=3,
+                                seed=0, restarts=2)
         forward = run_decision_detailed(make_dataset(values, ["a", "b"]), config).report
         reversed_ = run_decision_detailed(make_dataset(values[:, ::-1], ["b", "a"]),
                                           config).report
@@ -223,13 +220,16 @@ class TestFrsdRank:
         with pytest.raises(ParameterError, match="fewer than k=5 distinct points"):
             kmeans_fits(data.values[:, [1, 2]], [3, 4, 5, 6], [0] * 4)
 
-    def test_too_wide_table_rejected_before_any_pool(self, fake_pools):
+    def test_too_wide_table_rejected_before_any_pool(self, fake_pools, monkeypatch):
+        pair_checks = []
+        monkeypatch.setattr(frsd, "require_distinct", lambda *args: pair_checks.append(args))
         # 2^70 - 71 subsets: the score table exceeds numpy's largest dimension
         data = minmax_normalize(make_dataset(np.random.default_rng(0).uniform(size=(75, 70))))
         with pytest.raises(ParameterError, match=rf"^70 features give {2**70 - 71} subsets "
                                                  r"x 1 k values: too many to score$"):
             pooled_rank(data, 2, 2, seed=0, restarts=1, max_workers=2)
         assert len(fake_pools) == 1 and fake_pools[0].submitted == 0
+        assert pair_checks == []  # none of the 2415 feature pairs scanned first
 
     def test_zero_restarts_rejected_before_any_pool(self, fake_pools):
         data = minmax_normalize(make_blobs_with_noise(seed=10, n_samples=30))
@@ -274,7 +274,7 @@ class TestFrsdRank:
 
         monkeypatch.setattr(frsd, "kmeans_fits", counting_fits)
         _, scores = frsd_rank(data, 2, 3, seed=4, restarts=1)
-        subsets = enumerate_subsets(8)
+        subsets = list(frsd.subsets(range(8)))
         assert len(calls) == len(subsets) == 247
         for (width, ks, seeds), subset in zip(calls, subsets):
             names = [data.feature_names[i] for i in subset]
@@ -303,7 +303,7 @@ class TestFrsdRank:
             mp.setattr(frsd, "_score_subset", recording_score)
             rank(data, 2, 3, seed=0, restarts=1)
         # reference: a sort of every run by (size, sorted subset names, k)
-        subsets = enumerate_subsets(len(names))
+        subsets = frsd.subsets(range(len(names)))
         keyed = sorted((len(n), n, k) for n in
                        (tuple(sorted(names[i] for i in s)) for s in subsets) for k in (2, 3))
         assert [(len(c), c, k) for c in tasks for k in (2, 3)] == keyed

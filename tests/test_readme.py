@@ -26,6 +26,6 @@ def test_library_example_runs_as_written(monkeypatch, capsys):
     assert len(printed) == 3
     # the single-scenario entry point the next paragraph documents
     outcome = run_decision_detailed(data, DecisionConfig(
-        interpretability_oriented=0.9, target_resolution=0.85), max_workers=2)
+        interpretability=0.9, target_resolution=0.85), max_workers=2)
     report = outcome.report
     assert printed[0] == f"{report.chosen_method} {report.n_selected} {report.best_k}"
