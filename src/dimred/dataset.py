@@ -21,15 +21,14 @@ from .errors import ConstantColumnWarning, IngestionError, ParameterError, Schem
 
 @dataclass(frozen=True, eq=False)
 class Dataset:
-    """Immutable numeric table with row identifiers and named columns.
+    """Immutable numeric table with named columns.
 
     Invariants (enforced at construction): the value matrix is rectangular
-    with one row per id and one column per feature name, feature names are
-    unique, there are at least 2 features and at least as many samples as
-    features, and every entry is finite.
+    with one column per feature name, feature names are unique, there are at
+    least 2 features and at least as many samples as features, and every
+    entry is finite.
     """
 
-    ids: tuple[str, ...]
     feature_names: tuple[str, ...]
     values: np.ndarray
 
@@ -37,13 +36,8 @@ class Dataset:
         values = np.asarray(self.values, dtype=np.float64)
         if values.ndim != 2:
             raise ParameterError("values must be a 2-D matrix")
-        object.__setattr__(self, "ids", tuple(self.ids))
         object.__setattr__(self, "feature_names", tuple(self.feature_names))
         n_samples, n_features = values.shape
-        if len(self.ids) != n_samples:
-            raise ParameterError(
-                f"{len(self.ids)} ids for {n_samples} rows"
-            )
         if len(self.feature_names) != n_features:
             raise ParameterError(
                 f"{len(self.feature_names)} names for {n_features} columns"
@@ -76,8 +70,8 @@ def load_csv(path) -> Dataset:
 
     Expected layout: UTF-8, comma-delimited, '.' decimal point. The first
     row is a header; its first cell names the identifier column and the
-    remaining cells name the feature columns. Every data row holds the row
-    identifier followed by one real number per feature.
+    remaining cells name the feature columns. Every data row holds a row
+    identifier, which is read past, and then one real number per feature.
 
     Raises :class:`SchemaError` on duplicate header names and
     :class:`IngestionError` on malformed rows (naming the line and cell),
@@ -99,7 +93,6 @@ def load_csv(path) -> Dataset:
                 dupes = sorted({n for n in feature_names if feature_names.count(n) > 1})
                 raise SchemaError(f"{path}: duplicate header names {dupes}")
 
-            ids: list[str] = []
             values = array("d")  # row after row, 8 bytes a value, not a 32-byte float
             for lineno, row in enumerate(reader, start=2):
                 if not row:
@@ -108,7 +101,6 @@ def load_csv(path) -> Dataset:
                     raise IngestionError(
                         f"{path}: line {lineno}: expected {len(header)} fields, got {len(row)}"
                     )
-                ids.append(row[0].strip())
                 for name, cell in zip(feature_names, row[1:]):
                     try:
                         value = float(cell)
@@ -125,11 +117,11 @@ def load_csv(path) -> Dataset:
                     values.append(value)
     except (UnicodeDecodeError, csv.Error) as exc:  # not UTF-8, or a cell over the csv limit
         raise IngestionError(f"{path}: cannot read as UTF-8 CSV: {exc}") from None
-    if not ids:
+    if not values:
         raise IngestionError(f"{path}: no data rows")
 
-    return Dataset(ids=tuple(ids), feature_names=tuple(feature_names),
-                   values=np.frombuffer(values).reshape(len(ids), len(feature_names)))
+    return Dataset(feature_names=tuple(feature_names),
+                   values=np.frombuffer(values).reshape(-1, len(feature_names)))
 
 
 def write_csv(path, header, rows) -> None:
@@ -180,4 +172,4 @@ def minmax_normalize(data: Dataset) -> Dataset:
             ConstantColumnWarning,
             stacklevel=2,
         )
-    return Dataset(ids=data.ids, feature_names=data.feature_names, values=values)
+    return Dataset(feature_names=data.feature_names, values=values)

@@ -16,6 +16,7 @@ cluster, decide).
 from __future__ import annotations
 
 import functools
+import numbers
 from dataclasses import dataclass, field, fields
 
 import numpy as np
@@ -36,6 +37,11 @@ def _check_preference(interpretability: float) -> None:
         raise ParameterError("interpretability must be in [0, 1]")
 
 
+def _check_resolution(target_resolution: float) -> None:
+    if not 0.0 < target_resolution <= 1.0:
+        raise ParameterError("target_resolution must be in (0, 1]")
+
+
 @dataclass(frozen=True)
 class DecisionConfig:
     """User preference and sweep parameters for one decision run; the
@@ -49,9 +55,11 @@ class DecisionConfig:
     restarts: int = 10
 
     def __post_init__(self):
+        for name in ("k_min", "k_max", "seed", "restarts"):
+            if not isinstance(getattr(self, name), numbers.Integral):
+                raise ParameterError(f"{name} must be an integer")
         _check_preference(self.interpretability)
-        if not 0.0 < self.target_resolution <= 1.0:
-            raise ParameterError("target_resolution must be in (0, 1]")
+        _check_resolution(self.target_resolution)
         check_k_range(self.k_min, self.k_max)
         if self.restarts < 1:
             raise ParameterError("restarts must be at least 1")
@@ -107,8 +115,7 @@ def select_for_resolution(weights: FeatureWeights, target_resolution: float) -> 
     slack so that a target of exactly 1.0 is reachable despite floating-point
     dust in the normalized weights.
     """
-    if not 0.0 < target_resolution <= 1.0:
-        raise ParameterError("target_resolution must be in (0, 1]")
+    _check_resolution(target_resolution)
     cumulative = 0.0
     for m, (_, weight) in enumerate(weights.entries, start=1):
         cumulative += weight
@@ -226,10 +233,11 @@ def rank(data: Dataset, k_min: int, k_max: int, seed: int, restarts: int = 10,
     reach each resolution in ``targets``. The sweep and the branches run on one
     pool of up to ``max_workers`` processes (``worker_pool``). No result
     depends on the input's column order or on the worker count."""
+    for target in targets:
+        _check_resolution(target)  # before the sweep
     normalized = minmax_normalize(data)  # first, so its warnings keep the input order
     columns = tuple(sorted(range(data.n_features), key=data.feature_names.__getitem__))
-    normalized = Dataset(normalized.ids, [data.feature_names[j] for j in columns],
-                         normalized.values[:, columns])
+    normalized = Dataset([data.feature_names[j] for j in columns], normalized.values[:, columns])
     with worker_pool(normalized, k_min, k_max, restarts, max_workers) as pool:
         frsd_weights, subset_scores = frsd_rank(normalized, k_min, k_max, seed,
                                                 restarts=restarts, pool=pool)

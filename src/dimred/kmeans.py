@@ -64,15 +64,23 @@ class ClusteringResult:
     sample_silhouettes: np.ndarray
     mean_silhouette: float
     k: int
-    seed: int
+
+
+def _check_data(data) -> np.ndarray:
+    data = np.asarray(data, dtype=np.float64)
+    if data.ndim != 2 or data.shape[0] == 0:
+        raise ParameterError("data must be a nonempty 2-D matrix")
+    if not np.isfinite(data).all():
+        raise ParameterError("data contains non-finite entries")
+    return data
 
 
 def silhouette(data, labels) -> tuple[np.ndarray, float]:
     """Per-sample silhouette values and their arithmetic mean.
 
-    ``labels`` must contain integer cluster indices in [0, k) with every
-    cluster nonempty and at least 2 clusters present. A sample alone in its
-    cluster gets s = 0.
+    ``data`` must be a nonempty finite 2-D matrix, and ``labels`` must
+    contain integer cluster indices in [0, k) with every cluster nonempty and
+    at least 2 clusters present. A sample alone in its cluster gets s = 0.
 
     The values are exact (Rousseeuw 1987), built from per-cluster sums of
     pairwise distances. Time is O(n^2); memory is O(n * (k + d)) plus one
@@ -81,7 +89,7 @@ def silhouette(data, labels) -> tuple[np.ndarray, float]:
     bit for bit the silhouette that ``kmeans_fit`` and ``kmeans_fits``
     compute for the same labels.
     """
-    data = np.asarray(data, dtype=np.float64)
+    data = _check_data(data)
     labels = np.asarray(labels)
     if labels.shape != (data.shape[0],):
         raise ParameterError("labels must have one entry per sample")
@@ -321,16 +329,12 @@ def kmeans_fits(data, ks, seeds, restarts: int = 10) -> list[ClusteringResult]:
     over row blocks of pairwise distances, so each block is computed once and
     shared by every k.
     """
-    data = np.asarray(data, dtype=np.float64)
     ks, seeds = list(ks), list(seeds)
     if not ks:
         raise ParameterError("need at least one k")
     if len(ks) != len(seeds):
         raise ParameterError("one seed per k required")
-    if data.ndim != 2 or data.shape[0] == 0:
-        raise ParameterError("data must be a nonempty 2-D matrix")
-    if not np.isfinite(data).all():
-        raise ParameterError("data contains non-finite entries")
+    data = _check_data(data)
     for k in ks:
         if k < 2:
             raise ParameterError("k must be at least 2")
@@ -349,10 +353,8 @@ def kmeans_fits(data, ks, seeds, restarts: int = 10) -> list[ClusteringResult]:
             sample_silhouettes=sample_s,
             mean_silhouette=mean_s,
             k=k,
-            seed=seed,
         )
-        for k, seed, (inertia, labels, centroids), (sample_s, mean_s)
-        in zip(ks, seeds, best, silhouettes)
+        for k, (inertia, labels, centroids), (sample_s, mean_s) in zip(ks, best, silhouettes)
     ]
 
 

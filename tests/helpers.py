@@ -205,16 +205,14 @@ def make_blobs_with_noise(seed, n_samples=60, n_noise=2, spread=0.35):
     noise = rng.uniform(0.0, 8.0, size=(informative.shape[0], n_noise))
     values = np.hstack([informative, noise])
     names = [f"inf{i + 1}" for i in range(3)] + [f"noise{i + 1}" for i in range(n_noise)]
-    ids = [f"s{i:03d}" for i in range(values.shape[0])]
-    return Dataset(ids=ids, feature_names=names, values=values)
+    return Dataset(feature_names=names, values=values)
 
 
 def make_dataset(values, names=None):
     values = np.asarray(values, dtype=float)
     if names is None:
         names = [f"f{i + 1}" for i in range(values.shape[1])]
-    ids = [f"r{i}" for i in range(values.shape[0])]
-    return Dataset(ids=ids, feature_names=names, values=values)
+    return Dataset(feature_names=names, values=values)
 
 
 def outputs_by_name(out_dir, names):
@@ -232,8 +230,8 @@ def outputs_by_name(out_dir, names):
 
 def write_dataset_csv(ds, path):
     lines = ["id," + ",".join(ds.feature_names)]
-    for row_id, row in zip(ds.ids, ds.values):
-        lines.append(row_id + "," + ",".join(repr(float(v)) for v in row))
+    for i, row in enumerate(ds.values):
+        lines.append(f"r{i}," + ",".join(repr(float(v)) for v in row))
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
     return path
 

@@ -479,8 +479,7 @@ class TestBlasThreads:
         # BLAS product split across threads would round differently
         ds = make_blobs_with_noise(seed=21, n_samples=630, n_noise=1)
         perm = np.random.default_rng(3).permutation(ds.n_samples)
-        ds = Dataset(ids=[ds.ids[i] for i in perm], feature_names=ds.feature_names,
-                     values=ds.values[perm])
+        ds = Dataset(feature_names=ds.feature_names, values=ds.values[perm])
         csv_path = write_dataset_csv(ds, tmp_path / "data.csv")
         src = os.path.dirname(os.path.dirname(os.path.abspath(dimred.__file__)))
         for blas_threads in ("1", "2"):

@@ -1,7 +1,6 @@
 """Ingestion and MinMax normalization."""
 
 import re
-import sys
 import tracemalloc
 
 import numpy as np
@@ -28,14 +27,20 @@ class TestLoadCsv:
         assert ds.n_samples == 2
         assert ds.n_features == 2
         assert ds.feature_names == ("IMD Score", "Income Score")
-        assert ds.ids == ("w1", "w2")
         np.testing.assert_allclose(ds.values, [[1.5, 2.0], [3.0, 4.5]])
 
     def test_blank_line_is_skipped(self, tmp_path):
         path = write(tmp_path, "id,a,b\nr1,1.0,2.0\n\nr2,3.0,4.0\n")
         ds = load_csv(path)
-        assert ds.ids == ("r1", "r2")
         np.testing.assert_array_equal(ds.values, [[1.0, 2.0], [3.0, 4.0]])
+
+    @pytest.mark.parametrize("ids", [["r1", "r2", "r3"], ["x", "x", "x"], ["", "", ""]])
+    def test_id_column_is_read_past(self, tmp_path, ids):
+        rows = [[1.0, 2.0], [3.0, 4.5], [-1.0, 0.25]]
+        lines = ["id,a,b"] + [f"{i},{a},{b}" for i, (a, b) in zip(ids, rows)]
+        ds = load_csv(write(tmp_path, "\n".join(lines) + "\n"))
+        assert ds.feature_names == ("a", "b")
+        np.testing.assert_array_equal(ds.values, rows)
 
     def test_non_numeric_cell_names_row_and_column(self, tmp_path):
         path = write(tmp_path, "id,a,b\nr1,1.0,2.0\nr2,abc,3.0\n")
@@ -110,12 +115,12 @@ class TestLoadCsv:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        # the ids: their strings, and a pointer each in a list and in a tuple
-        ids = sum(sys.getsizeof(i) for i in ds.ids) + 2 * 8 * n
-        # values: the parse buffer (8 bytes a value, grown by about 1/16 at a
-        # time) and the Dataset's own copy, 2 * 8*n*d, and slack; a list of
-        # 32-byte Python floats takes 4 * 8*n*d on its own
-        assert peak < 3 * 8 * n * d + ids
+        # the parse buffer (8 bytes a value, grown by about 1/16 at a time) and
+        # the Dataset's own copy, 2 * 8*n*d, and slack; a list of 32-byte
+        # Python floats takes 4 * 8*n*d on its own, and keeping the row ids
+        # would take more than the slack
+        assert peak < 3 * 8 * n * d
+        assert ds.values.shape == (n, d)
 
 
 class TestDatasetInvariants:
@@ -131,17 +136,14 @@ class TestDatasetInvariants:
         with pytest.raises(ParameterError):
             make_dataset([[1.0, np.inf], [2.0, 3.0]])
 
-    @pytest.mark.parametrize("ids, names, values, error, message", [
-        (["r1", "r2"], ["a", "b"], [1.0, 2.0], ParameterError, "values must be a 2-D matrix"),
-        (["r1"], ["a", "b"], [[1.0, 2.0], [3.0, 4.0]], ParameterError, "1 ids for 2 rows"),
-        (["r1", "r2"], ["a", "b", "c"], [[1.0, 2.0], [3.0, 4.0]], ParameterError,
-         "3 names for 2 columns"),
-        (["r1", "r2"], ["a", "a"], [[1.0, 2.0], [3.0, 4.0]], SchemaError,
-         "feature names are not unique"),
+    @pytest.mark.parametrize("names, values, error, message", [
+        (["a", "b"], [1.0, 2.0], ParameterError, "values must be a 2-D matrix"),
+        (["a", "b", "c"], [[1.0, 2.0], [3.0, 4.0]], ParameterError, "3 names for 2 columns"),
+        (["a", "a"], [[1.0, 2.0], [3.0, 4.0]], SchemaError, "feature names are not unique"),
     ])
-    def test_rejects_inconsistent_parts(self, ids, names, values, error, message):
+    def test_rejects_inconsistent_parts(self, names, values, error, message):
         with pytest.raises(error, match=f"^{message}$"):
-            Dataset(ids, names, values)
+            Dataset(names, values)
 
     def test_values_are_immutable(self):
         ds = make_dataset([[1.0, 2.0], [3.0, 4.0]])

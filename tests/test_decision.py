@@ -51,6 +51,17 @@ class TestDecisionConfig:
         with pytest.raises(ParameterError):
             config_for(0.5, k_min=5, k_max=4)
 
+    @pytest.mark.parametrize("name, value", [("k_min", 3.5), ("k_max", 4.0), ("seed", 1.5),
+                                             ("restarts", 2.0), ("seed", "1")])
+    def test_sweep_fields_must_be_integers(self, name, value):
+        with pytest.raises(ParameterError, match=f"^{name} must be an integer$"):
+            DecisionConfig(**{name: value})
+
+    def test_numpy_integers_pass(self):
+        config = DecisionConfig(k_min=np.int64(3), k_max=np.int32(4), seed=np.uint8(7),
+                                restarts=np.int16(2))
+        assert (config.k_min, config.k_max, config.seed, config.restarts) == (3, 4, 7, 2)
+
 
 class TestSelectForResolution:
     def test_reference_fs_targets(self):
@@ -333,6 +344,12 @@ class TestRank:
             assert len(fit_calls) == 2, max_workers  # both branches, in-process
             decision.evaluate(rankings, 0.5, 0.85)
             assert len(fit_calls) == 2, max_workers
+
+    @pytest.mark.parametrize("target", [1.5, 0.0, float("nan")])
+    def test_bad_target_rejected_before_the_sweep(self, monkeypatch, target):
+        monkeypatch.setattr(decision, "frsd_rank", lambda *args, **kwargs: pytest.fail("swept"))
+        with pytest.raises(ParameterError, match=r"^target_resolution must be in \(0, 1\]$"):
+            self._rank(1, (0.85, target))
 
     def test_evaluate_fits_another_targets_branches_in_process_once(self, fake_pools,
                                                                     fit_calls):

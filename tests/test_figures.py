@@ -57,7 +57,7 @@ class TestSilhouettePlot:
             sample_silhouettes=np.where(
                 np.arange(len(fit.sample_silhouettes)) == 0, -0.5,
                 fit.sample_silhouettes),
-            mean_silhouette=fit.mean_silhouette, k=fit.k, seed=fit.seed,
+            mean_silhouette=fit.mean_silhouette, k=fit.k,
         )
         path = tmp_path / "neg.svg"
         render_silhouette_plot(forced, path)

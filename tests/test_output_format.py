@@ -137,7 +137,7 @@ def test_silhouette_plot_svg(tmp_path):
     # two clusters of two samples, one of them with a negative silhouette
     result = ClusteringResult(labels=np.array([0, 1, 0, 1]), centroids=np.zeros((2, 2)),
                               inertia=0.0, sample_silhouettes=np.array([0.5, 0.25, -0.25, 0.75]),
-                              mean_silhouette=0.3125, k=2, seed=0)
+                              mean_silhouette=0.3125, k=2)
     path = tmp_path / "sil.svg"
     render_silhouette_plot(result, path)
     assert path.read_bytes() == b"""<?xml version="1.0" encoding="UTF-8"?>
