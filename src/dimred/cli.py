@@ -25,7 +25,7 @@ from .decision import (DecisionConfig, DecisionOutcome, Rankings, SELECTION, eva
                        run_decision_detailed)
 from .errors import DimredError, ParameterError
 from .figures import RadarSeries, cluster_letter, render_silhouette_plot, render_stacked_radar
-from .frsd import check_k_range, write_subset_scores
+from .frsd import check_sweep, write_subset_scores
 from .validation import (REFERENCE_EXTRACTION_WEIGHTS, REFERENCE_SELECTION_WEIGHTS,
                          count_misclassified, generate_cases, resolution_sweep,
                          write_cases_csv, write_scatter_csv, write_sweep_csv)
@@ -141,7 +141,7 @@ def _write_rankings(rankings: Rankings, args) -> None:
               [(n, w, z) for (n, w), (_, z) in zip(frsd.entries, frsd.minmax_view())])
     write_csv(os.path.join(args.out, "pca_weights.csv"), ["name", "weight"], pca.entries)
     if args.subset_scores:
-        write_subset_scores(rankings.subset_scores, rankings.columns, rankings.k_min,
+        write_subset_scores(rankings.subset_scores, rankings.columns, rankings.config.k_min,
                             os.path.join(args.out, "subset_scores.csv"))
 
 
@@ -204,9 +204,9 @@ def emit_figures(outcome: DecisionOutcome, out_dir: str, case: str) -> None:
 
 
 def _load_input(args, config: DecisionConfig) -> Dataset:
-    """Load ``--input``, check the k range against its rows, print the sweep size."""
+    """Load ``--input``, check the sweep values against its rows, print the sweep size."""
     data = load_csv(args.input)
-    check_k_range(config.k_min, config.k_max, data.n_samples)
+    check_sweep(config.k_min, config.k_max, config.seed, config.restarts, data.n_samples)
     n_subsets = 2**data.n_features - data.n_features - 1
     n_k = config.k_max - config.k_min + 1
     print(f"FRSD sweep: {n_subsets * n_k} silhouette runs "
@@ -218,9 +218,7 @@ def _rank_input(args, targets=()) -> Rankings:
     """Check the sweep flags, load the input, rank the table both ways and fit
     the branches that reach each target resolution, all on one pool."""
     config = _config(args)
-    return _with_warnings_printed(rank, _load_input(args, config), config.k_min,
-                                  config.k_max, config.seed, config.restarts, args.threads,
-                                  targets)
+    return _with_warnings_printed(rank, _load_input(args, config), config, args.threads, targets)
 
 
 def cmd_run(args) -> int:

@@ -23,7 +23,7 @@ import numpy as np
 
 from .dataset import Dataset, minmax_normalize
 from .errors import ParameterError
-from .frsd import FeatureWeights, check_k_range, frsd_rank, pool_map, worker_pool
+from .frsd import FeatureWeights, check_sweep, frsd_rank, pool_map, worker_pool
 from .kmeans import kmeans_fit  # noqa: F401  (kept importable: perfbench/spans.py wraps it)
 from .kmeans import ClusteringResult, kmeans_fits
 from .pca import PcaModel, pca_fit, pca_importance, pca_project
@@ -32,13 +32,17 @@ SELECTION = "SELECTION"
 EXTRACTION = "EXTRACTION"
 
 
+def _real(value) -> bool:
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
 def _check_preference(interpretability: float) -> None:
-    if not 0.0 <= interpretability <= 1.0:
+    if not (_real(interpretability) and 0.0 <= interpretability <= 1.0):
         raise ParameterError("interpretability must be in [0, 1]")
 
 
 def _check_resolution(target_resolution: float) -> None:
-    if not 0.0 < target_resolution <= 1.0:
+    if not (_real(target_resolution) and 0.0 < target_resolution <= 1.0):
         raise ParameterError("target_resolution must be in (0, 1]")
 
 
@@ -55,14 +59,9 @@ class DecisionConfig:
     restarts: int = 10
 
     def __post_init__(self):
-        for name in ("k_min", "k_max", "seed", "restarts"):
-            if not isinstance(getattr(self, name), numbers.Integral):
-                raise ParameterError(f"{name} must be an integer")
+        check_sweep(self.k_min, self.k_max, self.seed, self.restarts)
         _check_preference(self.interpretability)
         _check_resolution(self.target_resolution)
-        check_k_range(self.k_min, self.k_max)
-        if self.restarts < 1:
-            raise ParameterError("restarts must be at least 1")
 
 
 # the report fields that hold weights, and the source each one records
@@ -131,7 +130,7 @@ def best_silhouette_over_k(data, k_min: int, k_max: int, seed: int,
 
     Every k is fitted with the same ``seed``, in one ``kmeans_fits`` batch.
     """
-    check_k_range(k_min, k_max)
+    check_sweep(k_min, k_max, seed, restarts)
     ks = range(k_min, k_max + 1)
     return max(kmeans_fits(data, ks, [seed] * len(ks), restarts),
                key=lambda fit: fit.mean_silhouette)
@@ -174,10 +173,10 @@ class Rankings:
     """Both rankings of one dataset: the costly, preference-free half of a
     decision, shared by every scenario evaluated on it.
 
-    ``normalized`` is the MinMax-normalized table in feature-name order, and
-    ``columns[j]`` is the input position of its column j. ``branches``
-    memoises each (strategy, width) branch, so scenarios that retain the same
-    number of features or components fit it only once.
+    ``normalized`` is the MinMax-normalized table in feature-name order,
+    ``columns[j]`` is the input position of its column j, and every fit used
+    the sweep fields of ``config``. ``branches`` memoises each (strategy,
+    width) branch, so scenarios that retain the same width fit it only once.
     """
 
     normalized: Dataset
@@ -186,10 +185,7 @@ class Rankings:
     pca_weights: FeatureWeights
     subset_scores: np.ndarray
     pca_model: PcaModel
-    k_min: int
-    k_max: int
-    seed: int
-    restarts: int
+    config: DecisionConfig
     _branches: dict = field(default_factory=dict, init=False, repr=False)
 
     def branches(self, targets, pool=None) -> list[tuple[Branch, Branch]]:
@@ -205,8 +201,9 @@ class Rankings:
         reduced = [values[:, [self.normalized.feature_names.index(n) for n in weights.names[:m]]]
                    if weights is self.frsd_weights else pca_project(self.pca_model, values, m)
                    for weights, m, _ in missing]
-        fit = functools.partial(best_silhouette_over_k, k_min=self.k_min, k_max=self.k_max,
-                                seed=self.seed, restarts=self.restarts)
+        config = self.config
+        fit = functools.partial(best_silhouette_over_k, k_min=config.k_min, k_max=config.k_max,
+                                seed=config.seed, restarts=config.restarts)
         fits = pool_map(pool, fit, reduced, len(reduced))
         for (weights, m, achieved), v, clustering in zip(missing, reduced, fits):
             self._branches[weights, m, achieved] = Branch(v, weights.names[:m], clustering,
@@ -225,27 +222,26 @@ class DecisionOutcome:
     chosen: Branch
 
 
-def rank(data: Dataset, k_min: int, k_max: int, seed: int, restarts: int = 10,
-         max_workers: int = 1, targets=()) -> Rankings:
+def rank(data: Dataset, config: DecisionConfig, max_workers: int = 1, targets=()) -> Rankings:
     """The costly half of a decision: normalize, put the columns in
     feature-name order, rank the features with FRSD and the principal
     components with PCA, then fit the selection and extraction branches that
-    reach each resolution in ``targets``. The sweep and the branches run on one
-    pool of up to ``max_workers`` processes (``worker_pool``). No result
-    depends on the input's column order or on the worker count."""
+    reach each resolution in ``targets``, with the sweep fields of ``config``
+    (the only ones read). The sweep and the branches run on one pool of up to
+    ``max_workers`` processes (``worker_pool``). No result depends on the
+    input's column order or on the worker count."""
     for target in targets:
         _check_resolution(target)  # before the sweep
     normalized = minmax_normalize(data)  # first, so its warnings keep the input order
     columns = tuple(sorted(range(data.n_features), key=data.feature_names.__getitem__))
     normalized = Dataset([data.feature_names[j] for j in columns], normalized.values[:, columns])
-    with worker_pool(normalized, k_min, k_max, restarts, max_workers) as pool:
-        frsd_weights, subset_scores = frsd_rank(normalized, k_min, k_max, seed,
-                                                restarts=restarts, pool=pool)
+    with worker_pool(normalized, config.k_min, config.k_max, config.restarts, max_workers) as pool:
+        frsd_weights, subset_scores = frsd_rank(normalized, config.k_min, config.k_max,
+                                                config.seed, restarts=config.restarts, pool=pool)
         model = pca_fit(normalized.values)
         rankings = Rankings(normalized=normalized, columns=columns, frsd_weights=frsd_weights,
                             pca_weights=pca_importance(model), subset_scores=subset_scores,
-                            pca_model=model, k_min=k_min, k_max=k_max, seed=seed,
-                            restarts=restarts)
+                            pca_model=model, config=config)
         rankings.branches(targets, pool)
     return rankings
 
@@ -282,6 +278,5 @@ def run_decision_detailed(data: Dataset, config: DecisionConfig,
     """Full pipeline: ``rank`` with ``config``'s sweep parameters and target
     resolution, then ``evaluate`` the one scenario in ``config`` on the
     branches it fitted."""
-    rankings = rank(data, config.k_min, config.k_max, config.seed, config.restarts,
-                    max_workers, [config.target_resolution])
+    rankings = rank(data, config, max_workers, [config.target_resolution])
     return evaluate(rankings, config.interpretability, config.target_resolution)

@@ -35,7 +35,7 @@ import numpy as np
 from .dataset import Dataset, minmax_columns, write_csv
 from .errors import ParameterError
 from .kmeans import kmeans_fit  # noqa: F401  (kept importable: perfbench/spans.py wraps it)
-from .kmeans import kmeans_fits, require_distinct
+from .kmeans import kmeans_fits, require_distinct, require_integer
 
 # a command whose sweep has less work than this (rows x subsets x k values x
 # restarts) runs in-process, its branches too, even when workers are allowed.
@@ -171,8 +171,13 @@ def pool_map(pool, fn, items, n_items: int):
         yield from pending.popleft().result()
 
 
-def check_k_range(k_min: int, k_max: int, n_samples: float = inf) -> None:
-    """Raise unless 2 <= k_min <= k_max <= ``n_samples``."""
+def check_sweep(k_min: int, k_max: int, seed: int, restarts: int,
+                n_samples: float = inf) -> None:
+    """Raise ``ParameterError`` unless the four sweep values are integers
+    (``require_integer``), restarts >= 1 and 2 <= k_min <= k_max <= ``n_samples``."""
+    for name, value in (("k_min", k_min), ("k_max", k_max), ("seed", seed)):
+        require_integer(name, value)
+    require_integer("restarts", restarts, 1)
     if not 2 <= k_min <= k_max:
         raise ParameterError(f"need 2 <= k_min <= k_max, got [{k_min}, {k_max}]")
     if k_max > n_samples:
@@ -188,15 +193,13 @@ def frsd_rank(data: Dataset, k_min: int, k_max: int, seed: int, restarts: int = 
     order. Returns the weights plus the score table: a float64 array with row
     i for subset i of ``subsets(range(n_features))`` and column j for
     k = k_min + j. The sweep runs on ``pool``'s workers (``None``: in-process),
-    with the same output either way. A bad k range, ``restarts`` below 1, a
+    with the same output either way. Sweep values ``check_sweep`` rejects, a
     score table too large to allocate (too many features) or a k the data
     cannot support (named with the first feature pair that has too few
-    distinct rows) raises ``ParameterError``, in that order, before any fit or
+    distinct rows) raise ``ParameterError``, in that order, before any fit or
     task is submitted.
     """
-    check_k_range(k_min, k_max, data.n_samples)
-    if restarts < 1:
-        raise ParameterError("restarts must be at least 1")
+    check_sweep(k_min, k_max, seed, restarts, data.n_samples)
     n = data.n_features
     ks = tuple(range(k_min, k_max + 1))
     n_subsets = 2**n - n - 1

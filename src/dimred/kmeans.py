@@ -11,7 +11,9 @@ from __future__ import annotations
 import functools
 import importlib.machinery
 import importlib.util
+import numbers
 from dataclasses import dataclass
+from math import inf
 
 import numpy as np
 
@@ -64,6 +66,14 @@ class ClusteringResult:
     sample_silhouettes: np.ndarray
     mean_silhouette: float
     k: int
+
+
+def require_integer(name: str, value, minimum=-inf) -> None:
+    """Raise ``ParameterError`` unless ``value`` is an integer, not a bool, >= ``minimum``."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ParameterError(f"{name} must be an integer")
+    if value < minimum:
+        raise ParameterError(f"{name} must be at least {minimum}")
 
 
 def _check_data(data) -> np.ndarray:
@@ -335,13 +345,12 @@ def kmeans_fits(data, ks, seeds, restarts: int = 10) -> list[ClusteringResult]:
     if len(ks) != len(seeds):
         raise ParameterError("one seed per k required")
     data = _check_data(data)
-    for k in ks:
-        if k < 2:
-            raise ParameterError("k must be at least 2")
+    for k, seed in zip(ks, seeds):
+        require_integer("k", k, 2)
+        require_integer("seed", seed)
         if k > data.shape[0]:
             raise ParameterError(f"k={k} exceeds {data.shape[0]} samples")
-    if restarts < 1:
-        raise ParameterError("restarts must be at least 1")
+    require_integer("restarts", restarts, 1)
     require_distinct(data, ks)
     best = [_best_of_restarts(data, k, seed, restarts) for k, seed in zip(ks, seeds)]
     silhouettes = _silhouettes(data, [labels for _, labels, _ in best])

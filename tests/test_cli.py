@@ -264,7 +264,7 @@ class TestRank:
         out = tmp_path / "rank_out"
         assert run_cli(["rank", "--input", str(demo_csv), "--out", str(out),
                         "--seed", "42"] + FAST) == 0
-        rankings = rank(load_csv(demo_csv), k_min=2, k_max=3, seed=42, restarts=2)
+        rankings = rank(load_csv(demo_csv), DecisionConfig(k_min=2, k_max=3, seed=42, restarts=2))
         write_sweep_csv(resolution_sweep(rankings.frsd_weights, rankings.pca_weights),
                         tmp_path / "want.csv")
         assert (out / "sweep.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
@@ -284,7 +284,7 @@ class TestScenarios:
         return make_blobs_with_noise(seed=21, n_samples=40, n_noise=2)
 
     def test_evaluate_per_scenario_matches_run_decision_detailed(self, blobs):
-        rankings = rank(blobs, **SWEEP)
+        rankings = rank(blobs, DecisionConfig(**SWEEP))
         for case, alpha, target in cli.SCENARIOS:
             got = evaluate(rankings, alpha, target).report
             want = run_decision_detailed(blobs, DecisionConfig(
@@ -303,7 +303,7 @@ class TestScenarios:
         csv_path = write_dataset_csv(blobs, tmp_path / "blobs.csv")
         assert run_cli(["scenarios", "--input", str(csv_path), "--threads", "2", "--k-min",
                         "2", "--k-max", "4", "--seed", "5", "--restarts", "2"]) == 0
-        rankings = rank(load_csv(csv_path), **SWEEP)
+        rankings = rank(load_csv(csv_path), DecisionConfig(**SWEEP))
         branches = {(method, select_for_resolution(weights, target)[0])
                     for _, _, target in cli.SCENARIOS
                     for method, weights in ((SELECTION, rankings.frsd_weights),

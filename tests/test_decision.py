@@ -33,7 +33,7 @@ def trunc4(x):
 
 
 class TestDecisionConfig:
-    @pytest.mark.parametrize("interpretability", [-0.5, 1.5, float("nan")])
+    @pytest.mark.parametrize("interpretability", [-0.5, 1.5, float("nan"), "0.5", True])
     def test_preference_range(self, interpretability):
         with pytest.raises(ParameterError,
                            match=r"^interpretability must be in \[0, 1\]$"):
@@ -52,7 +52,8 @@ class TestDecisionConfig:
             config_for(0.5, k_min=5, k_max=4)
 
     @pytest.mark.parametrize("name, value", [("k_min", 3.5), ("k_max", 4.0), ("seed", 1.5),
-                                             ("restarts", 2.0), ("seed", "1")])
+                                             ("restarts", 2.0), ("seed", "1"), ("seed", True),
+                                             ("restarts", True)])
     def test_sweep_fields_must_be_integers(self, name, value):
         with pytest.raises(ParameterError, match=f"^{name} must be an integer$"):
             DecisionConfig(**{name: value})
@@ -298,8 +299,8 @@ class TestRank:
 
     @staticmethod
     def _rank(max_workers, targets):
-        return decision.rank(TestRank.DATA, 2, 3, seed=4, restarts=2,
-                             max_workers=max_workers, targets=targets)
+        config = DecisionConfig(k_min=2, k_max=3, seed=4, restarts=2)
+        return decision.rank(TestRank.DATA, config, max_workers=max_workers, targets=targets)
 
     @pytest.fixture
     def fit_calls(self, monkeypatch):
@@ -345,7 +346,7 @@ class TestRank:
             decision.evaluate(rankings, 0.5, 0.85)
             assert len(fit_calls) == 2, max_workers
 
-    @pytest.mark.parametrize("target", [1.5, 0.0, float("nan")])
+    @pytest.mark.parametrize("target", [1.5, 0.0, float("nan"), "x", True])
     def test_bad_target_rejected_before_the_sweep(self, monkeypatch, target):
         monkeypatch.setattr(decision, "frsd_rank", lambda *args, **kwargs: pytest.fail("swept"))
         with pytest.raises(ParameterError, match=r"^target_resolution must be in \(0, 1\]$"):
@@ -370,7 +371,8 @@ class TestRowScaling:
             data = make_dataset(np.random.default_rng(n_rows).uniform(size=(n_rows, 3)))
             tracemalloc.start()
             try:
-                decision.rank(data, 3, 3, 42, 2, max_workers=1, targets=(0.85,))
+                decision.rank(data, DecisionConfig(k_min=3, k_max=3, seed=42, restarts=2),
+                              max_workers=1, targets=(0.85,))
                 return tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
@@ -383,7 +385,7 @@ class TestRowScaling:
 class TestEvaluate:
     def test_bad_preferences_rejected_before_any_fit(self, monkeypatch):
         data = make_dataset(np.random.default_rng(8).uniform(size=(16, 3)))
-        rankings = decision.rank(data, 2, 3, seed=1, restarts=1)
+        rankings = decision.rank(data, DecisionConfig(k_min=2, k_max=3, seed=1, restarts=1))
         monkeypatch.setattr(decision, "kmeans_fits",
                             lambda *args, **kwargs: pytest.fail("fitted"))
         with pytest.raises(ParameterError, match="must be in"):

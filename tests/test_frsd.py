@@ -231,6 +231,20 @@ class TestFrsdRank:
         assert len(fake_pools) == 1 and fake_pools[0].submitted == 0
         assert pair_checks == []  # none of the 2415 feature pairs scanned first
 
+    @pytest.mark.parametrize("seed, restarts, message", [
+        (1.5, 1, "seed must be an integer"),
+        (True, 1, "seed must be an integer"),
+        ("1", 1, "seed must be an integer"),
+        (0, 2.0, "restarts must be an integer"),
+    ])
+    def test_non_integer_seed_or_restarts_rejected_before_any_scan(self, monkeypatch, seed,
+                                                                   restarts, message):
+        for name in ("require_distinct", "pool_map"):
+            monkeypatch.setattr(frsd, name, lambda *args, name=name: pytest.fail(f"{name} ran"))
+        data = minmax_normalize(make_blobs_with_noise(seed=10, n_samples=30))
+        with pytest.raises(ParameterError, match=f"^{message}$"):
+            frsd_rank(data, 2, 3, seed=seed, restarts=restarts)
+
     def test_zero_restarts_rejected_before_any_pool(self, fake_pools):
         data = minmax_normalize(make_blobs_with_noise(seed=10, n_samples=30))
         with pytest.raises(ParameterError, match="restarts must be at least 1"):
@@ -301,7 +315,7 @@ class TestFrsdRank:
         data = make_dataset(np.random.default_rng(0).uniform(size=(8, len(names))), names)
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(frsd, "_score_subset", recording_score)
-            rank(data, 2, 3, seed=0, restarts=1)
+            rank(data, DecisionConfig(k_min=2, k_max=3, seed=0, restarts=1))
         # reference: a sort of every run by (size, sorted subset names, k)
         subsets = frsd.subsets(range(len(names)))
         keyed = sorted((len(n), n, k) for n in

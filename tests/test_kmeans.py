@@ -32,6 +32,25 @@ class TestKmeansFit:
         with pytest.raises(ParameterError, match=f"^{message}$"):
             kmeans_fits(data, [2], [0], restarts)
 
+    @pytest.mark.parametrize("k, seed, restarts, message", [
+        (2.5, 0, 1, "k must be an integer"),
+        (True, 0, 1, "k must be an integer"),
+        (3, 1.5, 1, "seed must be an integer"),
+        (3, True, 1, "seed must be an integer"),
+        (3, 0, 2.0, "restarts must be an integer"),
+        (3, 0, True, "restarts must be an integer"),
+    ])
+    def test_non_integer_k_seed_or_restarts_rejected_before_any_fit(self, monkeypatch, k, seed,
+                                                                    restarts, message):
+        for name in ("require_distinct", "_best_of_restarts"):
+            monkeypatch.setattr(kmeans, name, lambda *args, name=name: pytest.fail(f"{name} ran"))
+        with pytest.raises(ParameterError, match=f"^{message}$"):
+            kmeans_fit(TWO_BLOBS_1D, k, seed, restarts)
+
+    def test_numpy_integer_arguments_pass(self):
+        fit = kmeans_fit(TWO_BLOBS_1D, np.int64(2), np.uint64(7), np.int8(10))
+        assert fit.inertia == kmeans_fit(TWO_BLOBS_1D, 2, 7, 10).inertia
+
     def test_exact_fit_k_equals_n(self):
         data = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
         fit = kmeans_fit(data, 4, seed=0, restarts=5)

@@ -12,8 +12,8 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from dimred import (SELECTION, ClusteringResult, DecisionReport, FeatureWeights, RadarSeries,
-                    cli, render_silhouette_plot, render_stacked_radar)
+from dimred import (SELECTION, ClusteringResult, DecisionConfig, DecisionReport, FeatureWeights,
+                    RadarSeries, cli, render_silhouette_plot, render_stacked_radar)
 from dimred.cli import main
 from dimred.validation import (RandomCase, SweepRow, write_cases_csv, write_scatter_csv,
                                write_sweep_csv)
@@ -40,7 +40,7 @@ SWEEP = [SweepRow(target=0.2, m_fs=2, achieved_fs=0.25, m_fe=1, achieved_fe=0.75
 
 def test_run_writes_report_weights_and_subset_scores(demo_csv, tmp_path, monkeypatch):
     rankings = SimpleNamespace(frsd_weights=FRSD, pca_weights=PCA, subset_scores=SCORES,
-                               columns=(0, 1, 2), k_min=3)
+                               columns=(0, 1, 2), config=DecisionConfig(k_min=3))
     monkeypatch.setattr(cli, "run_decision_detailed",
                         lambda *args, **kwargs: SimpleNamespace(report=REPORT,
                                                                 rankings=rankings))

@@ -1,11 +1,16 @@
 """The README's library example runs as written."""
 
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
+
+import numpy as np
 
 import dimred
 from dimred import DecisionConfig, run_decision_detailed
-from helpers import make_blobs_with_noise
+from helpers import make_blobs_with_noise, make_dataset, write_dataset_csv
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -20,7 +25,7 @@ def test_library_example_runs_as_written(monkeypatch, capsys):
     data = make_blobs_with_noise(seed=5, n_samples=60, n_noise=0)
     loaded = []
     monkeypatch.setattr(dimred, "load_csv", lambda path: loaded.append(path) or data)
-    exec(compile(_library_example(), str(README), "exec"), {})
+    exec(compile(_library_example(), str(README), "exec"), {"__name__": "__main__"})
     assert loaded == ["wards.csv"]
     printed = capsys.readouterr().out.splitlines()
     assert len(printed) == 3
@@ -29,3 +34,24 @@ def test_library_example_runs_as_written(monkeypatch, capsys):
         interpretability=0.9, target_resolution=0.85), max_workers=2)
     report = outcome.report
     assert printed[0] == f"{report.chosen_method} {report.n_selected} {report.best_k}"
+
+
+def test_library_example_runs_as_a_script_under_every_start_method(tmp_path):
+    # 60 rows x 11 subsets x 8 k values x 10 restarts = 52 800, at least
+    # frsd._POOL_MIN_WORK, so the example's 2 workers really start
+    data = make_dataset(np.random.default_rng(4).uniform(size=(60, 4)))
+    write_dataset_csv(data, tmp_path / "wards.csv")
+    src = os.path.dirname(os.path.dirname(os.path.abspath(dimred.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    printed = {}
+    for method in ("fork", "forkserver", "spawn"):
+        script = tmp_path / "example.py"
+        script.write_text(f"import multiprocessing; multiprocessing.set_start_method("
+                          f"{method!r}, force=True)\n" + _library_example(), encoding="utf-8")
+        proc = subprocess.run([sys.executable, str(script)], cwd=tmp_path, env=env,
+                              capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, (method, proc.stderr)
+        printed[method] = proc.stdout
+    assert len(printed["fork"].splitlines()) == 3
+    assert printed["forkserver"] == printed["spawn"] == printed["fork"]
