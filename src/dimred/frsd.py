@@ -15,8 +15,9 @@ runs the tasks (and the decision branches) on the command's one pool
 in-process. Each task re-runs the cheap checks of ``kmeans_fits``. The
 output does not depend on execution order or worker count: each (subset, k)
 run derives its k-means seed from a stable hash of the base seed, the
-subset's sorted feature names and k, and the raw scores are summed in task
-order (by size, then in combination order) as the results arrive.
+subset's sorted feature names and k, and ``weights``, the one owner of the
+aggregation rule, sums the finished score table in task order (by size, then
+in combination order), so a table read back from disk gives the same weights.
 """
 
 from __future__ import annotations
@@ -139,7 +140,9 @@ def worker_pool(data: Dataset, k_min: int, k_max: int, restarts: int, max_worker
     """The one pool, as a context manager, of a command that sweeps ``data``
     over k in [k_min, k_max]: ``min(max_workers, subsets)`` processes, or
     ``None`` (in-process) below ``_POOL_MIN_WORK``. Workers start at the first
-    task, so a sweep its checks reject starts none."""
+    task, so a sweep its checks reject starts none. A ``max_workers`` that is
+    not an integer >= 1 raises ``ParameterError`` first (``require_integer``)."""
+    require_integer("max_workers", max_workers, 1)
     n_subsets = 2**data.n_features - data.n_features - 1
     workers = min(max_workers, n_subsets)  # the pool starts every worker up front
     work = data.n_samples * n_subsets * (k_max - k_min + 1) * restarts
@@ -190,14 +193,14 @@ def frsd_rank(data: Dataset, k_min: int, k_max: int, seed: int, restarts: int = 
 
     ``data`` is expected to be MinMax-normalized. Its features are ranked, ties
     included, in the column order given, which ``decision.rank`` makes name
-    order. Returns the weights plus the score table: a float64 array with row
-    i for subset i of ``subsets(range(n_features))`` and column j for
-    k = k_min + j. The sweep runs on ``pool``'s workers (``None``: in-process),
-    with the same output either way. Sweep values ``check_sweep`` rejects, a
-    score table too large to allocate (too many features) or a k the data
-    cannot support (named with the first feature pair that has too few
-    distinct rows) raise ``ParameterError``, in that order, before any fit or
-    task is submitted.
+    order. Fills the score table, then returns its ``weights`` (the one owner
+    of the aggregation rule) and the table: a float64 array with row i for
+    subset i of ``subsets(range(n_features))`` and column j for k = k_min + j.
+    The sweep runs on ``pool``'s workers (``None``: in-process), with the same
+    output either way. Sweep values ``check_sweep`` rejects, a score table too
+    large to allocate (too many features) or a k the data cannot support (named
+    with the first feature pair that has too few distinct rows) raise
+    ``ParameterError``, in that order, before any fit or task is submitted.
     """
     check_sweep(k_min, k_max, seed, restarts, data.n_samples)
     n = data.n_features
@@ -214,15 +217,21 @@ def frsd_rank(data: Dataset, k_min: int, k_max: int, seed: int, restarts: int = 
     for pair in combinations(range(n), 2):
         require_distinct(data.values[:, pair], ks, " in features "
                          + " and ".join(repr(data.feature_names[i]) for i in pair))
-    raw = [0.0] * n
     score = functools.partial(_score_subset, data.values, data.feature_names, seed, ks, restarts)
-    results = pool_map(pool, score, subsets(range(n)), n_subsets)
-    for row, (cols, sis) in enumerate(zip(subsets(range(n)), results)):
+    for row, sis in enumerate(pool_map(pool, score, subsets(range(n)), n_subsets)):
         scores[row] = sis
-        for si in sis:
+    return weights(scores, data.feature_names), scores
+
+
+def weights(scores, names) -> FeatureWeights:
+    """FRSD weights of a table whose row i is subset i of ``subsets(range(len(names)))``:
+    a feature's raw score sums, row by row, the cells of every row whose subset holds it."""
+    raw = [0.0] * len(names)
+    for cols, row in zip(subsets(range(len(names))), scores):
+        for si in row.tolist():
             for c in cols:
                 raw[c] += si
-    return FeatureWeights.from_scores(data.feature_names, raw, source="FRSD"), scores
+    return FeatureWeights.from_scores(names, raw, source="FRSD")
 
 
 def write_subset_scores(scores, columns, k_min: int, path) -> None:

@@ -1,6 +1,7 @@
 """CLI subcommands, flag handling and output files."""
 
 import contextlib
+import csv
 import io
 import json
 import math
@@ -273,6 +274,22 @@ class TestRank:
         for target in range(1, 11):
             assert f"  target {target / 10:.1f}: features=" in captured
         assert "extraction resolution advantage in" in captured
+
+    def test_weights_are_read_back_from_the_subset_scores(self, tmp_path, fake_pools):
+        # columns out of name order: the file's rows follow the name order,
+        # its subset numbers the input positions
+        data = make_blobs_with_noise(seed=21, n_samples=30, n_noise=1)
+        names = data.feature_names[::-1]
+        path = write_dataset_csv(make_dataset(data.values[:, ::-1], names), tmp_path / "in.csv")
+        out = tmp_path / "rank_out"
+        assert run_cli(["rank", "--input", str(path), "--out", str(out), "--subset-scores",
+                        "--k-min", "3", "--k-max", "4", "--restarts", "2", "--threads", "2"]) == 0
+        with open(out / "subset_scores.csv", newline="") as f:
+            table = np.array([float(row["si"]) for row in csv.DictReader(f)]).reshape(-1, 2)
+        with open(out / "frsd_weights.csv", newline="") as f:
+            written = tuple((row["name"], float(row["weight"])) for row in csv.DictReader(f))
+        assert fake_pools[0].submitted > 0  # the sweep ran on the pool
+        assert frsd.weights(table, sorted(names)).entries == written
 
 
 SWEEP = dict(k_min=2, k_max=4, seed=5, restarts=2)

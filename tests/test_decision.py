@@ -352,6 +352,20 @@ class TestRank:
         with pytest.raises(ParameterError, match=r"^target_resolution must be in \(0, 1\]$"):
             self._rank(1, (0.85, target))
 
+    @pytest.mark.parametrize("max_workers, message", [
+        (0, "must be at least 1"), (-1, "must be at least 1"), (True, "must be an integer"),
+        (2.5, "must be an integer"), ("2", "must be an integer"),
+    ])
+    def test_bad_max_workers_rejected_before_the_pair_scan(self, fake_pools, monkeypatch,
+                                                           max_workers, message):
+        monkeypatch.setattr(frsd, "require_distinct", lambda *args: pytest.fail("scanned"))
+        config = DecisionConfig(k_min=2, k_max=3, seed=4, restarts=2)
+        for call in (lambda: self._rank(max_workers, (0.85,)),
+                     lambda: decision.run_decision_detailed(self.DATA, config, max_workers)):
+            with pytest.raises(ParameterError, match=f"^max_workers {message}$"):
+                call()
+        assert fake_pools == []  # no pool opened, so no worker started
+
     def test_evaluate_fits_another_targets_branches_in_process_once(self, fake_pools,
                                                                     fit_calls):
         rankings = self._rank(2, (1.0,))

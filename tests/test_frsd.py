@@ -130,7 +130,7 @@ class TestFrsdRank:
         expected = raw / raw.sum()
         got = dict(weights.entries)
         for j, name in enumerate(data.feature_names):
-            assert got[name] == pytest.approx(expected[j], abs=1e-12)
+            assert got[name] == expected[j]
 
     def test_column_permutation_equivariance(self, tmp_path):
         # every file `run` writes, byte for byte, in any column order; the score
@@ -176,6 +176,8 @@ class TestFrsdRank:
         pooled_w, pooled_s = pooled_rank(data, 2, 3, seed=5, restarts=2, max_workers=2)
         assert serial_w.entries == pooled_w.entries
         assert serial_s.tobytes() == pooled_s.tobytes()
+        for weights, scores in ((serial_w, serial_s), (pooled_w, pooled_s)):
+            assert frsd.weights(scores, data.feature_names).entries == weights.entries
 
     def test_small_sweeps_run_in_process(self, monkeypatch):
         data = minmax_normalize(make_blobs_with_noise(seed=10, n_samples=30))
