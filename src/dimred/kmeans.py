@@ -13,6 +13,7 @@ import importlib.machinery
 import importlib.util
 import numbers
 from dataclasses import dataclass
+from itertools import chain
 from math import inf
 
 import numpy as np
@@ -204,17 +205,15 @@ def _pp_seeds(data, k, rngs) -> np.ndarray:
     return seeds
 
 
-def _fix_empty(data, labels, own_d2, k) -> np.ndarray:
-    """Give every empty cluster the point currently farthest from its centroid.
+def _fix_empty(labels, own_d2, k) -> np.ndarray:
+    """Give every empty cluster the point currently farthest from its centroid,
+    refilling ``labels`` and ``own_d2`` (each point's squared distance to its
+    own centroid) in place; returns the cluster sizes after the refill.
 
     Points are only stolen from clusters with more than one member, so the
     fix never creates a new empty cluster.
     """
     counts = np.bincount(labels, minlength=k)
-    if not np.any(counts == 0):
-        return labels
-    labels = labels.copy()
-    own_d2 = own_d2.copy()
     for c in np.flatnonzero(counts == 0):
         candidates = np.where(counts[labels] > 1, own_d2, -np.inf)
         idx = int(candidates.argmax())
@@ -222,13 +221,13 @@ def _fix_empty(data, labels, own_d2, k) -> np.ndarray:
         labels[idx] = c
         counts[c] = 1
         own_d2[idx] = 0.0
-    return labels
+    return counts
 
 
 def _cluster_sums(data, flat, counts, tiled) -> np.ndarray:
     """Column sums of the rows in each bin, with the bits of ``ndarray.mean``.
 
-    ``flat[j, i]`` is the bin of row i in restart j, and ``counts`` holds
+    ``flat[j, i]`` is the bin of row i in live restart j, and ``counts`` holds
     the size of every bin. ``tiled[c, j]`` is data column c, once per restart
     of the group; restarts that have left the group leave its last rows
     unused. numpy's ``data[mask].mean(axis=0)`` adds several columns row by
@@ -261,53 +260,51 @@ def _lloyd_group(data, seeds) -> list[tuple[float, np.ndarray, np.ndarray]]:
     assignment then gives its labels and inertia. A restart whose assignment
     repeats the previous one stops at once: its centroids are already the
     means of those labels, so every further move would be exactly 0 and
-    every further assignment the same one again. Returns (inertia, labels,
+    every further assignment the same one again. Every per-restart array of
+    the loop holds the live restarts only, in seed order, and all of them
+    drop a restart together when it stops. Returns (inertia, labels,
     centroids) per restart, in seed order.
     """
     n, dim = data.shape
     g, k, _ = seeds.shape
-    centroids = seeds.copy()
+    centroids = seeds
     offsets = k * np.arange(g)[:, None]
     # the bincount weights of the centroid sums, built once for the group
     tiled = np.repeat(data.T[:, None], g, axis=1) if dim > 1 else None
-    live = np.arange(g)  # restarts still in the group
+    index = np.arange(g)  # each live restart's place in ``seeds``
     last = np.zeros(g, dtype=bool)  # the next assignment is the restart's last
-    previous = None  # the live restarts' labels at the previous assignment
+    previous = np.full((g, n), -1)  # labels at the previous assignment
     moves = 0
     out = [None] * g
     # one distance matrix's memory, reused: the live restarts' distances fill
     # its prefix, so the previous matrix is never alive next to the next one
     buffer = np.empty(n * g * k)
     while True:
-        a = live.size
+        a = index.size
         # one distance call for every live restart; each pair is computed as alone
-        d2 = _sqeuclidean(data, centroids[live].reshape(a * k, dim),
+        d2 = _sqeuclidean(data, centroids.reshape(a * k, dim),
                           out=buffer[: n * a * k].reshape(n, a * k)).reshape(n, a, k)
         labels = np.ascontiguousarray(d2.argmin(axis=2).T)
-        flat = labels + offsets[:a]
-        counts = np.bincount(flat.ravel(), minlength=a * k).reshape(a, k)
+        counts = np.bincount((labels + offsets[:a]).ravel(), minlength=a * k).reshape(a, k)
         for j in np.flatnonzero((counts == 0).any(axis=1)):
-            labels[j] = _fix_empty(data, labels[j], d2[np.arange(n), j, labels[j]], k)
-            flat[j] = labels[j] + offsets[j]
-            counts[j] = np.bincount(labels[j], minlength=k)
-        leaving = last[live]
-        if previous is not None:
-            leaving |= (labels == previous).all(axis=1)
+            counts[j] = _fix_empty(labels[j], d2[np.arange(n), j, labels[j]], k)
+        leaving = last | (labels == previous).all(axis=1)
+        for j in np.flatnonzero(leaving):
+            c = centroids[j].copy()
+            out[index[j]] = (float(((data - c[labels[j]]) ** 2).sum()), labels[j].copy(), c)
+        if leaving.all():
+            return out
         if leaving.any():
-            for j in np.flatnonzero(leaving):
-                c = centroids[live[j]].copy()
-                out[live[j]] = (float(((data - c[labels[j]]) ** 2).sum()), labels[j].copy(), c)
-            live, labels, counts = live[~leaving], labels[~leaving], counts[~leaving]
-            if not live.size:
-                return out
-            a = live.size
-            flat = labels + offsets[:a]
+            keep = ~leaving
+            index, centroids, labels, counts = (x[keep] for x in (index, centroids, labels, counts))
+            a = index.size
         previous = labels
-        new = _cluster_sums(data, flat, counts, tiled).reshape(a, k, dim) / counts[:, :, None]
-        shift = np.sqrt(((new - centroids[live]) ** 2).sum(axis=2)).max(axis=1)
-        centroids[live] = new
+        sums = _cluster_sums(data, labels + offsets[:a], counts, tiled).reshape(a, k, dim)
+        new = sums / counts[:, :, None]
+        shift = np.sqrt(((new - centroids) ** 2).sum(axis=2)).max(axis=1)
+        centroids = new
         moves += 1
-        last[live] = (shift < _TOL) | (moves == _MAX_ITER)
+        last = (shift < _TOL) | (moves == _MAX_ITER)
 
 
 def kmeans_fit(data, k: int, seed: int, restarts: int = 10) -> ClusteringResult:
@@ -386,10 +383,6 @@ def _best_of_restarts(data, k, seed, restarts) -> tuple[float, np.ndarray, np.nd
     seeds = _pp_seeds(data, k, [np.random.default_rng(np.random.SeedSequence([seed % (2**63), r]))
                                 for r in range(restarts)])
     group = max(1, _BLOCK_BYTES // (8 * data.shape[0] * k))
-    best = None
-    for lo in range(0, restarts, group):
-        fits = _lloyd_group(data, seeds[lo : lo + group])
-        for inertia, labels, centroids in fits:
-            if best is None or inertia < best[0]:
-                best = (inertia, labels, centroids)
-    return best
+    fits = chain.from_iterable(_lloyd_group(data, seeds[lo : lo + group])
+                               for lo in range(0, restarts, group))
+    return min(fits, key=lambda fit: fit[0])  # the first of equal inertias

@@ -94,7 +94,8 @@ def per_restart_kmeans(data, k, seed, restarts=10, max_iter=300, tol=1e-4):
     def assign(centroids):
         d2 = cdist(data, centroids, "sqeuclidean")
         labels = d2.argmin(axis=1)
-        return kmeans._fix_empty(data, labels, d2[rows, labels], k)
+        kmeans._fix_empty(labels, d2[rows, labels], k)
+        return labels
 
     best = None
     for r in range(restarts):

@@ -237,9 +237,9 @@ class TestRestartsTogether:
         refills = []
         fix_empty = kmeans._fix_empty
 
-        def counting_fix_empty(data, labels, own_d2, k):
+        def counting_fix_empty(labels, own_d2, k):
             refills.append(np.bincount(labels, minlength=k).min() == 0)
-            return fix_empty(data, labels, own_d2, k)
+            return fix_empty(labels, own_d2, k)
 
         # the package seeds all restarts at once, the reference one at a time
         monkeypatch.setattr(kmeans, "_pp_seeds", one_centroid_far_away)
@@ -248,6 +248,62 @@ class TestRestartsTogether:
         fit = kmeans_fit(data, 5, seed=4, restarts=10)
         assert any(refills)
         _assert_same_fit(fit, per_restart_kmeans(data, 5, seed=4, restarts=10))
+
+    @pytest.mark.parametrize("d", [1, 3])
+    def test_each_restart_of_a_group_is_its_fit_alone(self, monkeypatch, d):
+        # the restarts leave the group at different iterations, so its arrays
+        # shrink while others run on, and restart 2 starts with a centroid far
+        # from every point, so its first assignment needs a refill
+        data = _table("blobs", 120, d, seed=d)
+        seeds = kmeans._pp_seeds(data, 5, [np.random.default_rng(r) for r in range(8)])
+        seeds[2, -1] = data.max(axis=0) + 100.0
+        group = kmeans._lloyd_group(data, seeds)
+        moves, refills = [], []  # per restart alone: its moves, and which refilled
+        cluster_sums, fix_empty = kmeans._cluster_sums, kmeans._fix_empty
+
+        def counting_sums(*args):
+            moves[-1] += 1
+            return cluster_sums(*args)
+
+        def counting_fix_empty(labels, own_d2, k):
+            refills.append(len(moves) - 1)
+            return fix_empty(labels, own_d2, k)
+
+        monkeypatch.setattr(kmeans, "_cluster_sums", counting_sums)
+        monkeypatch.setattr(kmeans, "_fix_empty", counting_fix_empty)
+        for r, (inertia, labels, centroids) in enumerate(group):
+            moves.append(0)
+            single = kmeans._lloyd_group(data, seeds[r : r + 1])[0]
+            assert inertia == single[0]
+            for ours, alone in ((labels, single[1]), (centroids, single[2])):
+                assert (ours.dtype, ours.shape) == (alone.dtype, alone.shape)
+                assert ours.tobytes() == alone.tobytes()
+        assert len(set(moves)) > 2
+        assert 2 in refills
+
+    @pytest.mark.parametrize("group", [1, 2])
+    def test_first_of_equal_inertias_wins(self, monkeypatch, group):
+        # restart 1 starts from restart 0's centroids in another order, so it
+        # takes the same steps and reaches the same inertia with permuted labels
+        n, k = 90, 4
+        data = _table("blobs", n, 3, seed=7)
+        seed_restarts, seeded = kmeans._pp_seeds, []
+
+        def second_permutes_first(data, k, rngs):
+            seeds = seed_restarts(data, k, rngs)
+            seeds[1] = seeds[0, ::-1]
+            seeded.append(seeds)
+            return seeds
+
+        monkeypatch.setattr(kmeans, "_pp_seeds", second_permutes_first)
+        monkeypatch.setattr(kmeans, "_BLOCK_BYTES", group * 8 * n * k)
+        fit = kmeans_fit(data, k, seed=3, restarts=2)
+        first, second = (kmeans._lloyd_group(data, seeded[0][r : r + 1])[0] for r in range(2))
+        assert first[0] == second[0]
+        assert not np.array_equal(first[1], second[1])
+        np.testing.assert_array_equal(fit.labels, first[1])
+        np.testing.assert_array_equal(fit.centroids, first[2])
+        assert fit.inertia == first[0]
 
     @pytest.mark.parametrize("kind, n, d, ks, restarts", [
         ("uniform", 5, 1, [2, 3, 5], 13),
