@@ -24,19 +24,21 @@ class Dataset:
     """Immutable numeric table with named columns.
 
     Invariants (enforced at construction): the value matrix is rectangular
-    with one column per feature name, feature names are unique, there are at
-    least 2 features and at least as many samples as features, and every
-    entry is finite.
+    with one column per feature name, feature names are stored as ``str``
+    and are unique as strings, there are at least 2 features and at least as
+    many samples as features, and every entry is finite.
     """
 
     feature_names: tuple[str, ...]
     values: np.ndarray
 
     def __post_init__(self):
-        values = np.asarray(self.values, dtype=np.float64)
+        # a row-major copy, converted once, that no caller holds: the fits
+        # and PCA read rows, and the order of their sums sets the bits
+        values = np.array(self.values, dtype=np.float64, order="C")
         if values.ndim != 2:
             raise ParameterError("values must be a 2-D matrix")
-        object.__setattr__(self, "feature_names", tuple(self.feature_names))
+        object.__setattr__(self, "feature_names", tuple(map(str, self.feature_names)))
         n_samples, n_features = values.shape
         if len(self.feature_names) != n_features:
             raise ParameterError(
@@ -52,7 +54,6 @@ class Dataset:
             )
         if not np.isfinite(values).all():
             raise ParameterError("values contain non-finite entries")
-        values = values.copy()
         values.setflags(write=False)
         object.__setattr__(self, "values", values)
 

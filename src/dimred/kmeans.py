@@ -104,11 +104,11 @@ def silhouette(data, labels) -> tuple[np.ndarray, float]:
     labels = np.asarray(labels)
     if labels.shape != (data.shape[0],):
         raise ParameterError("labels must have one entry per sample")
-    if labels.size and not np.issubdtype(labels.dtype, np.integer):
+    if not np.issubdtype(labels.dtype, np.integer):
         raise ParameterError("cluster indices must be integers")
-    if labels.size and labels.min() < 0:
+    if labels.min() < 0:
         raise ParameterError("cluster indices must be nonnegative")
-    k = int(labels.max()) + 1 if labels.size else 0
+    k = int(labels.max()) + 1
     counts = np.bincount(labels, minlength=k)
     if np.any(counts == 0):
         empty = np.flatnonzero(counts == 0)
@@ -130,11 +130,12 @@ def _silhouettes(data, labellings) -> list[tuple[np.ndarray, float]]:
     computed against the data sorted its way.
     """
     n = data.shape[0]
-    orders, starts, sums = [], [], []
+    orders, sizes, starts, sums = [], [], [], []
     for labels in labellings:
         counts = np.bincount(labels)
+        sizes.append(counts)
         orders.append(np.argsort(labels, kind="stable"))
-        starts.append(np.concatenate(([0], np.cumsum(counts)[:-1])))
+        starts.append(np.cumsum(counts) - counts)
         # sums[i, c] = sum of distances from sample i to members of cluster c
         sums.append(np.empty((n, counts.size)))
     by_first = data[orders[0]]
@@ -150,13 +151,12 @@ def _silhouettes(data, labellings) -> list[tuple[np.ndarray, float]]:
         for cols, start, out in zip(columns, starts, sums):
             out[lo : lo + rows] = np.add.reduceat(block[:, cols], start, axis=1)
     del buffer, block  # not held while the scores are computed
-    return [_scores(out, labels) for out, labels in zip(sums, labellings)]
+    return [_scores(out, labels, counts) for out, labels, counts in zip(sums, labellings, sizes)]
 
 
-def _scores(cluster_sums, labels) -> tuple[np.ndarray, float]:
-    """Per-sample silhouettes and their mean from per-cluster distance sums."""
+def _scores(cluster_sums, labels, counts) -> tuple[np.ndarray, float]:
+    """Per-sample silhouettes and their mean from per-cluster distance sums and sizes."""
     n = labels.size
-    counts = np.bincount(labels)
     own = counts[labels]
     idx = np.arange(n)
     means = cluster_sums / counts
@@ -205,15 +205,14 @@ def _pp_seeds(data, k, rngs) -> np.ndarray:
     return seeds
 
 
-def _fix_empty(labels, own_d2, k) -> np.ndarray:
+def _fix_empty(labels, own_d2, counts) -> None:
     """Give every empty cluster the point currently farthest from its centroid,
-    refilling ``labels`` and ``own_d2`` (each point's squared distance to its
-    own centroid) in place; returns the cluster sizes after the refill.
+    refilling ``labels``, ``own_d2`` (each point's squared distance to its own
+    centroid) and ``counts`` (the size of every cluster of ``labels``) in place.
 
     Points are only stolen from clusters with more than one member, so the
     fix never creates a new empty cluster.
     """
-    counts = np.bincount(labels, minlength=k)
     for c in np.flatnonzero(counts == 0):
         candidates = np.where(counts[labels] > 1, own_d2, -np.inf)
         idx = int(candidates.argmax())
@@ -221,10 +220,9 @@ def _fix_empty(labels, own_d2, k) -> np.ndarray:
         labels[idx] = c
         counts[c] = 1
         own_d2[idx] = 0.0
-    return counts
 
 
-def _cluster_sums(data, flat, counts, tiled) -> np.ndarray:
+def _cluster_sums(flat, counts, tiled) -> np.ndarray:
     """Column sums of the rows in each bin, with the bits of ``ndarray.mean``.
 
     ``flat[j, i]`` is the bin of row i in live restart j, and ``counts`` holds
@@ -236,16 +234,16 @@ def _cluster_sums(data, flat, counts, tiled) -> np.ndarray:
     run gets a leading 0.0, the value the reduction starts from.
     """
     bins = counts.size
-    if data.shape[1] > 1:
+    if tiled.shape[0] > 1:
         bin_of = flat.ravel()
-        out = np.empty((bins, data.shape[1]))
+        out = np.empty((bins, tiled.shape[0]))
         for j, column in enumerate(tiled[:, : flat.shape[0]]):
             out[:, j] = np.bincount(bin_of, weights=column.ravel(), minlength=bins)
         return out
     counts = counts.ravel()
     padded = np.zeros(flat.size + bins)
     padded[np.arange(flat.size) + np.repeat(np.arange(1, bins + 1), counts)] = \
-        data[np.argsort(flat, axis=None, kind="stable") % data.shape[0], 0]
+        tiled[0, : flat.shape[0]].ravel()[np.argsort(flat, axis=None, kind="stable")]
     return np.add.reduceat(padded, np.arange(bins) + np.cumsum(counts) - counts)[:, None]
 
 
@@ -269,8 +267,8 @@ def _lloyd_group(data, seeds) -> list[tuple[float, np.ndarray, np.ndarray]]:
     g, k, _ = seeds.shape
     centroids = seeds
     offsets = k * np.arange(g)[:, None]
-    # the bincount weights of the centroid sums, built once for the group
-    tiled = np.repeat(data.T[:, None], g, axis=1) if dim > 1 else None
+    # the data columns the centroid sums add, built once for the group
+    tiled = np.repeat(data.T[:, None], g, axis=1)
     index = np.arange(g)  # each live restart's place in ``seeds``
     last = np.zeros(g, dtype=bool)  # the next assignment is the restart's last
     previous = np.full((g, n), -1)  # labels at the previous assignment
@@ -287,7 +285,7 @@ def _lloyd_group(data, seeds) -> list[tuple[float, np.ndarray, np.ndarray]]:
         labels = np.ascontiguousarray(d2.argmin(axis=2).T)
         counts = np.bincount((labels + offsets[:a]).ravel(), minlength=a * k).reshape(a, k)
         for j in np.flatnonzero((counts == 0).any(axis=1)):
-            counts[j] = _fix_empty(labels[j], d2[np.arange(n), j, labels[j]], k)
+            _fix_empty(labels[j], d2[np.arange(n), j, labels[j]], counts[j])
         leaving = last | (labels == previous).all(axis=1)
         for j in np.flatnonzero(leaving):
             c = centroids[j].copy()
@@ -299,7 +297,7 @@ def _lloyd_group(data, seeds) -> list[tuple[float, np.ndarray, np.ndarray]]:
             index, centroids, labels, counts = (x[keep] for x in (index, centroids, labels, counts))
             a = index.size
         previous = labels
-        sums = _cluster_sums(data, labels + offsets[:a], counts, tiled).reshape(a, k, dim)
+        sums = _cluster_sums(labels + offsets[:a], counts, tiled).reshape(a, k, dim)
         new = sums / counts[:, :, None]
         shift = np.sqrt(((new - centroids) ** 2).sum(axis=2)).max(axis=1)
         centroids = new

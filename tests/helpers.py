@@ -94,7 +94,7 @@ def per_restart_kmeans(data, k, seed, restarts=10, max_iter=300, tol=1e-4):
     def assign(centroids):
         d2 = cdist(data, centroids, "sqeuclidean")
         labels = d2.argmin(axis=1)
-        kmeans._fix_empty(labels, d2[rows, labels], k)
+        kmeans._fix_empty(labels, d2[rows, labels], np.bincount(labels, minlength=k))
         return labels
 
     best = None

@@ -140,6 +140,7 @@ class TestDatasetInvariants:
         (["a", "b"], [1.0, 2.0], ParameterError, "values must be a 2-D matrix"),
         (["a", "b", "c"], [[1.0, 2.0], [3.0, 4.0]], ParameterError, "3 names for 2 columns"),
         (["a", "a"], [[1.0, 2.0], [3.0, 4.0]], SchemaError, "feature names are not unique"),
+        ([1, "1", "b"], [[1.0, 2.0, 3.0]], SchemaError, "feature names are not unique"),
     ])
     def test_rejects_inconsistent_parts(self, names, values, error, message):
         with pytest.raises(error, match=f"^{message}$"):
@@ -149,6 +150,21 @@ class TestDatasetInvariants:
         ds = make_dataset([[1.0, 2.0], [3.0, 4.0]])
         with pytest.raises(ValueError):
             ds.values[0, 0] = 9.0
+
+    @pytest.mark.parametrize("dtype", [np.int64, np.float32, np.float64])
+    def test_holds_one_converted_copy(self, dtype):
+        n, d = 20_000, 4
+        values = np.arange(n * d, dtype=dtype).reshape(d, n).T  # column-major
+        tracemalloc.start()
+        try:
+            ds = Dataset(["a", "b", "c", "d"], values)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # one float64 copy is 8*n*d; converting and then copying held two
+        assert peak < 1.5 * 8 * n * d
+        assert not np.shares_memory(ds.values, values)
+        assert ds.values.flags.c_contiguous
 
 
 class TestMinMax:

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dimred import (DecisionConfig, DecisionReport, EXTRACTION, ParameterError,
+from dimred import (Dataset, DecisionConfig, DecisionReport, EXTRACTION, ParameterError,
                     SELECTION, best_silhouette_over_k, decide, decision, frsd,
                     kmeans_fit, kmeans_fits, run_decision_detailed,
                     select_for_resolution)
@@ -254,6 +254,16 @@ class TestRunDecision:
         assert pool.items(frsd._score_subset)
         assert len(pool.items(decision.best_silhouette_over_k)) == 2
         assert pooled.report.to_json_dict() == serial.report.to_json_dict()
+
+    @pytest.mark.parametrize("names", [[0, 1, 2], [1, "a", "b"]])
+    def test_non_string_names_decide_like_their_strings(self, names):
+        values = np.random.default_rng(8).uniform(size=(20, 3))
+        config = DecisionConfig(k_min=2, k_max=3, restarts=2)
+        data = Dataset(names, values)
+        assert data.feature_names == tuple(str(name) for name in names)
+        strings = Dataset([str(name) for name in names], values)
+        assert run_decision_detailed(data, config).report.to_json_dict() == \
+            run_decision_detailed(strings, config).report.to_json_dict()
 
     def test_report_json_roundtrip(self):
         rng = np.random.default_rng(5)

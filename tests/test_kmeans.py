@@ -237,9 +237,9 @@ class TestRestartsTogether:
         refills = []
         fix_empty = kmeans._fix_empty
 
-        def counting_fix_empty(labels, own_d2, k):
-            refills.append(np.bincount(labels, minlength=k).min() == 0)
-            return fix_empty(labels, own_d2, k)
+        def counting_fix_empty(labels, own_d2, counts):
+            refills.append(counts.min() == 0)
+            return fix_empty(labels, own_d2, counts)
 
         # the package seeds all restarts at once, the reference one at a time
         monkeypatch.setattr(kmeans, "_pp_seeds", one_centroid_far_away)
@@ -248,6 +248,19 @@ class TestRestartsTogether:
         fit = kmeans_fit(data, 5, seed=4, restarts=10)
         assert any(refills)
         _assert_same_fit(fit, per_restart_kmeans(data, 5, seed=4, restarts=10))
+
+    def test_refill_updates_the_sizes_it_is_given(self):
+        # clusters 1, 3 and 4 are empty, so three points move
+        rng = np.random.default_rng(5)
+        labels = rng.choice([0, 2], size=40)
+        own_d2 = rng.uniform(1.0, 2.0, size=40)
+        counts = np.bincount(labels, minlength=5)
+        before = labels.copy()
+        kmeans._fix_empty(labels, own_d2, counts)
+        moved = labels != before
+        np.testing.assert_array_equal(counts, np.bincount(labels, minlength=counts.size))
+        assert counts.min() > 0 and moved.sum() == 3
+        assert (own_d2[moved] == 0.0).all()
 
     @pytest.mark.parametrize("d", [1, 3])
     def test_each_restart_of_a_group_is_its_fit_alone(self, monkeypatch, d):
@@ -265,9 +278,9 @@ class TestRestartsTogether:
             moves[-1] += 1
             return cluster_sums(*args)
 
-        def counting_fix_empty(labels, own_d2, k):
+        def counting_fix_empty(labels, own_d2, counts):
             refills.append(len(moves) - 1)
-            return fix_empty(labels, own_d2, k)
+            return fix_empty(labels, own_d2, counts)
 
         monkeypatch.setattr(kmeans, "_cluster_sums", counting_sums)
         monkeypatch.setattr(kmeans, "_fix_empty", counting_fix_empty)
