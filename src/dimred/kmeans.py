@@ -115,43 +115,46 @@ def silhouette(data, labels) -> tuple[np.ndarray, float]:
         raise ParameterError(f"empty cluster index {empty[0]} (labels must cover [0, k))")
     if k < 2:
         raise MetricUndefinedError("silhouette needs at least 2 clusters")
-    return _silhouettes(data, [labels])[0]
+    return _silhouettes(data, [(labels, counts)])[0]
 
 
 def _silhouettes(data, labellings) -> list[tuple[np.ndarray, float]]:
-    """Silhouettes of several valid labellings of ``data``, in one pass over
-    row blocks of pairwise distances that every labelling shares.
+    """Silhouettes of several valid labellings of ``data``, each given as
+    (labels, cluster sizes), in one pass over row blocks of pairwise
+    distances that every labelling shares.
 
     Sorted by label, each cluster's members form one contiguous run of
     columns, so a cluster's distance sum is one ``np.add.reduceat`` over a
     block whose columns are in that order. A block's columns are computed
     in the first labelling's order, and every other labelling gathers its
-    own order from them: the same pairs, added in the same order, as a block
-    computed against the data sorted its way.
+    own order from them into one buffer, reused for every block and
+    labelling: the same pairs, added in the same order, as a block computed
+    against the data sorted its way.
     """
     n = data.shape[0]
-    orders, sizes, starts, sums = [], [], [], []
-    for labels in labellings:
-        counts = np.bincount(labels)
-        sizes.append(counts)
-        orders.append(np.argsort(labels, kind="stable"))
-        starts.append(np.cumsum(counts) - counts)
-        # sums[i, c] = sum of distances from sample i to members of cluster c
-        sums.append(np.empty((n, counts.size)))
+    orders = [np.argsort(labels, kind="stable") for labels, _ in labellings]
+    starts = [np.cumsum(counts) - counts for _, counts in labellings]
+    # sums[i, c] = sum of distances from sample i to members of cluster c
+    sums = [np.empty((n, counts.size)) for _, counts in labellings]
     by_first = data[orders[0]]
     position = np.argsort(orders[0])  # column of each sample in a block
-    columns = [slice(None)] + [position[order] for order in orders[1:]]
+    columns = [None] + [position[order] for order in orders[1:]]  # None: the block's own
     rows = max(1, _BLOCK_BYTES // (8 * n))
     # one block's memory, reused: freeing and allocating a block per step
     # lets malloc hand it back to the system and fault it in again, which
-    # cost 2 s of a 7 s run on a 6000-row table
+    # cost 2 s of a 7 s run on a 6000-row table; the gathers share a second
     buffer = np.empty((min(rows, n), n))
+    gathered = np.empty_like(buffer) if len(labellings) > 1 else None
     for lo in range(0, n, rows):
         block = _euclidean(data[lo : lo + rows], by_first, out=buffer[: n - lo])
         for cols, start, out in zip(columns, starts, sums):
-            out[lo : lo + rows] = np.add.reduceat(block[:, cols], start, axis=1)
-    del buffer, block  # not held while the scores are computed
-    return [_scores(out, labels, counts) for out, labels, counts in zip(sums, labellings, sizes)]
+            # "wrap" never wraps these columns, but unlike "raise" it lets
+            # numpy write into ``out`` directly instead of through a copy
+            ordered = block if cols is None else np.take(
+                block, cols, axis=1, out=gathered[: len(block)], mode="wrap")
+            np.add.reduceat(ordered, start, axis=1, out=out[lo : lo + len(block)])
+    del buffer, gathered, block  # not held while the scores are computed
+    return [_scores(out, labels, counts) for out, (labels, counts) in zip(sums, labellings)]
 
 
 def _scores(cluster_sums, labels, counts) -> tuple[np.ndarray, float]:
@@ -247,7 +250,7 @@ def _cluster_sums(flat, counts, tiled) -> np.ndarray:
     return np.add.reduceat(padded, np.arange(bins) + np.cumsum(counts) - counts)[:, None]
 
 
-def _lloyd_group(data, seeds) -> list[tuple[float, np.ndarray, np.ndarray]]:
+def _lloyd_group(data, seeds) -> list[tuple[float, np.ndarray, np.ndarray, np.ndarray]]:
     """Lloyd iterations for a group of restarts, advanced together.
 
     ``seeds`` holds each restart's initial centroids, shape (g, k, d). Every
@@ -261,7 +264,13 @@ def _lloyd_group(data, seeds) -> list[tuple[float, np.ndarray, np.ndarray]]:
     every further assignment the same one again. Every per-restart array of
     the loop holds the live restarts only, in seed order, and all of them
     drop a restart together when it stops. Returns (inertia, labels,
-    centroids) per restart, in seed order.
+    centroids, cluster sizes) per restart, in seed order.
+
+    The distances are laid out centroid-major, (k, live restarts, n), so the
+    nearest distance is a minimum over k contiguous rows, and a label is the
+    number of leading centroids whose distance differs from it: the first
+    index at the minimum, as ``argmin`` gives. (x - c)^2 equals (c - x)^2,
+    so each distance has the bits of the point-major layout.
     """
     n, dim = data.shape
     g, k, _ = seeds.shape
@@ -279,17 +288,30 @@ def _lloyd_group(data, seeds) -> list[tuple[float, np.ndarray, np.ndarray]]:
     buffer = np.empty(n * g * k)
     while True:
         a = index.size
-        # one distance call for every live restart; each pair is computed as alone
-        d2 = _sqeuclidean(data, centroids.reshape(a * k, dim),
-                          out=buffer[: n * a * k].reshape(n, a * k)).reshape(n, a, k)
-        labels = np.ascontiguousarray(d2.argmin(axis=2).T)
+        # one distance call for every live restart; d2[c, j, i] is point i's
+        # distance to centroid c of live restart j
+        d2 = _sqeuclidean(centroids.transpose(1, 0, 2).reshape(k * a, dim), data,
+                          out=buffer[: k * a * n].reshape(k * a, n)).reshape(k, a, n)
+        own = np.minimum.reduce(d2, axis=0)
+        # counted in the smallest type that holds k - 1: adding a bool array
+        # to it takes about half the time of adding one to intp
+        ahead = np.ones((a, n), dtype=bool)
+        labels = np.zeros((a, n), dtype=np.min_scalar_type(k - 1))
+        for c in range(k - 1):
+            ahead &= d2[c] != own
+            labels += ahead
+        labels = labels.astype(np.intp)
         counts = np.bincount((labels + offsets[:a]).ravel(), minlength=a * k).reshape(a, k)
         for j in np.flatnonzero((counts == 0).any(axis=1)):
-            _fix_empty(labels[j], d2[np.arange(n), j, labels[j]], counts[j])
+            _fix_empty(labels[j], own[j], counts[j])
+        # freed before the centroid sums allocate: held through them, they
+        # raised a 6000-row run's peak RSS by about 0.7 MB
+        del own, ahead
         leaving = last | (labels == previous).all(axis=1)
         for j in np.flatnonzero(leaving):
             c = centroids[j].copy()
-            out[index[j]] = (float(((data - c[labels[j]]) ** 2).sum()), labels[j].copy(), c)
+            out[index[j]] = (float(((data - c[labels[j]]) ** 2).sum()), labels[j].copy(), c,
+                             counts[j].copy())
         if leaving.all():
             return out
         if leaving.any():
@@ -348,7 +370,7 @@ def kmeans_fits(data, ks, seeds, restarts: int = 10) -> list[ClusteringResult]:
     require_integer("restarts", restarts, 1)
     require_distinct(data, ks)
     best = [_best_of_restarts(data, k, seed, restarts) for k, seed in zip(ks, seeds)]
-    silhouettes = _silhouettes(data, [labels for _, labels, _ in best])
+    silhouettes = _silhouettes(data, [(labels, sizes) for _, labels, _, sizes in best])
     return [
         ClusteringResult(
             labels=labels,
@@ -358,7 +380,7 @@ def kmeans_fits(data, ks, seeds, restarts: int = 10) -> list[ClusteringResult]:
             mean_silhouette=mean_s,
             k=k,
         )
-        for k, (inertia, labels, centroids), (sample_s, mean_s) in zip(ks, best, silhouettes)
+        for k, (inertia, labels, centroids, _), (sample_s, mean_s) in zip(ks, best, silhouettes)
     ]
 
 
@@ -376,8 +398,8 @@ def require_distinct(data, ks, where: str = "") -> None:
             raise ParameterError(f"fewer than k={k} distinct points{where}")
 
 
-def _best_of_restarts(data, k, seed, restarts) -> tuple[float, np.ndarray, np.ndarray]:
-    """(inertia, labels, centroids) of the first restart with the lowest inertia."""
+def _best_of_restarts(data, k, seed, restarts) -> tuple[float, np.ndarray, np.ndarray, np.ndarray]:
+    """(inertia, labels, centroids, sizes) of the first restart with the lowest inertia."""
     seeds = _pp_seeds(data, k, [np.random.default_rng(np.random.SeedSequence([seed % (2**63), r]))
                                 for r in range(restarts)])
     group = max(1, _BLOCK_BYTES // (8 * data.shape[0] * k))

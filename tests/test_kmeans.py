@@ -284,11 +284,12 @@ class TestRestartsTogether:
 
         monkeypatch.setattr(kmeans, "_cluster_sums", counting_sums)
         monkeypatch.setattr(kmeans, "_fix_empty", counting_fix_empty)
-        for r, (inertia, labels, centroids) in enumerate(group):
+        for r, (inertia, labels, centroids, sizes) in enumerate(group):
             moves.append(0)
             single = kmeans._lloyd_group(data, seeds[r : r + 1])[0]
             assert inertia == single[0]
-            for ours, alone in ((labels, single[1]), (centroids, single[2])):
+            np.testing.assert_array_equal(sizes, np.bincount(labels, minlength=5))
+            for ours, alone in zip((labels, centroids, sizes), single[1:]):
                 assert (ours.dtype, ours.shape) == (alone.dtype, alone.shape)
                 assert ours.tobytes() == alone.tobytes()
         assert len(set(moves)) > 2
@@ -317,6 +318,24 @@ class TestRestartsTogether:
         np.testing.assert_array_equal(fit.labels, first[1])
         np.testing.assert_array_equal(fit.centroids, first[2])
         assert fit.inertia == first[0]
+
+    @pytest.mark.parametrize("k, restarts", [(4, 4), (10, 1)])
+    def test_ties_go_to_the_first_nearest_centroid(self, monkeypatch, k, restarts):
+        # on an integer grid with integer seeds, many points lie exactly midway
+        # between two centroids, and every restart repeats its first centroid,
+        # so both take the lower index, as argmin does, and the copy's cluster
+        # starts empty; k=10 with one restart is the longest scan
+        data = np.tile(np.stack(np.meshgrid(np.arange(5.0), np.arange(5.0)), -1)
+                       .reshape(25, 2), (2, 1))
+        seeds = np.random.default_rng(k).integers(0, 5, size=(restarts, k, 2)).astype(float)
+        seeds[:, 1] = seeds[:, 0]
+        d2 = cdist(data, seeds[0, 1:], "sqeuclidean")  # without the copy
+        assert ((d2 == d2.min(axis=1, keepdims=True)).sum(axis=1) > 1).any()
+        alone = iter(seeds)
+        monkeypatch.setattr(kmeans, "_pp_seeds", lambda data, k, rngs: seeds.copy())
+        monkeypatch.setattr(helpers, "pp_init", lambda data, k, rng: next(alone).copy())
+        fit = kmeans_fits(data, [k], [7], restarts=restarts)[0]
+        _assert_same_fit(fit, per_restart_kmeans(data, k, seed=7, restarts=restarts))
 
     @pytest.mark.parametrize("kind, n, d, ks, restarts", [
         ("uniform", 5, 1, [2, 3, 5], 13),
@@ -392,21 +411,25 @@ class TestDistanceKernels:
         for a, b in ((x, x), (x[:1], x), (x, x[:1]), (x[:1], x[:1]), (x[::3], x[1::2])):
             assert np.array_equal(sqeuclidean(a, b), cdist(a, b, "sqeuclidean"))
             assert np.array_equal(euclidean(a, b), cdist(a, b))
+            # transpose-symmetric, so the Lloyd step may compute centroid-major
+            assert np.array_equal(sqeuclidean(b, a), sqeuclidean(a, b).T)
+            assert np.array_equal(euclidean(b, a), euclidean(a, b).T)
 
     def test_out_forms_the_kmeans_code_passes(self, kernels):
         sqeuclidean, euclidean = kernels
         rng = np.random.default_rng(5)
-        data, centroids = rng.random((50, 3)), rng.random((2 * 4, 3))
+        data, centroids = rng.random((50, 3)), rng.random((4 * 2, 3))
         # _silhouettes: the last, short row block in a prefix of the block buffer
         buffer = np.full((8, 50), np.nan)
         block = euclidean(data[45:], data, out=buffer[:5])
         assert np.shares_memory(block, buffer)
         assert np.array_equal(block, cdist(data[45:], data))
-        # _lloyd_group: 2 live restarts at k=4 in a prefix of a group of 3's buffer
-        flat = np.full(50 * 3 * 4, np.nan)
-        d2 = sqeuclidean(data, centroids, out=flat[: 50 * 8].reshape(50, 8))
+        # _lloyd_group: k=4 centroids of 2 live restarts, centroid-major, in a
+        # (k * 2, n) prefix of a group of 3's buffer
+        flat = np.full(4 * 3 * 50, np.nan)
+        d2 = sqeuclidean(centroids, data, out=flat[: 4 * 2 * 50].reshape(4 * 2, 50))
         assert np.shares_memory(d2, flat)
-        assert np.array_equal(d2, cdist(data, centroids, "sqeuclidean"))
+        assert np.array_equal(d2, cdist(centroids, data, "sqeuclidean"))
 
 
 class TestSilhouette:
@@ -542,7 +565,7 @@ class TestSilhouette:
         labellings = [rng.permutation(np.arange(n) % k) for k in ks]
         tracemalloc.start()
         try:
-            kmeans._silhouettes(data, labellings)
+            kmeans._silhouettes(data, [(labels, np.bincount(labels)) for labels in labellings])
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -560,7 +583,8 @@ class TestSilhouette:
         alone = [silhouette(data, labels) for labels in labellings]
         rows = rows_per_block or n // 3 - 1  # or 4 blocks, the last one short
         monkeypatch.setattr(kmeans, "_BLOCK_BYTES", 8 * n * rows)
-        together = kmeans._silhouettes(data, labellings)
+        together = kmeans._silhouettes(data, [(labels, np.bincount(labels))
+                                              for labels in labellings])
         for (s, mean), (s_alone, mean_alone) in zip(together, alone):
             np.testing.assert_array_equal(s, s_alone)
             assert mean == mean_alone
