@@ -11,9 +11,12 @@ from concurrent.futures import ProcessPoolExecutor
 import numpy as np
 import pytest
 
-from dimred import (DecisionConfig, SELECTION, decide, frsd, frsd_rank, minmax_normalize,
-                    pca_fit, run_decision_detailed, select_for_resolution, silhouette)
+from dimred import DecisionConfig, SELECTION, decide, frsd, run_decision_detailed, silhouette
 from dimred.cli import main as cli_main
+from dimred.dataset import minmax_normalize
+from dimred.decision import select_for_resolution
+from dimred.frsd import frsd_rank
+from dimred.pca import jacobi_eigh, pca_fit
 from dimred.validation import (REFERENCE_EXTRACTION_WEIGHTS,
                                REFERENCE_SELECTION_WEIGHTS, count_misclassified,
                                generate_cases)
@@ -107,12 +110,10 @@ def test_criterion_4_silhouette_oracle():
 def test_criterion_5_pca_properties():
     """Orthonormality, ratio sum, trace identity and eigenvalue oracle."""
     for matrix in SYMMETRIC_FIXTURES_2X2:
-        from dimred import jacobi_eigh
         eigenvalues, _ = jacobi_eigh(np.array(matrix))
         np.testing.assert_allclose(sorted(eigenvalues, reverse=True),
                                    charpoly_eigvals_2x2(matrix), atol=1e-9)
     for matrix in SYMMETRIC_FIXTURES_3X3:
-        from dimred import jacobi_eigh
         eigenvalues, _ = jacobi_eigh(np.array(matrix))
         np.testing.assert_allclose(sorted(eigenvalues, reverse=True),
                                    charpoly_eigvals_3x3(matrix), atol=1e-9)

@@ -21,7 +21,9 @@ from dimred import cli
 from dimred.cli import main
 from dimred import (Dataset, DecisionConfig, DecisionReport, EXTRACTION, SELECTION,
                     decide, decision, evaluate, frsd, kmeans_fits, load_csv, rank,
-                    run_decision_detailed, select_for_resolution)
+                    run_decision_detailed)
+from dimred.dataset import minmax_normalize
+from dimred.decision import select_for_resolution
 from dimred.validation import resolution_sweep, write_sweep_csv
 from helpers import make_blobs_with_noise, make_dataset, outputs_by_name, write_dataset_csv
 
@@ -165,7 +167,7 @@ class TestRun:
         captured = capsys.readouterr()
         assert code == 0, captured.err
         assert "warning" not in captured.out and captured.err == ""
-        column = dimred.minmax_normalize(load_csv(path)).values[:, 0]
+        column = minmax_normalize(load_csv(path)).values[:, 0]
         assert column.min() == 0.0 and column.max() == 1.0  # so it lies in [0, 1]
 
     def test_case_with_a_path_separator_exits_2_before_the_sweep(self, demo_csv, tmp_path,

@@ -10,7 +10,8 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from dimred import (ConstantColumnWarning, Dataset, IngestionError,
-                    ParameterError, SchemaError, load_csv, minmax_normalize)
+                    ParameterError, SchemaError, load_csv)
+from dimred.dataset import minmax_normalize
 from helpers import make_dataset, write_dataset_csv
 
 

@@ -10,9 +10,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dimred import (Dataset, DecisionConfig, DecisionReport, EXTRACTION, ParameterError,
-                    SELECTION, best_silhouette_over_k, decide, decision, frsd,
-                    kmeans_fit, kmeans_fits, run_decision_detailed,
-                    select_for_resolution)
+                    SELECTION, decide, decision, frsd, kmeans_fits, run_decision_detailed)
+from dimred.decision import best_silhouette_over_k, select_for_resolution
+from dimred.kmeans import kmeans_fit
 from dimred.validation import (REFERENCE_EXTRACTION_WEIGHTS,
                                REFERENCE_SELECTION_WEIGHTS)
 from helpers import make_dataset

@@ -5,9 +5,10 @@ import re
 import numpy as np
 import pytest
 
-from dimred import (ParameterError, RadarSeries, kmeans_fit,
-                    render_silhouette_plot, render_stacked_radar)
-from dimred.figures import PALETTE, cluster_letter
+from dimred import ParameterError
+from dimred.figures import (PALETTE, RadarSeries, cluster_letter, render_silhouette_plot,
+                            render_stacked_radar)
+from dimred.kmeans import kmeans_fit
 
 COORD_ATTR = re.compile(r'\b(?:x|y|x1|y1|x2|y2|cx|cy)="(-?[0-9.]+)"')
 POINTS_ATTR = re.compile(r'points="([^"]+)"')

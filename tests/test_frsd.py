@@ -10,10 +10,11 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from dimred import (DecisionConfig, FeatureWeights, ParameterError, cli, frsd, frsd_rank,
-                    kmeans_fit, kmeans_fits, minmax_normalize, rank, run_decision_detailed,
-                    write_subset_scores)
-from dimred.frsd import task_seed
+from dimred import (DecisionConfig, FeatureWeights, ParameterError, cli, frsd, kmeans_fits,
+                    rank, run_decision_detailed, write_subset_scores)
+from dimred.dataset import minmax_normalize
+from dimred.frsd import frsd_rank, task_seed
+from dimred.kmeans import kmeans_fit
 from helpers import (make_blobs_with_noise, make_dataset, outputs_by_name, powerset_subsets,
                      write_dataset_csv)
 

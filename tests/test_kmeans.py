@@ -11,9 +11,8 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from scipy.spatial.distance import cdist
 
-from dimred import (MetricUndefinedError, ParameterError, kmeans, kmeans_fit, kmeans_fits,
-                    silhouette)
-from dimred.kmeans import _BLOCK_BYTES, require_distinct
+from dimred import MetricUndefinedError, ParameterError, kmeans, kmeans_fits, silhouette
+from dimred.kmeans import _BLOCK_BYTES, kmeans_fit, require_distinct
 import helpers
 from helpers import brute_silhouette, exhaustive_best_inertia, per_restart_kmeans, pp_init
 

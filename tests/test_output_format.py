@@ -13,8 +13,9 @@ from types import SimpleNamespace
 import numpy as np
 
 from dimred import (SELECTION, ClusteringResult, DecisionConfig, DecisionReport, FeatureWeights,
-                    RadarSeries, cli, render_silhouette_plot, render_stacked_radar)
+                    cli)
 from dimred.cli import main
+from dimred.figures import RadarSeries, render_silhouette_plot, render_stacked_radar
 from dimred.validation import (RandomCase, SweepRow, write_cases_csv, write_scatter_csv,
                                write_sweep_csv)
 

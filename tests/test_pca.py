@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dimred import ParameterError, jacobi_eigh, pca_fit, pca_importance, pca_project
+from dimred import ParameterError
+from dimred.pca import jacobi_eigh, pca_fit, pca_importance, pca_project
 from helpers import (SYMMETRIC_FIXTURES_2X2 as FIXTURES_2X2,
                      SYMMETRIC_FIXTURES_3X3 as FIXTURES_3X3,
                      charpoly_eigvals_2x2, charpoly_eigvals_3x3, hadamard_design)

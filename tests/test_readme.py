@@ -1,5 +1,6 @@
-"""The README's library example runs as written."""
+"""The README documents the exported names, and its library example runs as written."""
 
+import ast
 import os
 import re
 import subprocess
@@ -19,6 +20,26 @@ def _library_example() -> str:
     """The fenced ``python`` block of the README's "Library" section."""
     section = README.read_text(encoding="utf-8").split("\n## Library\n", 1)[1]
     return re.search(r"```python\n(.*?)```", section, re.DOTALL).group(1)
+
+
+def _code(text: str) -> str:
+    """The README's fenced blocks and inline code spans, one per line."""
+    fenced = re.compile(r"^```.*?^```", re.DOTALL | re.MULTILINE)
+    return "\n".join(fenced.findall(text) + re.findall(r"`([^`]+)`", fenced.sub("", text)))
+
+
+def test_every_exported_name_is_in_the_readme_code():
+    code = _code(README.read_text(encoding="utf-8"))
+    assert [name for name in dimred.__all__
+            if not re.search(rf"\b{re.escape(name)}\b", code)] == []
+
+
+def test_every_name_a_readme_example_imports_from_dimred_is_exported():
+    blocks = re.findall(r"```python\n(.*?)```", README.read_text(encoding="utf-8"), re.DOTALL)
+    imported = [alias.name for block in blocks for node in ast.walk(ast.parse(block))
+                if isinstance(node, ast.ImportFrom) and node.module == "dimred"
+                for alias in node.names]
+    assert imported and set(imported) <= set(dimred.__all__)
 
 
 def test_library_example_runs_as_written(monkeypatch, capsys):

@@ -4,10 +4,10 @@ import csv
 
 import pytest
 
-from dimred import (ParameterError, RandomCase, count_misclassified,
-                    generate_cases, resolution_sweep)
+from dimred import ParameterError
 from dimred.validation import (REFERENCE_EXTRACTION_WEIGHTS,
-                               REFERENCE_SELECTION_WEIGHTS, SWEEP_TARGETS,
+                               REFERENCE_SELECTION_WEIGHTS, SWEEP_TARGETS, RandomCase,
+                               count_misclassified, generate_cases, resolution_sweep,
                                write_cases_csv, write_scatter_csv, write_sweep_csv)
 
 
