@@ -19,13 +19,14 @@ import os
 import sys
 import warnings
 from dataclasses import fields
+from pathlib import Path
 
 from .dataset import Dataset, load_csv, minmax_columns, write_csv
 from .decision import (DecisionConfig, DecisionOutcome, Rankings, SELECTION, evaluate, rank,
                        run_decision_detailed)
 from .errors import DimredError, ParameterError
 from .figures import RadarSeries, cluster_letter, render_silhouette_plot, render_stacked_radar
-from .frsd import check_sweep, write_subset_scores
+from .frsd import sweep_shape, write_subset_scores
 from .validation import (REFERENCE_EXTRACTION_WEIGHTS, REFERENCE_SELECTION_WEIGHTS,
                          count_misclassified, generate_cases, resolution_sweep,
                          write_cases_csv, write_scatter_csv, write_sweep_csv)
@@ -206,11 +207,9 @@ def emit_figures(outcome: DecisionOutcome, out_dir: str, case: str) -> None:
 def _load_input(args, config: DecisionConfig) -> Dataset:
     """Load ``--input``, check the sweep values against its rows, print the sweep size."""
     data = load_csv(args.input)
-    check_sweep(config.k_min, config.k_max, config.seed, config.restarts, data.n_samples)
-    n_subsets = 2**data.n_features - data.n_features - 1
-    n_k = config.k_max - config.k_min + 1
-    print(f"FRSD sweep: {n_subsets * n_k} silhouette runs "
-          f"({n_subsets} subsets x {n_k} cluster counts)", flush=True)
+    n_subsets, ks = sweep_shape(data, config)
+    print(f"FRSD sweep: {n_subsets * len(ks)} silhouette runs "
+          f"({n_subsets} subsets x {len(ks)} cluster counts)", flush=True)
     return data
 
 
@@ -297,9 +296,22 @@ def cmd_validate(args) -> int:
     return 0 if wrong == 0 else 1
 
 
+def _check_out(args) -> None:
+    """Reject, creating nothing, an empty ``--out`` or one at or under a non-directory."""
+    if args.out == "":
+        args.parser.error("--out must not be empty")
+    out = Path(args.out or ".")  # scenarios without --out writes no file
+    for path in (out, *out.parents):  # nearest first, up to "." or the root
+        if os.path.isdir(path):
+            return
+        if os.path.lexists(path):
+            raise ParameterError(f"--out {args.out!r}: {str(path)!r} exists and is not a directory")
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        _check_out(args)
         return args.func(args)
     except (DimredError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

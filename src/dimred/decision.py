@@ -23,9 +23,9 @@ import numpy as np
 
 from .dataset import Dataset, minmax_normalize
 from .errors import ParameterError
-from .frsd import FeatureWeights, check_sweep, frsd_rank, pool_map, worker_pool
+from .frsd import FeatureWeights, frsd_rank, pool_map, worker_pool
 from .kmeans import kmeans_fit  # noqa: F401  (kept importable: perfbench/spans.py wraps it)
-from .kmeans import ClusteringResult, kmeans_fits
+from .kmeans import ClusteringResult, kmeans_fits, require_integer
 from .pca import PcaModel, pca_fit, pca_importance, pca_project
 
 SELECTION = "SELECTION"
@@ -49,7 +49,8 @@ def _check_resolution(target_resolution: float) -> None:
 @dataclass(frozen=True)
 class DecisionConfig:
     """User preference and sweep parameters for one decision run; the
-    integrity preference is ``1 - interpretability``."""
+    integrity preference is ``1 - interpretability``. Every sweep value is
+    checked here; ``frsd.sweep_shape`` checks k_max against a table's rows."""
 
     interpretability: float = 0.5
     target_resolution: float = 0.85
@@ -59,7 +60,11 @@ class DecisionConfig:
     restarts: int = 10
 
     def __post_init__(self):
-        check_sweep(self.k_min, self.k_max, self.seed, self.restarts)
+        for name in ("k_min", "k_max", "seed"):
+            require_integer(name, getattr(self, name))
+        require_integer("restarts", self.restarts, 1)
+        if not 2 <= self.k_min <= self.k_max:
+            raise ParameterError(f"need 2 <= k_min <= k_max, got [{self.k_min}, {self.k_max}]")
         _check_preference(self.interpretability)
         _check_resolution(self.target_resolution)
 
@@ -123,16 +128,14 @@ def select_for_resolution(weights: FeatureWeights, target_resolution: float) -> 
     return len(weights.entries), cumulative
 
 
-def best_silhouette_over_k(data, k_min: int, k_max: int, seed: int,
-                           restarts: int = 10) -> ClusteringResult:
+def best_silhouette_over_k(data, config: DecisionConfig) -> ClusteringResult:
     """The k-means fit with the maximum mean silhouette over k in
-    [k_min, k_max]; ties favor smaller k.
+    [config.k_min, config.k_max]; ties favor smaller k.
 
-    Every k is fitted with the same ``seed``, in one ``kmeans_fits`` batch.
+    Every k is fitted with ``config``'s seed and restarts, in one ``kmeans_fits`` batch.
     """
-    check_sweep(k_min, k_max, seed, restarts)
-    ks = range(k_min, k_max + 1)
-    return max(kmeans_fits(data, ks, [seed] * len(ks), restarts),
+    ks = range(config.k_min, config.k_max + 1)
+    return max(kmeans_fits(data, ks, [config.seed] * len(ks), config.restarts),
                key=lambda fit: fit.mean_silhouette)
 
 
@@ -201,9 +204,7 @@ class Rankings:
         reduced = [values[:, [self.normalized.feature_names.index(n) for n in weights.names[:m]]]
                    if weights is self.frsd_weights else pca_project(self.pca_model, values, m)
                    for weights, m, _ in missing]
-        config = self.config
-        fit = functools.partial(best_silhouette_over_k, k_min=config.k_min, k_max=config.k_max,
-                                seed=config.seed, restarts=config.restarts)
+        fit = functools.partial(best_silhouette_over_k, config=self.config)
         fits = pool_map(pool, fit, reduced, len(reduced))
         for (weights, m, achieved), v, clustering in zip(missing, reduced, fits):
             self._branches[weights, m, achieved] = Branch(v, weights.names[:m], clustering,
@@ -235,9 +236,8 @@ def rank(data: Dataset, config: DecisionConfig, max_workers: int = 1, targets=()
     normalized = minmax_normalize(data)  # first, so its warnings keep the input order
     columns = tuple(sorted(range(data.n_features), key=data.feature_names.__getitem__))
     normalized = Dataset([data.feature_names[j] for j in columns], normalized.values[:, columns])
-    with worker_pool(normalized, config.k_min, config.k_max, config.restarts, max_workers) as pool:
-        frsd_weights, subset_scores = frsd_rank(normalized, config.k_min, config.k_max,
-                                                config.seed, restarts=config.restarts, pool=pool)
+    with worker_pool(normalized, config, max_workers) as pool:
+        frsd_weights, subset_scores = frsd_rank(normalized, config, pool)
         model = pca_fit(normalized.values)
         rankings = Rankings(normalized=normalized, columns=columns, frsd_weights=frsd_weights,
                             pca_weights=pca_importance(model), subset_scores=subset_scores,

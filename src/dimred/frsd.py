@@ -29,7 +29,7 @@ import warnings
 from collections import deque
 from dataclasses import dataclass
 from itertools import chain, combinations, islice
-from math import inf, isqrt
+from math import isqrt
 
 import numpy as np
 
@@ -122,9 +122,9 @@ def task_seed(base_seed: int, names, k: int) -> int:
     return int.from_bytes(digest[:8], "big")
 
 
-def _score_subset(values, names, seed, ks, restarts, cols) -> list[float]:
-    seeds = [task_seed(seed, [names[i] for i in cols], k) for k in ks]
-    fits = kmeans_fits(values[:, cols], ks, seeds, restarts)
+def _score_subset(values, names, config, ks, cols) -> list[float]:
+    seeds = [task_seed(config.seed, [names[i] for i in cols], k) for k in ks]
+    fits = kmeans_fits(values[:, cols], ks, seeds, config.restarts)
     return [fit.mean_silhouette for fit in fits]
 
 
@@ -136,16 +136,17 @@ def _process_pool(workers):
     return ProcessPoolExecutor(max_workers=workers)
 
 
-def worker_pool(data: Dataset, k_min: int, k_max: int, restarts: int, max_workers: int):
+def worker_pool(data: Dataset, config, max_workers: int):
     """The one pool, as a context manager, of a command that sweeps ``data``
-    over k in [k_min, k_max]: ``min(max_workers, subsets)`` processes, or
-    ``None`` (in-process) below ``_POOL_MIN_WORK``. Workers start at the first
-    task, so a sweep its checks reject starts none. A ``max_workers`` that is
-    not an integer >= 1 raises ``ParameterError`` first (``require_integer``)."""
+    with ``config``: ``min(max_workers, subsets)`` processes, or ``None``
+    (in-process) below ``_POOL_MIN_WORK``. A ``max_workers`` that is not an
+    integer >= 1 (``require_integer``), then a k_max ``sweep_shape`` rejects,
+    raise ``ParameterError`` first; workers start at the first task, so a sweep
+    that ``frsd_rank``'s checks reject starts none."""
     require_integer("max_workers", max_workers, 1)
-    n_subsets = 2**data.n_features - data.n_features - 1
+    n_subsets, ks = sweep_shape(data, config)
     workers = min(max_workers, n_subsets)  # the pool starts every worker up front
-    work = data.n_samples * n_subsets * (k_max - k_min + 1) * restarts
+    work = data.n_samples * n_subsets * len(ks) * config.restarts
     if workers > 1 and work >= _POOL_MIN_WORK:
         return _process_pool(workers)
     return contextlib.nullcontext()
@@ -174,22 +175,16 @@ def pool_map(pool, fn, items, n_items: int):
         yield from pending.popleft().result()
 
 
-def check_sweep(k_min: int, k_max: int, seed: int, restarts: int,
-                n_samples: float = inf) -> None:
-    """Raise ``ParameterError`` unless the four sweep values are integers
-    (``require_integer``), restarts >= 1 and 2 <= k_min <= k_max <= ``n_samples``."""
-    for name, value in (("k_min", k_min), ("k_max", k_max), ("seed", seed)):
-        require_integer(name, value)
-    require_integer("restarts", restarts, 1)
-    if not 2 <= k_min <= k_max:
-        raise ParameterError(f"need 2 <= k_min <= k_max, got [{k_min}, {k_max}]")
-    if k_max > n_samples:
-        raise ParameterError(f"k_max={k_max} exceeds {n_samples} samples")
+def sweep_shape(data: Dataset, config) -> tuple[int, range]:
+    """The subset count, 2^n - n - 1, and the k values of the FRSD sweep of ``data``
+    with the ``DecisionConfig`` ``config``; a k_max above its rows raises ``ParameterError``."""
+    if config.k_max > data.n_samples:
+        raise ParameterError(f"k_max={config.k_max} exceeds {data.n_samples} samples")
+    return 2**data.n_features - data.n_features - 1, range(config.k_min, config.k_max + 1)
 
 
-def frsd_rank(data: Dataset, k_min: int, k_max: int, seed: int, restarts: int = 10,
-              pool=None) -> tuple[FeatureWeights, np.ndarray]:
-    """Rank features by decomposed silhouette scores.
+def frsd_rank(data: Dataset, config, pool=None) -> tuple[FeatureWeights, np.ndarray]:
+    """Rank features by decomposed silhouette scores with ``config``'s sweep values.
 
     ``data`` is expected to be MinMax-normalized. Its features are ranked, ties
     included, in the column order given, which ``decision.rank`` makes name
@@ -197,15 +192,13 @@ def frsd_rank(data: Dataset, k_min: int, k_max: int, seed: int, restarts: int = 
     of the aggregation rule) and the table: a float64 array with row i for
     subset i of ``subsets(range(n_features))`` and column j for k = k_min + j.
     The sweep runs on ``pool``'s workers (``None``: in-process), with the same
-    output either way. Sweep values ``check_sweep`` rejects, a score table too
-    large to allocate (too many features) or a k the data cannot support (named
-    with the first feature pair that has too few distinct rows) raise
-    ``ParameterError``, in that order, before any fit or task is submitted.
+    output either way. A k_max above the row count (``sweep_shape``), a score
+    table too large to allocate (too many features) or a k the data cannot
+    support (named with the first feature pair that has too few distinct rows)
+    raise ``ParameterError``, in that order, before any fit or task is submitted.
     """
-    check_sweep(k_min, k_max, seed, restarts, data.n_samples)
+    n_subsets, ks = sweep_shape(data, config)
     n = data.n_features
-    ks = tuple(range(k_min, k_max + 1))
-    n_subsets = 2**n - n - 1
     try:
         scores = np.empty((n_subsets, len(ks)))
     except (MemoryError, ValueError):
@@ -217,7 +210,7 @@ def frsd_rank(data: Dataset, k_min: int, k_max: int, seed: int, restarts: int = 
     for pair in combinations(range(n), 2):
         require_distinct(data.values[:, pair], ks, " in features "
                          + " and ".join(repr(data.feature_names[i]) for i in pair))
-    score = functools.partial(_score_subset, data.values, data.feature_names, seed, ks, restarts)
+    score = functools.partial(_score_subset, data.values, data.feature_names, config, ks)
     for row, sis in enumerate(pool_map(pool, score, subsets(range(n)), n_subsets)):
         scores[row] = sis
     return weights(scores, data.feature_names), scores

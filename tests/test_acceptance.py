@@ -142,7 +142,7 @@ def test_criterion_6_frsd_ranking_synthetic():
     """Informative features outrank noise features on all 10 seeds."""
     for seed in range(10):
         data = minmax_normalize(make_blobs_with_noise(seed=seed))
-        weights, _ = frsd_rank(data, 2, 4, seed=seed, restarts=3)
+        weights, _ = frsd_rank(data, DecisionConfig(k_min=2, k_max=4, seed=seed, restarts=3))
         ranked = dict(weights.entries)
         worst_informative = min(ranked[f"inf{i}"] for i in (1, 2, 3))
         best_noise = max(ranked[f"noise{i}"] for i in (1, 2))
@@ -194,9 +194,10 @@ def test_criterion_8_end_to_end_determinism(tmp_path, monkeypatch):
 
     # library-level check: the FRSD sweep is invariant to the worker count
     data = minmax_normalize(make_blobs_with_noise(seed=5, n_samples=24))
-    w1, s1 = frsd_rank(data, 2, 3, seed=9, restarts=2)
-    with frsd.worker_pool(data, 2, 3, 2, max_workers=2) as pool:
-        w2, s2 = frsd_rank(data, 2, 3, seed=9, restarts=2, pool=pool)
+    config = DecisionConfig(k_min=2, k_max=3, seed=9, restarts=2)
+    w1, s1 = frsd_rank(data, config)
+    with frsd.worker_pool(data, config, max_workers=2) as pool:
+        w2, s2 = frsd_rank(data, config, pool)
     assert pools == [2, 2]
     assert w1.entries == w2.entries
     assert s1.tobytes() == s2.tobytes()

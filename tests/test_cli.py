@@ -6,6 +6,7 @@ import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -293,6 +294,25 @@ class TestRank:
         assert fake_pools[0].submitted > 0  # the sweep ran on the pool
         assert frsd.weights(table, sorted(names)).entries == written
 
+    @pytest.mark.parametrize("n_features", [2, 3, 5])
+    @pytest.mark.parametrize("k_min, k_max", [(2, 2), (3, 5)])
+    def test_printed_sweep_size_is_the_score_tables(self, tmp_path, capsys, n_features, k_min,
+                                                   k_max):
+        data = make_dataset(np.random.default_rng(n_features).uniform(size=(12, n_features)))
+        path = write_dataset_csv(data, tmp_path / "in.csv")
+        out = tmp_path / "out"
+        assert run_cli(["rank", "--input", str(path), "--out", str(out), "--subset-scores",
+                        "--k-min", str(k_min), "--k-max", str(k_max), "--restarts", "1",
+                        "--threads", "1"]) == 0
+        sizes = re.search(r"^FRSD sweep: (\d+) silhouette runs \((\d+) subsets x (\d+) "
+                          r"cluster counts\)$", capsys.readouterr().out, re.MULTILINE)
+        runs, n_subsets, n_ks = map(int, sizes.groups())
+        with open(out / "subset_scores.csv", newline="") as f:
+            rows = [(row["subset"], int(row["k"])) for row in csv.DictReader(f)]
+        assert runs == n_subsets * n_ks == len(rows)
+        assert len({subset for subset, _ in rows}) == n_subsets == 2**n_features - n_features - 1
+        assert sorted({k for _, k in rows}) == list(range(k_min, k_max + 1))
+
 
 SWEEP = dict(k_min=2, k_max=4, seed=5, restarts=2)
 
@@ -393,6 +413,38 @@ class TestValidate:
         assert exc.value.code == 2
         assert "--seed must be nonnegative" in capsys.readouterr().err
         assert not (tmp_path / "v").exists()
+
+
+class TestOut:
+    """Every command checks ``--out`` before it reads any input, and creates nothing."""
+
+    COMMANDS = [["run", "--input", "in.csv"], ["rank", "--input", "in.csv"],
+                ["scenarios", "--input", "in.csv"], ["validate"]]
+
+    @pytest.fixture(autouse=True)
+    def no_input_read(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        for name in ("load_csv", "generate_cases"):
+            monkeypatch.setattr(cli, name, lambda *args, name=name: pytest.fail(f"{name} ran"))
+
+    @pytest.mark.parametrize("command", COMMANDS, ids=lambda command: command[0])
+    def test_empty_out_exits_2(self, tmp_path, capsys, command):
+        with pytest.raises(SystemExit) as exc:
+            run_cli(command + ["--out", ""])
+        assert exc.value.code == 2
+        assert capsys.readouterr().err.endswith(" error: --out must not be empty\n")
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("command", COMMANDS, ids=lambda command: command[0])
+    def test_out_at_or_under_a_file_exits_1(self, tmp_path, capsys, command):
+        taken = tmp_path / "taken"
+        taken.write_text("kept")
+        for out, blocker in ((str(taken), str(taken)), (str(taken / "sub"), str(taken)),
+                             ("taken/sub/", "taken")):
+            assert run_cli(command + ["--out", out]) == 1, out
+            assert capsys.readouterr().err == \
+                f"error: --out {out!r}: {blocker!r} exists and is not a directory\n"
+        assert list(tmp_path.iterdir()) == [taken] and taken.read_text() == "kept"
 
 
 class TestSweepFlags:

@@ -46,10 +46,15 @@ class TestDecisionConfig:
             config_for(0.5, target=1.2)
 
     def test_k_range(self):
-        with pytest.raises(ParameterError):
+        with pytest.raises(ParameterError, match=r"^need 2 <= k_min <= k_max, got \[1, 4\]$"):
             config_for(0.5, k_min=1, k_max=4)
-        with pytest.raises(ParameterError):
+        with pytest.raises(ParameterError, match=r"^need 2 <= k_min <= k_max, got \[5, 4\]$"):
             config_for(0.5, k_min=5, k_max=4)
+
+    @pytest.mark.parametrize("restarts", [0, -3])
+    def test_restarts_must_be_at_least_one(self, restarts):
+        with pytest.raises(ParameterError, match="^restarts must be at least 1$"):
+            DecisionConfig(restarts=restarts)
 
     @pytest.mark.parametrize("name, value", [("k_min", 3.5), ("k_max", 4.0), ("seed", 1.5),
                                              ("restarts", 2.0), ("seed", "1"), ("seed", True),
@@ -160,19 +165,20 @@ class TestBestSilhouetteOverK:
         rng = np.random.default_rng(0)
         centers = np.array([[0.0, 0.0], [8.0, 8.0], [0.0, 8.0]])
         data = np.vstack([c + rng.normal(scale=0.3, size=(10, 2)) for c in centers])
-        fit = best_silhouette_over_k(data, 2, 6, seed=1, restarts=5)
+        fit = best_silhouette_over_k(data, DecisionConfig(k_min=2, k_max=6, seed=1, restarts=5))
         assert fit.k == 3
         assert fit.mean_silhouette > 0.8
 
     def test_single_candidate(self):
         rng = np.random.default_rng(1)
         data = rng.uniform(size=(20, 2))
-        assert best_silhouette_over_k(data, 4, 4, seed=2, restarts=2).k == 4
+        config = DecisionConfig(k_min=4, k_max=4, seed=2, restarts=2)
+        assert best_silhouette_over_k(data, config).k == 4
 
     def test_returns_the_winning_fit(self):
         rng = np.random.default_rng(2)
         data = rng.uniform(size=(40, 3))
-        fit = best_silhouette_over_k(data, 2, 5, seed=3, restarts=4)
+        fit = best_silhouette_over_k(data, DecisionConfig(k_min=2, k_max=5, seed=3, restarts=4))
         fits = kmeans_fits(data, range(2, 6), [3] * 4, restarts=4)
         assert fit.mean_silhouette == max(f.mean_silhouette for f in fits)
         refit = kmeans_fit(data, fit.k, seed=3, restarts=4)
@@ -181,12 +187,6 @@ class TestBestSilhouetteOverK:
         assert fit.inertia == refit.inertia
         np.testing.assert_array_equal(fit.sample_silhouettes, refit.sample_silhouettes)
 
-    def test_k_range_rejected(self):
-        data = np.random.default_rng(6).uniform(size=(20, 2))
-        for k_min, k_max in ((1, 3), (4, 3)):
-            with pytest.raises(ParameterError, match="need 2 <= k_min <= k_max"):
-                best_silhouette_over_k(data, k_min, k_max, seed=0)
-
     def test_ties_go_to_the_smallest_k(self, monkeypatch):
         def equal_silhouettes(*args, **kwargs):
             return [dataclasses.replace(fit, mean_silhouette=0.5)
@@ -194,7 +194,8 @@ class TestBestSilhouetteOverK:
 
         monkeypatch.setattr(decision, "kmeans_fits", equal_silhouettes)
         data = np.random.default_rng(5).uniform(size=(30, 2))
-        assert best_silhouette_over_k(data, 3, 6, seed=4, restarts=2).k == 3
+        config = DecisionConfig(k_min=3, k_max=6, seed=4, restarts=2)
+        assert best_silhouette_over_k(data, config).k == 3
 
 
 class TestRunDecision:

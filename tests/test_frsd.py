@@ -19,10 +19,10 @@ from helpers import (make_blobs_with_noise, make_dataset, outputs_by_name, power
                      write_dataset_csv)
 
 
-def pooled_rank(data, k_min, k_max, seed, restarts, max_workers):
+def pooled_rank(data, config, max_workers):
     """``frsd_rank`` on the pool a command with ``max_workers`` opens for it."""
-    with frsd.worker_pool(data, k_min, k_max, restarts, max_workers) as pool:
-        return frsd_rank(data, k_min, k_max, seed, restarts=restarts, pool=pool)
+    with frsd.worker_pool(data, config, max_workers) as pool:
+        return frsd_rank(data, config, pool)
 
 
 class TestEnumerateSubsets:
@@ -106,7 +106,7 @@ class TestFrsdRank:
     def test_two_features_split_evenly(self):
         rng = np.random.default_rng(0)
         data = minmax_normalize(make_dataset(rng.uniform(size=(16, 2))))
-        weights, scores = frsd_rank(data, 2, 3, seed=1, restarts=2)
+        weights, scores = frsd_rank(data, DecisionConfig(k_min=2, k_max=3, seed=1, restarts=2))
         assert weights.weights[0] == 0.5
         assert weights.weights[1] == 0.5
         assert scores.shape == (1, 2)  # one subset, two k values
@@ -114,15 +114,14 @@ class TestFrsdRank:
     def test_score_table_cardinality(self):
         rng = np.random.default_rng(1)
         data = minmax_normalize(make_dataset(rng.uniform(size=(20, 4))))
-        k_min, k_max = 2, 4
-        weights, scores = frsd_rank(data, k_min, k_max, seed=3, restarts=2)
-        assert scores.shape == (2**4 - 4 - 1, k_max - k_min + 1)
+        weights, scores = frsd_rank(data, DecisionConfig(k_min=2, k_max=4, seed=3, restarts=2))
+        assert scores.shape == (2**4 - 4 - 1, 3)  # k 2..4
         assert scores.dtype == np.float64 and np.isfinite(scores).all()  # every run stored
 
     def test_reconstruction_from_score_table(self):
         rng = np.random.default_rng(2)
         data = minmax_normalize(make_dataset(rng.uniform(size=(18, 3))))
-        weights, scores = frsd_rank(data, 2, 4, seed=9, restarts=2)
+        weights, scores = frsd_rank(data, DecisionConfig(k_min=2, k_max=4, seed=9, restarts=2))
         raw = np.zeros(3)
         for subset, row in zip(frsd.subsets(range(3)), scores):
             for si in row:
@@ -173,8 +172,9 @@ class TestFrsdRank:
     def test_worker_count_does_not_change_results(self, monkeypatch):
         monkeypatch.setattr(frsd, "_POOL_MIN_WORK", 0)  # a sweep this small runs in-process
         data = minmax_normalize(make_blobs_with_noise(seed=10, n_samples=30))
-        serial_w, serial_s = pooled_rank(data, 2, 3, seed=5, restarts=2, max_workers=1)
-        pooled_w, pooled_s = pooled_rank(data, 2, 3, seed=5, restarts=2, max_workers=2)
+        config = DecisionConfig(k_min=2, k_max=3, seed=5, restarts=2)
+        serial_w, serial_s = pooled_rank(data, config, 1)
+        pooled_w, pooled_s = pooled_rank(data, config, 2)
         assert serial_w.entries == pooled_w.entries
         assert serial_s.tobytes() == pooled_s.tobytes()
         for weights, scores in ((serial_w, serial_s), (pooled_w, pooled_s)):
@@ -191,10 +191,11 @@ class TestFrsdRank:
 
         monkeypatch.setattr(frsd, "_process_pool", counting_pool)
         monkeypatch.setattr(frsd, "_POOL_MIN_WORK", work + 1)
-        serial = pooled_rank(data, 2, 3, seed=5, restarts=2, max_workers=2)
+        config = DecisionConfig(k_min=2, k_max=3, seed=5, restarts=2)
+        serial = pooled_rank(data, config, 2)
         assert pools == []
         monkeypatch.setattr(frsd, "_POOL_MIN_WORK", work)
-        pooled = pooled_rank(data, 2, 3, seed=5, restarts=2, max_workers=2)
+        pooled = pooled_rank(data, config, 2)
         assert pools == [2]
         assert serial[0].entries == pooled[0].entries
         assert serial[1].tobytes() == pooled[1].tobytes()
@@ -202,13 +203,14 @@ class TestFrsdRank:
     def test_never_more_workers_than_subsets(self, fake_pools):
         rng = np.random.default_rng(6)
         three = minmax_normalize(make_dataset(rng.uniform(size=(20, 3))))
-        serial = pooled_rank(three, 2, 3, seed=2, restarts=2, max_workers=1)
-        pooled = pooled_rank(three, 2, 3, seed=2, restarts=2, max_workers=16)
+        config = DecisionConfig(k_min=2, k_max=3, seed=2, restarts=2)
+        serial = pooled_rank(three, config, 1)
+        pooled = pooled_rank(three, config, 16)
         assert [pool._max_workers for pool in fake_pools] == [4]  # 3 features form 4 subsets
         assert serial[0].entries == pooled[0].entries
         assert serial[1].tobytes() == pooled[1].tobytes()
         two = minmax_normalize(make_dataset(rng.uniform(size=(20, 2))))
-        pooled_rank(two, 2, 3, seed=2, restarts=2, max_workers=2)
+        pooled_rank(two, config, 2)
         assert len(fake_pools) == 1  # a single subset runs in-process
 
     def test_infeasible_pair_rejected_before_any_pool(self, fake_pools):
@@ -218,7 +220,7 @@ class TestFrsdRank:
         # features 2 and 3 are binary: 4 distinct rows, so k=5 is the first that fails
         with pytest.raises(ParameterError,
                            match="fewer than k=5 distinct points in features 'f2' and 'f3'"):
-            pooled_rank(data, 3, 6, seed=0, restarts=2, max_workers=2)
+            pooled_rank(data, DecisionConfig(k_min=3, k_max=6, seed=0, restarts=2), 2)
         assert len(fake_pools) == 1 and fake_pools[0].submitted == 0
         with pytest.raises(ParameterError, match="fewer than k=5 distinct points"):
             kmeans_fits(data.values[:, [1, 2]], [3, 4, 5, 6], [0] * 4)
@@ -230,29 +232,9 @@ class TestFrsdRank:
         data = minmax_normalize(make_dataset(np.random.default_rng(0).uniform(size=(75, 70))))
         with pytest.raises(ParameterError, match=rf"^70 features give {2**70 - 71} subsets "
                                                  r"x 1 k values: too many to score$"):
-            pooled_rank(data, 2, 2, seed=0, restarts=1, max_workers=2)
+            pooled_rank(data, DecisionConfig(k_min=2, k_max=2, seed=0, restarts=1), 2)
         assert len(fake_pools) == 1 and fake_pools[0].submitted == 0
         assert pair_checks == []  # none of the 2415 feature pairs scanned first
-
-    @pytest.mark.parametrize("seed, restarts, message", [
-        (1.5, 1, "seed must be an integer"),
-        (True, 1, "seed must be an integer"),
-        ("1", 1, "seed must be an integer"),
-        (0, 2.0, "restarts must be an integer"),
-    ])
-    def test_non_integer_seed_or_restarts_rejected_before_any_scan(self, monkeypatch, seed,
-                                                                   restarts, message):
-        for name in ("require_distinct", "pool_map"):
-            monkeypatch.setattr(frsd, name, lambda *args, name=name: pytest.fail(f"{name} ran"))
-        data = minmax_normalize(make_blobs_with_noise(seed=10, n_samples=30))
-        with pytest.raises(ParameterError, match=f"^{message}$"):
-            frsd_rank(data, 2, 3, seed=seed, restarts=restarts)
-
-    def test_zero_restarts_rejected_before_any_pool(self, fake_pools):
-        data = minmax_normalize(make_blobs_with_noise(seed=10, n_samples=30))
-        with pytest.raises(ParameterError, match="restarts must be at least 1"):
-            frsd_rank(data, 2, 3, seed=0, restarts=0, pool=frsd._process_pool(2))
-        assert fake_pools[0].submitted == 0
 
     @staticmethod
     def _stubbed_pooled_sweep(n_features, fake_pools, monkeypatch):
@@ -262,8 +244,9 @@ class TestFrsdRank:
         monkeypatch.setattr(frsd, "kmeans_fits", lambda values, ks, seeds, restarts: [
             SimpleNamespace(mean_silhouette=seed % 1000 / 1000) for seed in seeds])
         data = make_dataset(np.random.default_rng(0).uniform(size=(40, n_features)))
-        serial_w, serial_s = frsd_rank(data, 3, 4, seed=0, restarts=1)
-        pooled_w, pooled_s = pooled_rank(data, 3, 4, seed=0, restarts=1, max_workers=2)
+        config = DecisionConfig(k_min=3, k_max=4, seed=0, restarts=1)
+        serial_w, serial_s = frsd_rank(data, config)
+        pooled_w, pooled_s = pooled_rank(data, config, 2)
         assert pooled_s.tobytes() == serial_s.tobytes()
         assert pooled_w.entries == serial_w.entries
         pool, = fake_pools
@@ -290,7 +273,7 @@ class TestFrsdRank:
             return kmeans_fits(values, ks, seeds, *args)
 
         monkeypatch.setattr(frsd, "kmeans_fits", counting_fits)
-        _, scores = frsd_rank(data, 2, 3, seed=4, restarts=1)
+        _, scores = frsd_rank(data, DecisionConfig(k_min=2, k_max=3, seed=4, restarts=1))
         subsets = list(frsd.subsets(range(8)))
         assert len(calls) == len(subsets) == 247
         for (width, ks, seeds), subset in zip(calls, subsets):
@@ -311,7 +294,7 @@ class TestFrsdRank:
     def test_tasks_run_in_the_name_order_of_a_sorted_aggregation(self, names):
         tasks = []
 
-        def recording_score(values, names, seed, ks, restarts, cols):
+        def recording_score(values, names, config, ks, cols):
             tasks.append(tuple(names[i] for i in cols))
             return [0.5] * len(ks)
 
@@ -331,7 +314,7 @@ class TestFrsdRank:
         data = make_dataset(np.random.default_rng(0).uniform(size=(40, 12)))
         tracemalloc.start()
         try:
-            frsd_rank(data, 3, 10, seed=0, restarts=1)
+            frsd_rank(data, DecisionConfig(k_min=3, k_max=10, seed=0, restarts=1))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -340,25 +323,24 @@ class TestFrsdRank:
 
     def test_informative_features_outrank_noise(self):
         data = minmax_normalize(make_blobs_with_noise(seed=42))
-        weights, _ = frsd_rank(data, 2, 4, seed=0, restarts=3)
+        weights, _ = frsd_rank(data, DecisionConfig(k_min=2, k_max=4, seed=0, restarts=3))
         ranked = dict(weights.entries)
         worst_informative = min(ranked[f"inf{i}"] for i in (1, 2, 3))
         best_noise = max(ranked[f"noise{i}"] for i in (1, 2))
         assert worst_informative > best_noise
 
-    def test_k_range_validation(self):
-        data = minmax_normalize(make_dataset(np.random.default_rng(0).uniform(size=(10, 2))))
-        with pytest.raises(ParameterError):
-            frsd_rank(data, 1, 3, seed=0)
-        with pytest.raises(ParameterError):
-            frsd_rank(data, 4, 3, seed=0)
-        with pytest.raises(ParameterError):
-            frsd_rank(data, 2, 11, seed=0)
+    def test_k_range_validation(self, fake_pools):
+        data = minmax_normalize(make_dataset(np.random.default_rng(0).uniform(size=(10, 3))))
+        config = DecisionConfig(k_min=2, k_max=11, seed=0, restarts=1)
+        for call in (lambda: frsd_rank(data, config), lambda: pooled_rank(data, config, 2)):
+            with pytest.raises(ParameterError, match="^k_max=11 exceeds 10 samples$"):
+                call()
+        assert fake_pools == []  # rejected before the pool opened
 
     def test_subset_scores_csv(self, tmp_path):
         rng = np.random.default_rng(7)
         data = minmax_normalize(make_dataset(rng.uniform(size=(12, 3))))
-        _, scores = frsd_rank(data, 2, 2, seed=1, restarts=1)
+        _, scores = frsd_rank(data, DecisionConfig(k_min=2, k_max=2, seed=1, restarts=1))
         path = tmp_path / "scores.csv"
         write_subset_scores(scores, (0, 1, 2), 2, path)
         lines = path.read_text().strip().splitlines()
