@@ -26,7 +26,7 @@ from .decision import (DecisionConfig, DecisionOutcome, Rankings, SELECTION, eva
                        run_decision_detailed)
 from .errors import DimredError, ParameterError
 from .figures import RadarSeries, cluster_letter, render_silhouette_plot, render_stacked_radar
-from .frsd import sweep_shape, write_subset_scores
+from .frsd import sweep_shape, usable_cpus, write_subset_scores
 from .validation import (REFERENCE_EXTRACTION_WEIGHTS, REFERENCE_SELECTION_WEIGHTS,
                          count_misclassified, generate_cases, resolution_sweep,
                          write_cases_csv, write_scatter_csv, write_sweep_csv)
@@ -51,9 +51,7 @@ def add_common_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--restarts", type=int, help="k-means restarts per fit")
     parser.set_defaults(**{name: getattr(DecisionConfig, name)  # its field defaults
                            for name in ("k_min", "k_max", "seed", "restarts")})
-    cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
-            else os.cpu_count() or 1)
-    parser.add_argument("--threads", type=int, default=cpus,
+    parser.add_argument("--threads", type=int, default=usable_cpus(),
                         help="worker processes for the FRSD sweep and the decision "
                              "branches (default: the CPUs this process may run on)")
 

@@ -25,6 +25,7 @@ from __future__ import annotations
 import contextlib
 import functools
 import hashlib
+import os
 import warnings
 from collections import deque
 from dataclasses import dataclass
@@ -136,16 +137,23 @@ def _process_pool(workers):
     return ProcessPoolExecutor(max_workers=workers)
 
 
+def usable_cpus() -> int:
+    """The CPUs this process may run on: its affinity set, else every CPU."""
+    return (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+            else os.cpu_count() or 1)
+
+
 def worker_pool(data: Dataset, config, max_workers: int):
     """The one pool, as a context manager, of a command that sweeps ``data``
-    with ``config``: ``min(max_workers, subsets)`` processes, or ``None``
-    (in-process) below ``_POOL_MIN_WORK``. A ``max_workers`` that is not an
-    integer >= 1 (``require_integer``), then a k_max ``sweep_shape`` rejects,
-    raise ``ParameterError`` first; workers start at the first task, so a sweep
-    that ``frsd_rank``'s checks reject starts none."""
+    with ``config``: ``min(max_workers, subsets, usable_cpus())`` processes,
+    or ``None`` (in-process) below ``_POOL_MIN_WORK``. A ``max_workers`` that
+    is not an integer >= 1 (``require_integer``), then a k_max ``sweep_shape``
+    rejects, raise ``ParameterError`` first; workers start at the first task,
+    so a sweep that ``frsd_rank``'s checks reject starts none."""
     require_integer("max_workers", max_workers, 1)
     n_subsets, ks = sweep_shape(data, config)
-    workers = min(max_workers, n_subsets)  # the pool starts every worker up front
+    # the pool starts all its workers at the first task, with no limit of its own
+    workers = min(max_workers, n_subsets, usable_cpus())
     work = data.n_samples * n_subsets * len(ks) * config.restarts
     if workers > 1 and work >= _POOL_MIN_WORK:
         return _process_pool(workers)

@@ -225,29 +225,21 @@ def _fix_empty(labels, own_d2, counts) -> None:
         own_d2[idx] = 0.0
 
 
-def _cluster_sums(flat, counts, tiled) -> np.ndarray:
-    """Column sums of the rows in each bin, with the bits of ``ndarray.mean``.
+def _cluster_sums(flat, bins, tiled) -> np.ndarray:
+    """Column sums of the rows in each of ``bins`` bins, added row after row.
 
-    ``flat[j, i]`` is the bin of row i in live restart j, and ``counts`` holds
-    the size of every bin. ``tiled[c, j]`` is data column c, once per restart
-    of the group; restarts that have left the group leave its last rows
-    unused. numpy's ``data[mask].mean(axis=0)`` adds several columns row by
-    row, as ``np.bincount`` does, but a single column pairwise.
-    ``np.add.reduceat`` adds each run pairwise to its first element, so every
-    run gets a leading 0.0, the value the reduction starts from.
+    ``flat[j, i]`` is the bin of row i in live restart j. ``tiled[c, j]`` is
+    data column c, once per restart of the group; restarts that have left
+    the group leave its last rows unused. ``np.bincount`` adds each column's
+    weights in row order, so at every dimension count a centroid is this
+    sequential sum over its cluster's size: for 2 or more columns, the bits
+    of ``data[mask].mean(axis=0)``, which adds several columns row by row.
     """
-    bins = counts.size
-    if tiled.shape[0] > 1:
-        bin_of = flat.ravel()
-        out = np.empty((bins, tiled.shape[0]))
-        for j, column in enumerate(tiled[:, : flat.shape[0]]):
-            out[:, j] = np.bincount(bin_of, weights=column.ravel(), minlength=bins)
-        return out
-    counts = counts.ravel()
-    padded = np.zeros(flat.size + bins)
-    padded[np.arange(flat.size) + np.repeat(np.arange(1, bins + 1), counts)] = \
-        tiled[0, : flat.shape[0]].ravel()[np.argsort(flat, axis=None, kind="stable")]
-    return np.add.reduceat(padded, np.arange(bins) + np.cumsum(counts) - counts)[:, None]
+    bin_of = flat.ravel()
+    out = np.empty((bins, tiled.shape[0]))
+    for j, column in enumerate(tiled[:, : flat.shape[0]]):
+        out[:, j] = np.bincount(bin_of, weights=column.ravel(), minlength=bins)
+    return out
 
 
 def _lloyd_group(data, seeds) -> list[tuple[float, np.ndarray, np.ndarray, np.ndarray]]:
@@ -319,7 +311,7 @@ def _lloyd_group(data, seeds) -> list[tuple[float, np.ndarray, np.ndarray, np.nd
             index, centroids, labels, counts = (x[keep] for x in (index, centroids, labels, counts))
             a = index.size
         previous = labels
-        sums = _cluster_sums(labels + offsets[:a], counts, tiled).reshape(a, k, dim)
+        sums = _cluster_sums(labels + offsets[:a], a * k, tiled).reshape(a, k, dim)
         new = sums / counts[:, :, None]
         shift = np.sqrt(((new - centroids) ** 2).sum(axis=2)).max(axis=1)
         centroids = new

@@ -14,7 +14,7 @@ def demo_csv(tmp_path):
 @pytest.fixture
 def fake_pools(monkeypatch):
     """The pools opened while the test runs, each an ``InProcessPool``; a
-    sweep of any size may open one."""
+    sweep of any size may open one, of up to 4 workers on any machine."""
     pools = []
 
     def open_pool(workers):
@@ -23,4 +23,5 @@ def fake_pools(monkeypatch):
 
     monkeypatch.setattr(frsd, "_process_pool", open_pool)
     monkeypatch.setattr(frsd, "_POOL_MIN_WORK", 0)
+    monkeypatch.setattr(frsd, "usable_cpus", lambda: 4)
     return pools

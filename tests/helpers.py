@@ -84,7 +84,10 @@ def per_restart_kmeans(data, k, seed, restarts=10, max_iter=300, tol=1e-4):
     inertia, sample silhouettes).
 
     Each restart is seeded alone by ``pp_init`` and runs its own Lloyd loop
-    with one distance call and a per-cluster mean per iteration. Both
+    with one distance call and a per-cluster mean per iteration: the
+    members' running sum, row after row, over their count, at any number of
+    columns (``.mean(axis=0)`` has these bits for 2 or more columns but sums
+    a single column pairwise). Both
     ``pp_init`` and the package's empty-cluster refill are looked up at call
     time, so a test can patch them.
     """
@@ -105,7 +108,8 @@ def per_restart_kmeans(data, k, seed, restarts=10, max_iter=300, tol=1e-4):
             labels = assign(centroids)
             new_centroids = np.empty_like(centroids)
             for c in range(k):
-                new_centroids[c] = data[labels == c].mean(axis=0)
+                members = data[labels == c]
+                new_centroids[c] = np.cumsum(members, axis=0)[-1] / len(members)
             shift = np.sqrt(((new_centroids - centroids) ** 2).sum(axis=1)).max()
             centroids = new_centroids
             if shift < tol:

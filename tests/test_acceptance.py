@@ -172,6 +172,7 @@ def test_criterion_8_end_to_end_determinism(tmp_path, monkeypatch):
 
     monkeypatch.setattr(frsd, "_process_pool", counting_pool)
     monkeypatch.setattr(frsd, "_POOL_MIN_WORK", 0)  # these sweeps are too small for a pool
+    monkeypatch.setattr(frsd, "usable_cpus", lambda: 2)  # 2 workers on any machine
     csv_path = write_dataset_csv(make_blobs_with_noise(seed=21, n_samples=30),
                                  tmp_path / "data.csv")
     flags = ["--input", str(csv_path), "--interpretability", "0.8",

@@ -470,6 +470,8 @@ class TestThreads:
         monkeypatch.delattr(os, "sched_getaffinity")
         monkeypatch.setattr(os, "cpu_count", lambda: 3)
         assert cli.build_parser().parse_args(["run", "--input", "x.csv"]).threads == 3
+        monkeypatch.setattr(os, "cpu_count", lambda: None)  # and one if it cannot count
+        assert cli.build_parser().parse_args(["run", "--input", "x.csv"]).threads == 1
 
     def test_invalid_threads_exits_2(self, demo_csv, tmp_path):
         with pytest.raises(SystemExit) as exc:
@@ -514,6 +516,7 @@ class TestWorkerPool:
     def test_pooled_branches_write_the_same_bytes(self, demo_csv, tmp_path, capsys,
                                                   monkeypatch):
         monkeypatch.setattr(frsd, "_POOL_MIN_WORK", 0)  # a table this small runs in-process
+        monkeypatch.setattr(frsd, "usable_cpus", lambda: 2)  # 2 workers on any machine
         for command in (["run", "--subset-scores"], ["scenarios"]):
             outputs = []
             for threads in ("1", "2"):
@@ -527,6 +530,7 @@ class TestWorkerPool:
     def test_branch_error_in_a_worker_exits_1_with_one_line(self, tmp_path, capsys,
                                                             monkeypatch):
         monkeypatch.setattr(frsd, "_POOL_MIN_WORK", 0)
+        monkeypatch.setattr(frsd, "usable_cpus", lambda: 2)  # 2 workers on any machine
         # every pair has many distinct rows, but the top-ranked feature has 3,
         # so the one-feature selection branch cannot fit k=4
         rng = np.random.default_rng(0)

@@ -32,23 +32,34 @@ def test_seed_sequence_of_seed_and_restart_gives_the_recorded_pcg64_first_draws(
     assert (int(rng.integers(120)), rng.random(), rng.random()) == draws
 
 
-def test_reduceat_with_a_leading_zero_has_the_bits_of_a_one_column_mean():
-    # run lengths around numpy's pairwise-summation block of 8 and its
-    # 128-element unrolling, where pairwise and sequential sums part
-    lengths = [1, 2, 7, 8, 9, 16, 17, 100, 127, 128, 129, 300, 1000]
-    rng = np.random.default_rng(0)
-    runs = [rng.uniform(-1.0, 1.0, size=m) * 10.0 ** rng.integers(-3, 4, size=m)
-            for m in lengths]
-    padded = np.concatenate([np.r_[0.0, run] for run in runs])
-    starts = np.cumsum([0] + [m + 1 for m in lengths[:-1]])
-    means = np.add.reduceat(padded, starts) / np.array(lengths)
-    expected = [run[:, None].mean(axis=0)[0] for run in runs]
-    np.testing.assert_array_equal(means, expected)
-    assert any(sequential_sum(run) / run.size != mean for run, mean in zip(runs, expected))
+# run lengths around numpy's pairwise-summation block of 8 and its 128-element
+# unrolling, where pairwise and sequential sums part
+@pytest.mark.parametrize("rows, lengths", [
+    (21, [1, 9, 128, 129, 5733]),  # a 6000-row table's block at k=5
+    (208, [1, 2, 7, 8, 16, 17, 100, 127, 343, 9]),  # a 630-row table's at k=10
+])
+def test_reduceat_along_a_row_block_adds_each_runs_first_element_to_the_pairwise_rest(
+        rows, lengths):
+    # a silhouette row block (kmeans._silhouettes): the columns sorted by
+    # cluster, one run of distances per cluster, summed along axis 1 into
+    # the block's rows of the per-cluster sums
+    n, k = sum(lengths), len(lengths)
+    rng = np.random.default_rng(n)
+    block = rng.uniform(0.0, 2.0, size=(rows, n)) * 10.0 ** rng.integers(-3, 4, size=(rows, n))
+    starts = np.cumsum(lengths) - lengths
+    sums = np.empty((rows + 3, k))
+    np.add.reduceat(block, starts, axis=1, out=sums[3:])
+    for row, out in zip(block, sums[3:]):
+        assert out.tolist() == [row[s] + np.add.reduce(row[s + 1 : s + m])
+                                for s, m in zip(starts, lengths)]
+    assert any(sequential_sum(row[s : s + m]) != total for row, out in zip(block, sums[3:])
+               for s, m, total in zip(starts, lengths, out))
 
 
-@pytest.mark.parametrize("dim", [2, 3, 5, 8])
+@pytest.mark.parametrize("dim", [1, 2, 3, 5, 8])
 def test_bincount_weights_add_rows_in_sequential_order_with_the_bits_of_a_columns_mean(dim):
+    # kmeans._cluster_sums: a centroid is this row-order sum over its size at
+    # every dimension count; ``mean(axis=0)`` has its bits from 2 columns on
     rng = np.random.default_rng(dim)
     k = 4
     data = rng.uniform(-1.0, 1.0, size=(600, dim)) * 10.0 ** rng.integers(-3, 4, size=(600, dim))
@@ -57,8 +68,9 @@ def test_bincount_weights_add_rows_in_sequential_order_with_the_bits_of_a_column
     for j in range(dim):
         sums = np.bincount(labels, weights=data[:, j], minlength=k)
         assert sums.tolist() == [sequential_sum(data[labels == c, j]) for c in range(k)]
-        np.testing.assert_array_equal(
-            sums / counts, [data[labels == c].mean(axis=0)[j] for c in range(k)])
+        if dim > 1:
+            np.testing.assert_array_equal(
+                sums / counts, [data[labels == c].mean(axis=0)[j] for c in range(k)])
 
 
 def test_take_with_mode_wrap_into_out_equals_fancy_indexing():

@@ -171,6 +171,7 @@ class TestFrsdRank:
 
     def test_worker_count_does_not_change_results(self, monkeypatch):
         monkeypatch.setattr(frsd, "_POOL_MIN_WORK", 0)  # a sweep this small runs in-process
+        monkeypatch.setattr(frsd, "usable_cpus", lambda: 2)  # 2 workers on any machine
         data = minmax_normalize(make_blobs_with_noise(seed=10, n_samples=30))
         config = DecisionConfig(k_min=2, k_max=3, seed=5, restarts=2)
         serial_w, serial_s = pooled_rank(data, config, 1)
@@ -191,6 +192,7 @@ class TestFrsdRank:
 
         monkeypatch.setattr(frsd, "_process_pool", counting_pool)
         monkeypatch.setattr(frsd, "_POOL_MIN_WORK", work + 1)
+        monkeypatch.setattr(frsd, "usable_cpus", lambda: 2)  # 2 workers on any machine
         config = DecisionConfig(k_min=2, k_max=3, seed=5, restarts=2)
         serial = pooled_rank(data, config, 2)
         assert pools == []
@@ -212,6 +214,16 @@ class TestFrsdRank:
         two = minmax_normalize(make_dataset(rng.uniform(size=(20, 2))))
         pooled_rank(two, config, 2)
         assert len(fake_pools) == 1  # a single subset runs in-process
+
+    def test_never_more_workers_than_usable_cpus(self, fake_pools, monkeypatch):
+        monkeypatch.setattr(frsd, "usable_cpus", lambda: 2)
+        ten = make_dataset(np.random.default_rng(7).uniform(size=(20, 10)))
+        config = DecisionConfig(k_min=2, k_max=2, seed=0, restarts=1)
+        with frsd.worker_pool(ten, config, 1000) as pool:
+            assert fake_pools == [pool] and pool._max_workers == 2  # not min(1000, 1013 subsets)
+        monkeypatch.setattr(frsd, "usable_cpus", lambda: 1)
+        with frsd.worker_pool(ten, config, 1000) as pool:
+            assert pool is None and len(fake_pools) == 1  # one CPU runs in-process
 
     def test_infeasible_pair_rejected_before_any_pool(self, fake_pools):
         rng = np.random.default_rng(0)

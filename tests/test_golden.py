@@ -34,6 +34,7 @@ import numpy as np
 import pytest
 import scipy
 
+from dimred import frsd
 from dimred.cli import main
 
 DATA = Path(__file__).parent / "data"
@@ -78,7 +79,9 @@ def moved_outputs(recorded: dict, got: dict) -> list:
 
 
 @pytest.mark.parametrize("threads", [1, 2])
-def test_every_output_byte_matches_the_recorded_digests(threads, tmp_path, capsys):
+def test_every_output_byte_matches_the_recorded_digests(threads, tmp_path, capsys,
+                                                         monkeypatch):
+    monkeypatch.setattr(frsd, "usable_cpus", lambda: 2)  # 2 workers pool on any machine
     recorded = json.loads(DIGESTS.read_text(encoding="utf-8"))
     moved = moved_outputs(recorded["outputs"], output_digests(tmp_path, threads))
     strict = recorded["versions"] == versions()

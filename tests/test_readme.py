@@ -59,7 +59,7 @@ def test_library_example_runs_as_written(monkeypatch, capsys):
 
 def test_library_example_runs_as_a_script_under_every_start_method(tmp_path):
     # 60 rows x 11 subsets x 8 k values x 10 restarts = 52 800, at least
-    # frsd._POOL_MIN_WORK, so the example's 2 workers really start
+    # frsd._POOL_MIN_WORK, so on 2 or more CPUs the example's 2 workers really start
     data = make_dataset(np.random.default_rng(4).uniform(size=(60, 4)))
     write_dataset_csv(data, tmp_path / "wards.csv")
     src = os.path.dirname(os.path.dirname(os.path.abspath(dimred.__file__)))
