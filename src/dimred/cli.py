@@ -25,7 +25,7 @@ from .dataset import Dataset, load_csv, minmax_columns, write_csv
 from .decision import (DecisionConfig, DecisionOutcome, Rankings, SELECTION, evaluate, rank,
                        run_decision_detailed)
 from .errors import DimredError, ParameterError
-from .figures import RadarSeries, cluster_letter, render_silhouette_plot, render_stacked_radar
+from .figures import cluster_letter, render_silhouette_plot, render_stacked_radar
 from .frsd import sweep_shape, usable_cpus, write_subset_scores
 from .validation import (REFERENCE_EXTRACTION_WEIGHTS, REFERENCE_SELECTION_WEIGHTS,
                          count_misclassified, generate_cases, resolution_sweep,
@@ -136,8 +136,9 @@ def _with_warnings_printed(fn, *args, **kwargs):
 def _write_rankings(rankings: Rankings, args) -> None:
     os.makedirs(args.out, exist_ok=True)
     frsd, pca = rankings.frsd_weights, rankings.pca_weights
+    minmax = minmax_columns(frsd.weights[:, None])[:, 0].tolist()  # display only
     write_csv(os.path.join(args.out, "frsd_weights.csv"), ["name", "weight", "weight_minmax"],
-              [(n, w, z) for (n, w), (_, z) in zip(frsd.entries, frsd.minmax_view())])
+              [(n, w, z) for (n, w), z in zip(frsd.entries, minmax)])
     write_csv(os.path.join(args.out, "pca_weights.csv"), ["name", "weight"], pca.entries)
     if args.subset_scores:
         write_subset_scores(rankings.subset_scores, rankings.columns, rankings.config.k_min,
@@ -194,12 +195,8 @@ def emit_figures(outcome: DecisionOutcome, out_dir: str, case: str) -> None:
         return
     scaled = minmax_columns(chosen.reduced_values)
     for c in range(chosen.clustering.k):
-        series = RadarSeries(axis_labels=chosen.axis_labels,
-                             rows=scaled[chosen.clustering.labels == c],
-                             cluster_id=c)
-        render_stacked_radar(
-            series, os.path.join(out_dir, f"radar_{case}_{cluster_letter(c)}.svg")
-        )
+        render_stacked_radar(chosen.axis_labels, scaled[chosen.clustering.labels == c], c,
+                             os.path.join(out_dir, f"radar_{case}_{cluster_letter(c)}.svg"))
 
 
 def _load_input(args, config: DecisionConfig) -> Dataset:

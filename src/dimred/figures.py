@@ -8,8 +8,6 @@ geometry is fixed: 800x600 viewBox, one palette of six cluster colors,
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import ParameterError
@@ -64,32 +62,6 @@ def _write_svg(path, title: str, body: list[str]) -> None:
         fh.write("\n".join(head + body + ["</svg>"]) + "\n")
 
 
-@dataclass(frozen=True, eq=False)
-class RadarSeries:
-    """Rows of per-axis values in [0, 1] for one cluster's radar chart."""
-
-    axis_labels: tuple[str, ...]
-    rows: np.ndarray
-    cluster_id: int
-
-    def __post_init__(self):
-        object.__setattr__(self, "axis_labels", tuple(self.axis_labels))
-        rows = np.asarray(self.rows, dtype=np.float64)
-        if rows.ndim != 2:
-            raise ParameterError("rows must be a 2-D matrix")
-        if rows.shape[0] == 0:
-            raise ParameterError("rows must be nonempty")
-        if rows.shape[1] != len(self.axis_labels):
-            raise ParameterError(
-                f"rows have {rows.shape[1]} values for {len(self.axis_labels)} axes"
-            )
-        if rows.size and (rows.min() < -1e-12 or rows.max() > 1.0 + 1e-12):
-            raise ParameterError("row values must lie in [0, 1]")
-        rows = np.clip(rows, 0.0, 1.0)
-        rows.setflags(write=False)
-        object.__setattr__(self, "rows", rows)
-
-
 def render_silhouette_plot(result: ClusteringResult, path) -> None:
     """Write an SVG of per-cluster silhouette bars plus the mean line.
 
@@ -138,15 +110,27 @@ def render_silhouette_plot(result: ClusteringResult, path) -> None:
                parts)
 
 
-def render_stacked_radar(series: RadarSeries, path) -> None:
-    """Write an SVG stacking one translucent polygon per row on radial axes.
+def render_stacked_radar(axis_labels, rows, cluster_id: int, path) -> None:
+    """Write an SVG stacking one translucent polygon per row of ``rows`` on
+    radial axes, one per label in ``axis_labels``, in cluster ``cluster_id``'s color.
 
-    Axes are scaled 0..1 from the center outward; at least 3 axes are
-    required to form a polygon.
+    Axes are scaled 0..1 from the center outward. ``rows`` must be a nonempty
+    2-D matrix with one value per axis, each in [0, 1] (values within 1e-12
+    of it are clipped), and at least 3 axes are required to form a polygon.
     """
-    n_axes = len(series.axis_labels)
+    rows = np.asarray(rows, dtype=np.float64)
+    n_axes = len(axis_labels)
+    if rows.ndim != 2:
+        raise ParameterError("rows must be a 2-D matrix")
+    if rows.shape[0] == 0:
+        raise ParameterError("rows must be nonempty")
+    if rows.shape[1] != n_axes:
+        raise ParameterError(f"rows have {rows.shape[1]} values for {n_axes} axes")
+    if rows.size and (rows.min() < -1e-12 or rows.max() > 1.0 + 1e-12):
+        raise ParameterError("row values must lie in [0, 1]")
     if n_axes < 3:
         raise ParameterError("a radar chart needs at least 3 axes")
+    rows = np.clip(rows, 0.0, 1.0)
 
     cx, cy, radius = 400.0, 315.0, 210.0
     angles = [-np.pi / 2.0 + 2.0 * np.pi * i / n_axes for i in range(n_axes)]
@@ -155,7 +139,7 @@ def render_stacked_radar(series: RadarSeries, path) -> None:
         return (cx + radius * value * np.cos(angles[axis]),
                 cy + radius * value * np.sin(angles[axis]))
 
-    color = PALETTE[series.cluster_id % len(PALETTE)]
+    color = PALETTE[cluster_id % len(PALETTE)]
     parts = []
     for frac in (0.25, 0.5, 0.75, 1.0):
         ring = " ".join(f"{x:.2f},{y:.2f}" for x, y in
@@ -168,14 +152,13 @@ def render_stacked_radar(series: RadarSeries, path) -> None:
         parts.append(_line(cx, cy, ex, ey, "#999999"))
         lx = cx + (radius + 26.0) * np.cos(angles[i])
         ly = cy + (radius + 26.0) * np.sin(angles[i]) + 4.0
-        parts.append(_text(lx, ly, series.axis_labels[i], 13))
+        parts.append(_text(lx, ly, axis_labels[i], 13))
 
-    for row in series.rows:
+    for row in rows:
         pts = " ".join(f"{x:.2f},{y:.2f}" for x, y in
                        (point(i, float(v)) for i, v in enumerate(row)))
         parts.append(
             f'<polygon points="{pts}" fill="{color}" fill-opacity="{RADAR_FILL_OPACITY}" '
             f'stroke="{color}" stroke-width="1"/>'
         )
-    _write_svg(path, f"Cluster {cluster_letter(series.cluster_id)} ({series.rows.shape[0]} rows)",
-               parts)
+    _write_svg(path, f"Cluster {cluster_letter(cluster_id)} ({rows.shape[0]} rows)", parts)

@@ -34,16 +34,17 @@ from math import isqrt
 
 import numpy as np
 
-from .dataset import Dataset, minmax_columns, write_csv
+from .dataset import Dataset, write_csv
 from .errors import ParameterError
 from .kmeans import kmeans_fit  # noqa: F401  (kept importable: perfbench/spans.py wraps it)
 from .kmeans import kmeans_fits, require_distinct, require_integer
 
 # a command whose sweep has less work than this (rows x subsets x k values x
 # restarts) runs in-process, its branches too, even when workers are allowed.
-# One `run` in a fresh process on 2 CPUs, k 3..6, 10 restarts, median of 6 pairs:
-# 2 workers lost on a 150x3 table (24 000: 0.122 s in-process, 0.153 s pooled)
-# and were about even on a 346x3 table (55 360: 0.217 s against 0.211 s)
+# One `run` in a fresh process on 2 CPUs, k 3..6, 10 restarts, median of 6 runs,
+# in-process against 2 workers under fork and under forkserver: 0.090 s against
+# 0.106 and 0.385 s on a 150x3 table (24 000), 0.155 against 0.136 and 0.439 s on
+# a 346x3 table (55 360). Under forkserver the pool starts about 0.3 s slower.
 _POOL_MIN_WORK = 50_000
 
 
@@ -102,11 +103,6 @@ class FeatureWeights:
     @property
     def weights(self) -> np.ndarray:
         return np.array([w for _, w in self.entries])
-
-    def minmax_view(self) -> tuple[tuple[str, float], ...]:
-        """Display-only MinMax rescaling of the weights to [0, 1]."""
-        scaled = minmax_columns(self.weights[:, None])[:, 0]
-        return tuple(zip(self.names, scaled.tolist()))
 
 
 def subsets(indices):

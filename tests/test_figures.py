@@ -6,8 +6,7 @@ import numpy as np
 import pytest
 
 from dimred import ParameterError
-from dimred.figures import (PALETTE, RadarSeries, cluster_letter, render_silhouette_plot,
-                            render_stacked_radar)
+from dimred.figures import PALETTE, cluster_letter, render_silhouette_plot, render_stacked_radar
 from dimred.kmeans import kmeans_fit
 
 COORD_ATTR = re.compile(r'\b(?:x|y|x1|y1|x2|y2|cx|cy)="(-?[0-9.]+)"')
@@ -101,10 +100,8 @@ class TestSilhouettePlot:
 
 class TestStackedRadar:
     def test_full_radius_octagon(self, tmp_path):
-        series = RadarSeries(axis_labels=[f"f{i}" for i in range(8)],
-                             rows=np.ones((1, 8)), cluster_id=0)
         path = tmp_path / "radar.svg"
-        render_stacked_radar(series, path)
+        render_stacked_radar([f"f{i}" for i in range(8)], np.ones((1, 8)), 0, path)
         svg = path.read_text()
         polygons = POINTS_ATTR.findall(svg)
         # 4 grid rings + 1 data polygon
@@ -117,66 +114,64 @@ class TestStackedRadar:
 
     def test_feature_names_on_axes(self, tmp_path):
         labels = ["Income", "Employment", "Health", "Crime", "Living", "Eductn", "Barrier"]
-        series = RadarSeries(axis_labels=labels,
-                             rows=np.full((3, 7), 0.5), cluster_id=1)
         path = tmp_path / "named.svg"
-        render_stacked_radar(series, path)
+        render_stacked_radar(labels, np.full((3, 7), 0.5), 1, path)
         svg = path.read_text()
         for label in labels:
             assert f">{label}<" in svg
 
     def test_two_identical_rows_coincide(self, tmp_path):
         row = np.array([[0.2, 0.8, 0.5, 0.9]])
-        series = RadarSeries(axis_labels=list("abcd"),
-                             rows=np.vstack([row, row]), cluster_id=2)
         path = tmp_path / "dup.svg"
-        render_stacked_radar(series, path)
+        render_stacked_radar(list("abcd"), np.vstack([row, row]), 2, path)
         polygons = POINTS_ATTR.findall(path.read_text())
         assert polygons[-1] == polygons[-2]
 
-    def test_too_few_axes_rejected(self, tmp_path):
-        series = RadarSeries(axis_labels=["a", "b"],
-                             rows=np.array([[0.1, 0.2]]), cluster_id=0)
-        with pytest.raises(ParameterError, match="3 axes"):
-            render_stacked_radar(series, tmp_path / "no.svg")
+    # in check order; a 2-axis case that a check above the 3-axes one rejects pins the order
+    @pytest.mark.parametrize("labels, rows, message", [
+        ("abc", np.ones(3), "rows must be a 2-D matrix"),
+        ("ab", np.empty(0), "rows must be a 2-D matrix"),
+        ("abc", np.empty((0, 3)), "rows must be nonempty"),
+        ("ab", np.empty((0, 3)), "rows must be nonempty"),
+        ("abc", np.ones((1, 2)), "rows have 2 values for 3 axes"),
+        ("abc", np.full((1, 3), 1.5), r"row values must lie in \[0, 1\]"),
+        ("abc", np.full((1, 3), -1e-9), r"row values must lie in \[0, 1\]"),
+        ("ab", np.full((1, 2), 1.5), r"row values must lie in \[0, 1\]"),
+        ("ab", np.array([[0.1, 0.2]]), "a radar chart needs at least 3 axes"),
+        ("", np.empty((1, 0)), "a radar chart needs at least 3 axes"),
+    ])
+    def test_rejected_inputs_write_nothing(self, labels, rows, message, tmp_path):
+        path = tmp_path / "no.svg"
+        with pytest.raises(ParameterError, match=f"^{message}$"):
+            render_stacked_radar(list(labels), rows, 0, path)
+        assert not path.exists()
 
-    def test_rows_must_fit_axes_and_bounds(self):
-        with pytest.raises(ParameterError, match="^rows must be a 2-D matrix$"):
-            RadarSeries(axis_labels=["a", "b", "c"], rows=np.ones(3), cluster_id=0)
-        with pytest.raises(ParameterError):
-            RadarSeries(axis_labels=["a", "b", "c"], rows=np.ones((1, 2)),
-                        cluster_id=0)
-        with pytest.raises(ParameterError):
-            RadarSeries(axis_labels=["a", "b", "c"], rows=np.full((1, 3), 1.5),
-                        cluster_id=0)
-        with pytest.raises(ParameterError):
-            RadarSeries(axis_labels=["a", "b", "c"], rows=np.empty((0, 3)),
-                        cluster_id=0)
+    def test_values_within_the_slack_draw_as_their_bounds(self, tmp_path):
+        a, b = tmp_path / "a.svg", tmp_path / "b.svg"
+        render_stacked_radar(list("abc"), [[-1e-13, 0.5, 1.0 + 1e-13]], 0, a)
+        render_stacked_radar(list("abc"), [[0.0, 0.5, 1.0]], 0, b)
+        assert a.read_bytes() == b.read_bytes()
 
     def test_byte_identical_reruns(self, tmp_path):
         rng = np.random.default_rng(9)
-        series = RadarSeries(axis_labels=[f"ax{i}" for i in range(5)],
-                             rows=rng.uniform(size=(6, 5)), cluster_id=3)
+        labels, rows = [f"ax{i}" for i in range(5)], rng.uniform(size=(6, 5))
         a, b = tmp_path / "a.svg", tmp_path / "b.svg"
-        render_stacked_radar(series, a)
-        render_stacked_radar(series, b)
+        render_stacked_radar(labels, rows, 3, a)
+        render_stacked_radar(labels, rows, 3, b)
         assert a.read_bytes() == b.read_bytes()
 
     def test_coordinates_inside_viewbox(self, tmp_path):
         rng = np.random.default_rng(10)
-        series = RadarSeries(axis_labels=[f"axis label {i}" for i in range(9)],
-                             rows=rng.uniform(size=(4, 9)), cluster_id=1)
         path = tmp_path / "c.svg"
-        render_stacked_radar(series, path)
+        render_stacked_radar([f"axis label {i}" for i in range(9)], rng.uniform(size=(4, 9)), 1,
+                             path)
         xs, ys = all_coordinates(path.read_text())
         assert min(xs) >= 0.0 and max(xs) <= 800.0
         assert min(ys) >= 0.0 and max(ys) <= 600.0
 
     def test_fill_opacity_fixed(self, tmp_path):
-        series = RadarSeries(axis_labels=list("abc"),
-                             rows=np.array([[0.3, 0.4, 0.5]]), cluster_id=0)
         path = tmp_path / "op.svg"
-        render_stacked_radar(series, path)
+        render_stacked_radar(list("abc"), np.array([[0.3, 0.4, 0.5]]), 0, path)
         assert 'fill-opacity="0.35"' in path.read_text()
 
 

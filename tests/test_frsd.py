@@ -84,12 +84,6 @@ class TestFeatureWeights:
         with pytest.raises(ParameterError, match="^one score per name required$"):
             FeatureWeights.from_scores(["a", "b"], [1.0, 2.0, 3.0], source="FRSD")
 
-    def test_minmax_view(self):
-        w = FeatureWeights.from_scores(["a", "b", "c"], [4.0, 3.0, 1.0], source="FRSD")
-        view = dict(w.minmax_view())
-        assert view["a"] == pytest.approx(1.0)
-        assert view["c"] == pytest.approx(0.0)
-
 
 class TestTaskSeed:
     def test_depends_on_names_not_positions(self):

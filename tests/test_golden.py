@@ -99,8 +99,9 @@ def test_every_output_byte_matches_the_recorded_digests(threads, tmp_path, capsy
 def record() -> None:
     """Rewrite the digests from a 1-worker run, after checking that a 2-worker
     run writes the same bytes."""
-    with tempfile.TemporaryDirectory() as tmp:
+    with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as patch:
         serial = output_digests(Path(tmp) / "threads1", 1)
+        patch.setattr(frsd, "usable_cpus", lambda: 2)  # 2 workers pool on any machine
         pooled = output_digests(Path(tmp) / "threads2", 2)
     if serial != pooled:
         sys.exit(f"1 and 2 workers differ: {', '.join(moved_outputs(serial, pooled))}")

@@ -15,7 +15,7 @@ import numpy as np
 from dimred import (SELECTION, ClusteringResult, DecisionConfig, DecisionReport, FeatureWeights,
                     cli)
 from dimred.cli import main
-from dimred.figures import RadarSeries, render_silhouette_plot, render_stacked_radar
+from dimred.figures import render_silhouette_plot, render_stacked_radar
 from dimred.validation import (RandomCase, SweepRow, write_cases_csv, write_scatter_csv,
                                write_sweep_csv)
 
@@ -169,10 +169,8 @@ def test_silhouette_plot_svg(tmp_path):
 
 
 def test_stacked_radar_svg(tmp_path):
-    series = RadarSeries(axis_labels=("a", 'R&D <"x">', "c"),
-                         rows=[[0.0, 0.5, 1.0], [1.0, 0.25, 0.5]], cluster_id=1)
     path = tmp_path / "radar.svg"
-    render_stacked_radar(series, path)
+    render_stacked_radar(("a", 'R&D <"x">', "c"), [[0.0, 0.5, 1.0], [1.0, 0.25, 0.5]], 1, path)
     assert path.read_bytes() == b"""<?xml version="1.0" encoding="UTF-8"?>
 <svg xmlns="http://www.w3.org/2000/svg" version="1.1" width="800" height="600" viewBox="0 0 800 600">
 <rect x="0" y="0" width="800" height="600" fill="#ffffff"/>

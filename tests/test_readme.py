@@ -57,9 +57,25 @@ def test_library_example_runs_as_written(monkeypatch, capsys):
     assert printed[0] == f"{report.chosen_method} {report.n_selected} {report.best_k}"
 
 
+# run before the README code: 2 usable CPUs, so the example's 2 workers start
+# on any machine, and one stderr line per pool opened; a spawned or
+# forkserver worker re-imports it, opening no pool
+PRELUDE = """\
+import multiprocessing, sys
+from dimred import frsd
+multiprocessing.set_start_method({method!r}, force=True)
+frsd.usable_cpus = lambda: 2
+open_pool = frsd._process_pool
+def _process_pool(workers):
+    print(f"pool of {{workers}} workers", file=sys.stderr)
+    return open_pool(workers)
+frsd._process_pool = _process_pool
+"""
+
+
 def test_library_example_runs_as_a_script_under_every_start_method(tmp_path):
     # 60 rows x 11 subsets x 8 k values x 10 restarts = 52 800, at least
-    # frsd._POOL_MIN_WORK, so on 2 or more CPUs the example's 2 workers really start
+    # frsd._POOL_MIN_WORK, so the example's one rank opens one pool of 2 workers
     data = make_dataset(np.random.default_rng(4).uniform(size=(60, 4)))
     write_dataset_csv(data, tmp_path / "wards.csv")
     src = os.path.dirname(os.path.dirname(os.path.abspath(dimred.__file__)))
@@ -68,11 +84,11 @@ def test_library_example_runs_as_a_script_under_every_start_method(tmp_path):
     printed = {}
     for method in ("fork", "forkserver", "spawn"):
         script = tmp_path / "example.py"
-        script.write_text(f"import multiprocessing; multiprocessing.set_start_method("
-                          f"{method!r}, force=True)\n" + _library_example(), encoding="utf-8")
+        script.write_text(PRELUDE.format(method=method) + _library_example(), encoding="utf-8")
         proc = subprocess.run([sys.executable, str(script)], cwd=tmp_path, env=env,
                               capture_output=True, text=True, timeout=300)
         assert proc.returncode == 0, (method, proc.stderr)
+        assert proc.stderr.splitlines().count("pool of 2 workers") == 1, (method, proc.stderr)
         printed[method] = proc.stdout
     assert len(printed["fork"].splitlines()) == 3
     assert printed["forkserver"] == printed["spawn"] == printed["fork"]
