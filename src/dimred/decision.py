@@ -69,8 +69,8 @@ class DecisionConfig:
         _check_resolution(self.target_resolution)
 
 
-# the report fields that hold weights, and the source each one records
-_WEIGHT_FIELDS = {"frsd_weights": "FRSD", "pca_weights": "PCA"}
+# the report fields that hold weights
+_WEIGHT_FIELDS = ("frsd_weights", "pca_weights")
 
 
 @dataclass(frozen=True, eq=False)
@@ -107,8 +107,8 @@ class DecisionReport:
         """Inverse of :meth:`to_json_dict`; extra keys are ignored and a
         missing one raises ``KeyError``."""
         kwargs = {f.name: doc[f.name] for f in fields(cls)}
-        for key, source in _WEIGHT_FIELDS.items():
-            kwargs[key] = FeatureWeights(entries=kwargs[key], source=source)
+        for key in _WEIGHT_FIELDS:
+            kwargs[key] = FeatureWeights(entries=kwargs[key])
         return cls(**kwargs)
 
 

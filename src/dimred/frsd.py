@@ -46,6 +46,13 @@ from .kmeans import kmeans_fits, require_distinct, require_integer
 # 0.106 and 0.385 s on a 150x3 table (24 000), 0.155 against 0.136 and 0.439 s on
 # a 346x3 table (55 360). Under forkserver the pool starts about 0.3 s slower.
 _POOL_MIN_WORK = 50_000
+# the threshold is this many times larger under forkserver and spawn, whose
+# workers each start a fresh interpreter. Same timing, median of 8, in-process
+# against 2 workers under forkserver and spawn (pooled faster in how many): 0.52
+# against 0.70 and 0.63 s on 630x4 (277 200; 0 and 0), 0.82 against 0.83 and
+# 0.83 s on 630x5 (655 200; 6 and 4), 1.12 against 1.01 and 1.08 s on 800x5
+# (832 000; 6 and 4), 1.16 against 1.04 and 1.08 s on 866x5 (900 640; 8 and 7).
+_FRESH_START_FACTOR = 14
 
 
 @dataclass(frozen=True, eq=False)
@@ -53,16 +60,13 @@ class FeatureWeights:
     """Ranked, normalized importance weights from FRSD or PCA.
 
     ``entries`` is a descending list of (name, weight) pairs whose weights
-    sum to 1; ``source`` records which ranking produced them.
+    sum to 1.
     """
 
     entries: tuple[tuple[str, float], ...]
-    source: str
 
     def __post_init__(self):
         object.__setattr__(self, "entries", tuple((str(n), float(w)) for n, w in self.entries))
-        if self.source not in ("FRSD", "PCA"):
-            raise ParameterError(f"unknown weight source {self.source!r}")
         if not self.entries:
             raise ParameterError("weights are empty")
         names = [n for n, _ in self.entries]
@@ -79,7 +83,8 @@ class FeatureWeights:
         """Sum-normalize raw scores into weights, sorted descending.
 
         Ties keep the input order. Negative aggregates are allowed (they can
-        arise from negative silhouettes) but flagged with a warning.
+        arise from negative silhouettes) but flagged with a warning that names
+        ``source``, the ranking that produced the scores.
         """
         scores = np.asarray(scores, dtype=np.float64)
         if len(names) != scores.size:
@@ -93,8 +98,7 @@ class FeatureWeights:
             )
         normalized = scores / total
         order = sorted(range(len(names)), key=lambda i: -normalized[i])
-        return cls(entries=tuple((names[i], float(normalized[i])) for i in order),
-                   source=source)
+        return cls(entries=tuple((names[i], float(normalized[i])) for i in order))
 
     @property
     def names(self) -> tuple[str, ...]:
@@ -126,9 +130,8 @@ def _score_subset(values, names, config, ks, cols) -> list[float]:
 
 
 def _process_pool(workers):
-    """A pool of ``workers`` processes. Its machinery (``multiprocessing``
-    and ``concurrent.futures.process``) is imported here, so only a command
-    that starts workers loads it."""
+    """A pool of ``workers`` processes. Its machinery (``concurrent.futures.process``)
+    is imported here, so only a command that starts workers loads it."""
     from concurrent.futures import ProcessPoolExecutor
     return ProcessPoolExecutor(max_workers=workers)
 
@@ -142,7 +145,8 @@ def usable_cpus() -> int:
 def worker_pool(data: Dataset, config, max_workers: int):
     """The one pool, as a context manager, of a command that sweeps ``data``
     with ``config``: ``min(max_workers, subsets, usable_cpus())`` processes,
-    or ``None`` (in-process) below ``_POOL_MIN_WORK``. A ``max_workers`` that
+    or ``None`` (in-process) below ``_POOL_MIN_WORK`` (``_FRESH_START_FACTOR``
+    times it under a start method other than ``fork``). A ``max_workers`` that
     is not an integer >= 1 (``require_integer``), then a k_max ``sweep_shape``
     rejects, raise ``ParameterError`` first; workers start at the first task,
     so a sweep that ``frsd_rank``'s checks reject starts none."""
@@ -151,8 +155,13 @@ def worker_pool(data: Dataset, config, max_workers: int):
     # the pool starts all its workers at the first task, with no limit of its own
     workers = min(max_workers, n_subsets, usable_cpus())
     work = data.n_samples * n_subsets * len(ks) * config.restarts
-    if workers > 1 and work >= _POOL_MIN_WORK:
-        return _process_pool(workers)
+    if workers > 1:
+        import multiprocessing  # here, so a one-worker command does not load it
+        # read, not fixed: get_context() or a pool would fix the process's default
+        method = (multiprocessing.get_start_method(allow_none=True)
+                  or multiprocessing.get_all_start_methods()[0])  # the default comes first
+        if work >= _POOL_MIN_WORK * (1 if method == "fork" else _FRESH_START_FACTOR):
+            return _process_pool(workers)
     return contextlib.nullcontext()
 
 

@@ -14,6 +14,7 @@ import numpy as np
 
 from .errors import ParameterError
 from .frsd import FeatureWeights
+from .kmeans import _check_data
 
 _JACOBI_TOL = 1e-10  # sweeps stop once the off-diagonal norm is below this
 _MAX_SWEEPS = 100  # and after this many at most
@@ -90,13 +91,9 @@ def pca_fit(data) -> PcaModel:
     and orders components by descending eigenvalue. Sign convention: the
     entry of largest absolute value in each component is nonnegative.
     """
-    data = np.asarray(data, dtype=np.float64)
-    if data.ndim != 2:
-        raise ParameterError("data must be a 2-D matrix")
-    if data.shape[0] <= 1:
+    data = _check_data(data)
+    if data.shape[0] == 1:
         raise ParameterError("PCA needs more than one sample")
-    if not np.isfinite(data).all():
-        raise ParameterError("data contains non-finite entries")
 
     mean = data.mean(axis=0)
     centered = data - mean

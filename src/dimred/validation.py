@@ -106,11 +106,10 @@ def count_misclassified(cases) -> int:
     return wrong
 
 
-def resolution_sweep(weights_fs: FeatureWeights, weights_fe: FeatureWeights,
-                     targets=SWEEP_TARGETS) -> list[SweepRow]:
-    """Feature/component counts for each target, with deltas where comparable."""
+def resolution_sweep(weights_fs: FeatureWeights, weights_fe: FeatureWeights) -> list[SweepRow]:
+    """Feature/component counts for each of ``SWEEP_TARGETS``, with deltas where comparable."""
     rows = []
-    for target in targets:
+    for target in SWEEP_TARGETS:
         m_fs, achieved_fs = select_for_resolution(weights_fs, target)
         m_fe, achieved_fe = select_for_resolution(weights_fe, target)
         delta = achieved_fe - achieved_fs if m_fs == m_fe else None

@@ -1,6 +1,7 @@
 """Subset enumeration, silhouette decomposition and weight normalization."""
 
 import json
+import multiprocessing
 import tracemalloc
 from concurrent.futures import ProcessPoolExecutor
 from types import SimpleNamespace
@@ -65,20 +66,19 @@ class TestFeatureWeights:
 
     def test_constructor_enforces_sum(self):
         with pytest.raises(ParameterError, match="sum"):
-            FeatureWeights(entries=(("a", 0.6), ("b", 0.5)), source="FRSD")
+            FeatureWeights(entries=(("a", 0.6), ("b", 0.5)))
 
     def test_constructor_enforces_descending(self):
         with pytest.raises(ParameterError, match="descending"):
-            FeatureWeights(entries=(("a", 0.4), ("b", 0.6)), source="FRSD")
+            FeatureWeights(entries=(("a", 0.4), ("b", 0.6)))
 
-    @pytest.mark.parametrize("entries, source, message", [
-        ((("a", 1.0),), "LDA", "unknown weight source 'LDA'"),
-        ((), "FRSD", "weights are empty"),
-        ((("a", 0.5), ("a", 0.5)), "PCA", "duplicate names in weights"),
+    @pytest.mark.parametrize("entries, message", [
+        ((), "weights are empty"),
+        ((("a", 0.5), ("a", 0.5)), "duplicate names in weights"),
     ])
-    def test_constructor_rejects(self, entries, source, message):
+    def test_constructor_rejects(self, entries, message):
         with pytest.raises(ParameterError, match=f"^{message}$"):
-            FeatureWeights(entries=entries, source=source)
+            FeatureWeights(entries=entries)
 
     def test_from_scores_needs_one_score_per_name(self):
         with pytest.raises(ParameterError, match="^one score per name required$"):
@@ -195,6 +195,19 @@ class TestFrsdRank:
         assert pools == [2]
         assert serial[0].entries == pooled[0].entries
         assert serial[1].tobytes() == pooled[1].tobytes()
+
+    @pytest.mark.parametrize("method", ["fork", "forkserver", "spawn"])
+    def test_pool_threshold_follows_the_start_method(self, fake_pools, monkeypatch, method):
+        monkeypatch.setattr(frsd, "_POOL_MIN_WORK", 50_000)
+        monkeypatch.setattr(multiprocessing, "get_start_method", lambda allow_none=False: method)
+        config = DecisionConfig(k_min=3, k_max=6, seed=0, restarts=10)
+        # 346 rows x 4 subsets x 4 k values x 10 restarts = 55 360: a fork pool pays
+        # off, a pool of freshly started workers does not
+        with frsd.worker_pool(make_dataset(np.zeros((346, 3))), config, 2) as pool:
+            assert (pool is not None) == (method == "fork")
+        # 960 x 26 x 4 x 10 = 998 400, above the threshold of every start method
+        with frsd.worker_pool(make_dataset(np.zeros((960, 5))), config, 2) as pool:
+            assert pool is fake_pools[-1] and pool._max_workers == 2
 
     def test_never_more_workers_than_subsets(self, fake_pools):
         rng = np.random.default_rng(6)

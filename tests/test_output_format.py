@@ -19,8 +19,8 @@ from dimred.figures import render_silhouette_plot, render_stacked_radar
 from dimred.validation import (RandomCase, SweepRow, write_cases_csv, write_scatter_csv,
                                write_sweep_csv)
 
-FRSD = FeatureWeights(entries=(("b", 0.5), ("a", 0.3), ("\u00e7", 0.2)), source="FRSD")
-PCA = FeatureWeights(entries=(("PC1", 0.75), ("PC2", 0.25)), source="PCA")
+FRSD = FeatureWeights(entries=(("b", 0.5), ("a", 0.3), ("\u00e7", 0.2)))
+PCA = FeatureWeights(entries=(("PC1", 0.75), ("PC2", 0.25)))
 # the score table of 3 features at k 3..4: a row per subset, a column per k
 SCORES = np.array([[0.25, 0.5], [-0.125, 0.0], [0.75, 0.1], [1 / 3, 1e-05]])
 REPORT = DecisionReport(frsd_weights=FRSD, pca_weights=PCA, best_si_fs=0.6,

