@@ -3,9 +3,9 @@
 ``run`` executes the full pipeline on a CSV file (ingest, rank with FRSD
 and PCA, decide between selection and extraction, reduce, cluster) and
 writes the report, weight tables and figures. ``rank`` stops after the two
-weight tables and the resolution sweep over them. ``scenarios`` ranks once
+weight tables and the resolution table over them. ``scenarios`` ranks once
 and evaluates the five standard preference scenarios. ``validate``
-exercises the decision rule on random cases and emits the resolution sweep
+exercises the decision rule on random cases and emits the resolution table
 over built-in reference profiles.
 
 Exit codes: 0 on success, 1 on data or compute errors, 2 on flag errors.
@@ -29,7 +29,7 @@ from .figures import cluster_letter, render_silhouette_plot, render_stacked_rada
 from .frsd import sweep_shape, usable_cpus, write_subset_scores
 from .validation import (REFERENCE_EXTRACTION_WEIGHTS, REFERENCE_SELECTION_WEIGHTS,
                          count_misclassified, generate_cases, resolution_sweep,
-                         write_cases_csv, write_scatter_csv, write_sweep_csv)
+                         write_cases_csv, write_sweep_csv)
 
 # (case, interpretability, target resolution): strongly interpretability-
 # oriented, strongly integrity-oriented and balanced at high resolution,
@@ -157,14 +157,14 @@ def _print_sweep(title: str, rows) -> None:
     print(title)
     for row in rows:
         delta = "" if row.delta is None else f"  delta={row.delta * 100:+.2f}pp"
-        print(f"  target {row.target:.1f}: features={row.m_fs} "
+        print(f"  targets ({row.lo:.5f}, {row.hi:.5f}]: features={row.m_fs} "
               f"({row.achieved_fs * 100:.1f}%)  PCs={row.m_fe} "
               f"({row.achieved_fe * 100:.1f}%){delta}")
     comparable = [row for row in rows if row.delta is not None]
     if comparable:
         advantage = sum(1 for row in comparable if row.delta >= 0)
         print(f"extraction resolution advantage in {advantage}/{len(comparable)} "
-              f"comparable targets")
+              f"comparable intervals")
 
 
 def _print_report(outcome: DecisionOutcome) -> None:
@@ -282,7 +282,6 @@ def cmd_validate(args) -> int:
     sweep = resolution_sweep(REFERENCE_SELECTION_WEIGHTS, REFERENCE_EXTRACTION_WEIGHTS)
 
     write_cases_csv(cases, os.path.join(args.out, "cases.csv"))
-    write_scatter_csv(cases, os.path.join(args.out, "scatter.csv"))
     write_sweep_csv(sweep, os.path.join(args.out, "sweep.csv"))
 
     print(f"misclassified: {wrong}/{len(cases)}")

@@ -112,20 +112,28 @@ class DecisionReport:
         return cls(**kwargs)
 
 
-def select_for_resolution(weights: FeatureWeights, target_resolution: float) -> tuple[int, float]:
-    """Smallest prefix of the ranked weights reaching the target resolution.
+# how far a running sum may fall short of a target and still reach it (1.0 despite dust)
+RESOLUTION_SLACK = 1e-12
 
-    Returns (m, achieved cumulative weight). The comparison carries a 1e-12
-    slack so that a target of exactly 1.0 is reachable despite floating-point
-    dust in the normalized weights.
-    """
-    _check_resolution(target_resolution)
-    cumulative = 0.0
+
+def resolution_steps(weights: FeatureWeights) -> list[tuple[float, int, float]]:
+    """(bound, m, achieved) steps, ``achieved`` the sum of the first m weights added in
+    rank order: target t needs the first step whose bound is at least t - RESOLUTION_SLACK.
+    The bound is the sum, but 1.0 for the first m to reach 1 - RESOLUTION_SLACK, or n."""
+    steps, cumulative = [], 0.0
     for m, (_, weight) in enumerate(weights.entries, start=1):
         cumulative += weight
-        if cumulative >= target_resolution - 1e-12:
-            return m, cumulative
-    return len(weights.entries), cumulative
+        if cumulative >= 1.0 - RESOLUTION_SLACK or m == len(weights.entries):
+            return steps + [(1.0, m, cumulative)]
+        steps.append((cumulative, m, cumulative))
+
+
+def select_for_resolution(weights: FeatureWeights, target_resolution: float) -> tuple[int, float]:
+    """Smallest prefix of the ranked weights reaching the target resolution, up
+    to ``RESOLUTION_SLACK``: (m, achieved cumulative weight), from ``resolution_steps``."""
+    _check_resolution(target_resolution)
+    return next((m, achieved) for bound, m, achieved in resolution_steps(weights)
+                if target_resolution - RESOLUTION_SLACK <= bound)
 
 
 def best_silhouette_over_k(data, config: DecisionConfig) -> ClusteringResult:

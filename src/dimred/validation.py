@@ -1,11 +1,11 @@
-"""Monte Carlo validation of the decision rule plus resolution sweeps.
+"""Monte Carlo validation of the decision rule plus the resolution table.
 
 Random cases draw both hypothetical silhouettes and the interpretability
 preference uniformly from [0, 1]; the decision rule must agree on every
 case with the argmax recomputed from those inputs in exact arithmetic. The
-resolution sweep tabulates how many features/components each target
-resolution requires and, where the counts match, the resolution advantage of
-extraction.
+resolution table gives, for every interval of targets, how many features
+and components reach them and, where the counts match, the resolution
+advantage of extraction.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from typing import Optional
 import numpy as np
 
 from .dataset import write_csv
-from .decision import EXTRACTION, SELECTION, decide, select_for_resolution
+from .decision import EXTRACTION, RESOLUTION_SLACK, SELECTION, decide, resolution_steps
 from .errors import ParameterError
 from .frsd import FeatureWeights
 
@@ -36,14 +36,16 @@ class RandomCase:
 
 @dataclass(frozen=True)
 class SweepRow:
-    """Resolution sweep entry for one target resolution."""
+    """The targets t with lo < t - RESOLUTION_SLACK <= hi (the first row also
+    those below), over which both widths stay constant."""
 
-    target: float
+    lo: float
+    hi: float
     m_fs: int
     achieved_fs: float
     m_fe: int
     achieved_fe: float
-    delta: Optional[float]  # achieved_fe - achieved_fs where m_fs == m_fe
+    delta: Optional[float]  # achieved_fe - achieved_fs where m_fs == m_fe, dust as 0.0
 
 
 # Fixed reference importance profiles for an 8-feature deprivation-scores
@@ -60,8 +62,6 @@ REFERENCE_EXTRACTION_WEIGHTS = FeatureWeights.from_scores(
     source="PCA",
 )
 
-SWEEP_TARGETS = tuple(round(0.1 * i, 1) for i in range(1, 11))
-
 
 def generate_cases(n: int, seed: int) -> list[RandomCase]:
     """Draw n random decision cases and decide each one."""
@@ -70,19 +70,9 @@ def generate_cases(n: int, seed: int) -> list[RandomCase]:
     rng = np.random.default_rng(seed)
     cases = []
     for _ in range(n):
-        si_fs = float(rng.uniform())
-        si_fe = float(rng.uniform())
-        alpha = float(rng.uniform())
+        si_fs, si_fe, alpha = (float(rng.uniform()) for _ in range(3))
         method, s_interp, s_integ = decide(si_fs, si_fe, alpha)
-        cases.append(RandomCase(
-            si_fs=si_fs,
-            si_fe=si_fe,
-            alpha=alpha,
-            integrity=1.0 - alpha,
-            interpretability_score=s_interp,
-            integrity_score=s_integ,
-            chosen_method=method,
-        ))
+        cases.append(RandomCase(si_fs, si_fe, alpha, 1.0 - alpha, s_interp, s_integ, method))
     return cases
 
 
@@ -107,14 +97,20 @@ def count_misclassified(cases) -> int:
 
 
 def resolution_sweep(weights_fs: FeatureWeights, weights_fe: FeatureWeights) -> list[SweepRow]:
-    """Feature/component counts for each of ``SWEEP_TARGETS``, with deltas where comparable."""
+    """The exact resolution table: a row per interval of constant widths, at most 2n - 1
+    for n names, each with ``select_for_resolution``'s (m, achieved) of its targets."""
+    steps = resolution_steps(weights_fs), resolution_steps(weights_fe)
+    his = sorted({bound for ranking in steps for bound, _, _ in ranking})
     rows = []
-    for target in SWEEP_TARGETS:
-        m_fs, achieved_fs = select_for_resolution(weights_fs, target)
-        m_fe, achieved_fe = select_for_resolution(weights_fe, target)
-        delta = achieved_fe - achieved_fs if m_fs == m_fe else None
-        rows.append(SweepRow(target=float(target), m_fs=m_fs, achieved_fs=achieved_fs,
-                             m_fe=m_fe, achieved_fe=achieved_fe, delta=delta))
+    for lo, hi in zip([0.0, *his], his):
+        (m_fs, achieved_fs), (m_fe, achieved_fe) = [
+            next((m, achieved) for bound, m, achieved in ranking if hi <= bound)
+            for ranking in steps]
+        delta = achieved_fe - achieved_fs
+        if abs(delta) <= RESOLUTION_SLACK:  # float dust
+            delta = 0.0
+        rows.append(SweepRow(lo=lo, hi=hi, m_fs=m_fs, achieved_fs=achieved_fs, m_fe=m_fe,
+                             achieved_fe=achieved_fe, delta=delta if m_fs == m_fe else None))
     return rows
 
 
@@ -123,14 +119,7 @@ def write_cases_csv(cases, path) -> None:
     write_csv(path, [f.name for f in fields(RandomCase)], [astuple(c) for c in cases])
 
 
-def write_scatter_csv(cases, path) -> None:
-    """Scatter-plot data: one point per case, classed by the chosen method."""
-    write_csv(path, ["interpretability_score", "integrity_score", "chosen_method"],
-              [(c.interpretability_score, c.integrity_score, c.chosen_method)
-               for c in cases])
-
-
 def write_sweep_csv(rows, path) -> None:
-    """One row per target, its fields in declaration order; ``delta`` is empty
+    """One row per interval, its fields in declaration order; ``delta`` is empty
     where the two counts differ."""
     write_csv(path, [f.name for f in fields(SweepRow)], [astuple(r) for r in rows])

@@ -269,13 +269,14 @@ class TestRank:
         assert run_cli(["rank", "--input", str(demo_csv), "--out", str(out),
                         "--seed", "42"] + FAST) == 0
         rankings = rank(load_csv(demo_csv), DecisionConfig(k_min=2, k_max=3, seed=42, restarts=2))
-        write_sweep_csv(resolution_sweep(rankings.frsd_weights, rankings.pca_weights),
-                        tmp_path / "want.csv")
+        rows = resolution_sweep(rankings.frsd_weights, rankings.pca_weights)
+        write_sweep_csv(rows, tmp_path / "want.csv")
         assert (out / "sweep.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
         captured = capsys.readouterr().out
         assert "resolution sweep:" in captured
-        for target in range(1, 11):
-            assert f"  target {target / 10:.1f}: features=" in captured
+        assert 1 <= len(rows) <= 2 * 4 - 1  # 4 features
+        for row in rows:
+            assert f"  targets ({row.lo:.5f}, {row.hi:.5f}]: features={row.m_fs} " in captured
         assert "extraction resolution advantage in" in captured
 
     def test_weights_are_read_back_from_the_subset_scores(self, tmp_path, fake_pools):
@@ -329,6 +330,20 @@ class TestScenarios:
             want = run_decision_detailed(blobs, DecisionConfig(
                 interpretability=alpha, target_resolution=target, **SWEEP)).report
             assert got.to_json_dict() == want.to_json_dict(), case
+
+    def test_the_table_row_of_each_target_gives_its_reports_width(self, blobs):
+        rankings = rank(blobs, DecisionConfig(**SWEEP))
+        rows = resolution_sweep(rankings.frsd_weights, rankings.pca_weights)
+        methods = set()
+        for case, alpha, target in cli.SCENARIOS:
+            report = evaluate(rankings, alpha, target).report
+            row, = [row for i, row in enumerate(rows)
+                    if (i == 0 or row.lo < target - 1e-12) and target - 1e-12 <= row.hi]
+            want = ((row.m_fs, row.achieved_fs) if report.chosen_method == SELECTION
+                    else (row.m_fe, row.achieved_fe))
+            assert (report.n_selected, report.achieved_resolution) == want, case
+            methods.add(report.chosen_method)
+        assert len(methods) == 2  # both columns of the table checked
 
     def test_scenarios_fit_each_branch_width_once(self, blobs, tmp_path, fake_pools,
                                                   monkeypatch):
@@ -385,15 +400,14 @@ class TestScenarios:
 class TestValidate:
     def test_zero_misclassified(self, tmp_path, capsys):
         out = tmp_path / "val"
-        code = run_cli(["validate", "--cases", "250", "--seed", "7",
-                        "--out", str(out)])
+        code = run_cli(["validate", "--out", str(out)])  # 250 cases, seed 42
         assert code == 0
         captured = capsys.readouterr().out
-        assert "misclassified: 0/250" in captured
-        assert "extraction resolution advantage in" in captured
-        assert (out / "cases.csv").exists()
-        assert (out / "scatter.csv").exists()
-        assert (out / "sweep.csv").exists()
+        assert "\nmisclassified: 0/250\n" in "\n" + captured
+        assert "extraction resolution advantage in 8/8 comparable intervals" in captured
+        written = {path.name: path.stat().st_size for path in out.iterdir()}
+        assert written.keys() == {"cases.csv", "sweep.csv"}
+        assert all(written.values())
 
     def test_single_case(self, tmp_path):
         out = tmp_path / "val1"

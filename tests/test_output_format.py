@@ -16,8 +16,7 @@ from dimred import (SELECTION, ClusteringResult, DecisionConfig, DecisionReport,
                     cli)
 from dimred.cli import main
 from dimred.figures import render_silhouette_plot, render_stacked_radar
-from dimred.validation import (RandomCase, SweepRow, write_cases_csv, write_scatter_csv,
-                               write_sweep_csv)
+from dimred.validation import RandomCase, resolution_sweep, write_cases_csv, write_sweep_csv
 
 FRSD = FeatureWeights(entries=(("b", 0.5), ("a", 0.3), ("\u00e7", 0.2)))
 PCA = FeatureWeights(entries=(("PC1", 0.75), ("PC2", 0.25)))
@@ -33,10 +32,6 @@ CASES = [RandomCase(si_fs=0.5, si_fe=0.25, alpha=0.75, integrity=0.25,
          RandomCase(si_fs=0.1, si_fe=0.7, alpha=0.2, integrity=0.8,
                     interpretability_score=0.020000000000000004,
                     integrity_score=0.5599999999999999, chosen_method="EXTRACTION")]
-SWEEP = [SweepRow(target=0.2, m_fs=2, achieved_fs=0.25, m_fe=1, achieved_fe=0.75,
-                  delta=None),
-         SweepRow(target=1.0, m_fs=3, achieved_fs=1.0, m_fe=3, achieved_fe=0.9999999999999999,
-                  delta=-1.1102230246251565e-16)]
 
 
 def test_run_writes_report_weights_and_subset_scores(demo_csv, tmp_path, monkeypatch):
@@ -116,22 +111,19 @@ def test_cases_csv(tmp_path):
         b"0.1,0.7,0.2,0.8,0.020000000000000004,0.5599999999999999,EXTRACTION\r\n")
 
 
-def test_scatter_csv(tmp_path):
-    path = tmp_path / "scatter.csv"
-    write_scatter_csv(CASES, path)
-    assert path.read_bytes() == (
-        b"interpretability_score,integrity_score,chosen_method\r\n"
-        b"0.375,0.0625,SELECTION\r\n"
-        b"0.020000000000000004,0.5599999999999999,EXTRACTION\r\n")
-
-
 def test_sweep_csv(tmp_path):
+    # extraction's running sums 0.6, 0.8999999999999999 and 0.9999999999999999: where
+    # both counts are 3 they differ from selection's 1.0 by dust, written as a tie
     path = tmp_path / "sweep.csv"
-    write_sweep_csv(SWEEP, path)
+    write_sweep_csv(resolution_sweep(FRSD, FeatureWeights(entries=(("PC1", 0.6), ("PC2", 0.3),
+                                                                    ("PC3", 0.1)))), path)
     assert path.read_bytes() == (
-        b"target,m_fs,achieved_fs,m_fe,achieved_fe,delta\r\n"
-        b"0.2,2,0.25,1,0.75,\r\n"
-        b"1.0,3,1.0,3,0.9999999999999999,-1.1102230246251565e-16\r\n")
+        b"lo,hi,m_fs,achieved_fs,m_fe,achieved_fe,delta\r\n"
+        b"0.0,0.5,1,0.5,1,0.6,0.09999999999999998\r\n"
+        b"0.5,0.6,2,0.8,1,0.6,\r\n"
+        b"0.6,0.8,2,0.8,2,0.8999999999999999,0.09999999999999987\r\n"
+        b"0.8,0.8999999999999999,3,1.0,2,0.8999999999999999,\r\n"
+        b"0.8999999999999999,1.0,3,1.0,3,0.9999999999999999,0.0\r\n")
 
 
 def test_silhouette_plot_svg(tmp_path):
